@@ -84,6 +84,7 @@ def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dic
         "dual": float(sol.dual_value),
         "gap": float(sol.duality_gap),
         "status": sol.status.value,
+        "termination": sol.termination.value,
         "iterations": sol.iterations,
         "residuals": {
             "min_eigenvalue": sol.residuals.min_eigenvalue,

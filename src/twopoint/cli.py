@@ -151,6 +151,7 @@ def _cmd_theta(args) -> int:
         "dual": sol.dual_value,
         "gap": sol.duality_gap,
         "status": sol.status.value,
+        "termination": sol.termination.value,
         "iterations": sol.iterations,
         "residuals": {
             "min_eigenvalue": sol.residuals.min_eigenvalue,
@@ -167,7 +168,8 @@ def _cmd_theta(args) -> int:
         out = (
             f"ϑ = {format_float(sol.primal_value)}\n"
             f"dual = {format_float(sol.dual_value)} (gap {format_float(sol.duality_gap)})\n"
-            f"status = {sol.status.value}, iterations = {sol.iterations}\n"
+            f"status = {sol.status.value} ({sol.termination.value}), "
+            f"iterations = {sol.iterations}\n"
             f"feasibility = {'PASS' if feas.passed else 'FAIL'}\n"
         )
     _write(out, args.output)

@@ -7,13 +7,20 @@ The program solved is
 
 whose optimum is the Lovasz number of the graph.  The solver is a
 feasible-start primal-dual path-following interior-point method with the
-HKM search direction.  X0 = I/n and the dual slack Z0 = (n+1) I - J are
+HKM search direction and Mehrotra's predictor-corrector: the affine
+predictor sets the centering weight, and the corrector adds the predictor's
+second-order term dX dZ W to both the Schur right-hand side and dX, reusing
+the same factorization.  X0 = I/n and the dual slack Z0 = (n+1) I - J are
 strictly feasible, so both residuals stay (numerically) zero throughout and
 only the duality gap has to be driven below tolerance; primal iterates are
-re-projected onto the exact affine constraints after every step.  The Schur
-complement is assembled sparsely from the two-entry constraint matrices, so
-one iteration costs one Cholesky of an m x m system (m = 1 + |E|) plus a
-handful of n x n eigendecompositions for the step lengths.
+re-projected onto the exact affine constraints after every step.
+
+The Schur complement is assembled from row-then-column gathers of X and W
+that exploit the two-entry constraint matrices, and is exactly symmetric
+by construction.  Its m x m arrays (m = 1 + |E|) are allocated once per
+call, so one iteration costs one in-place Cholesky of the m x m system, no
+m x m allocation, and a handful of n x n eigendecompositions for the step
+lengths.  `SdpSolution.termination` names the exit the loop took.
 """
 
 from __future__ import annotations
@@ -35,7 +42,17 @@ DEFAULT_MAX_ITERATIONS = 10_000
 class SdpStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
-    INFEASIBLE = "infeasible"
+
+
+class SdpTermination(enum.Enum):
+    """Which exit of the interior-point loop fired."""
+
+    GAP_TARGET = "gap_target"
+    STALLED = "stalled"
+    Z_NOT_FACTORABLE = "z_not_factorable"
+    SCHUR_NOT_FACTORABLE = "schur_not_factorable"
+    STEP_TOO_SMALL = "step_too_small"
+    MAX_ITERATIONS = "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -54,6 +71,7 @@ class SdpSolution:
     status: SdpStatus
     residuals: SdpResiduals
     iterations: int
+    termination: SdpTermination
 
     def __post_init__(self) -> None:
         X = np.array(self.X)
@@ -139,6 +157,76 @@ def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
     return -1.0 / lmin
 
 
+class _Schur:
+    """HKM Schur complement H[p,q] = tr(A_p X A_q W) of the theta program.
+
+    A_0 is the identity and the edge constraint (i, j) has A = E_ij + E_ji.
+    The m x m matrix, a Fortran-order factor buffer and two gather buffers
+    are allocated once and reused by every iteration.
+    """
+
+    def __init__(self, ei: np.ndarray, ej: np.ndarray):
+        me = len(ei)
+        m = 1 + me
+        self.ei, self.ej = ei, ej
+        self.H = np.empty((m, m))
+        self._factor = np.empty((m, m), order="F")
+        self._ga = np.empty((me, me))
+        self._gb = np.empty((me, me))
+
+    def assemble(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Fill H from symmetric X and W; the result is exactly symmetric.
+
+        For edges p = (a, b) and q = (c, d) the edge block is
+        X_ad W_cb + X_bc W_da + X_ac W_bd + X_bd W_ac, that is
+        T + T' + X_ii o W_jj + X_jj o W_ii with T = X_ij o W_ji, where
+        X_ij[p, q] = X[i_p, j_q].  Each term is a row gather followed by a
+        column gather into a reused buffer.
+        """
+        ei, ej, H, ga, gb = self.ei, self.ej, self.H, self._ga, self._gb
+        H[0, 0] = float(np.sum(X * W))
+        if not len(ei):
+            return H
+        R = W @ X
+        h0 = R[ej, ei] + R[ei, ej]
+        H[0, 1:] = h0
+        H[1:, 0] = h0
+        Xi, Xj, Wi, Wj = X[ei], X[ej], W[ei], W[ej]
+        block = H[1:, 1:]
+        np.take(Xi, ej, axis=1, out=ga, mode="clip")
+        np.take(Wj, ei, axis=1, out=gb, mode="clip")
+        ga *= gb
+        np.add(ga, ga.T, out=block)
+        for Xr, Wr, cx, cw in ((Xi, Wj, ei, ej), (Xj, Wi, ej, ei)):
+            np.take(Xr, cx, axis=1, out=ga, mode="clip")
+            np.take(Wr, cw, axis=1, out=gb, mode="clip")
+            ga *= gb
+            block += ga
+        return H
+
+    def factor(self):
+        """Cholesky factor of H, with diagonal jitter if needed; None if none works."""
+        H, F = self.H, self._factor
+        m = H.shape[0]
+        jitter_scale = float(np.trace(H)) / m
+        for jit in (0.0, 1e-12, 1e-9, 1e-6):
+            F[...] = H
+            if jit:
+                F.flat[:: m + 1] += jit * jitter_scale
+            try:
+                return sla.cho_factor(F, overwrite_a=True)
+            except np.linalg.LinAlgError:
+                continue
+        return None
+
+    def solve(self, ch, rhs: np.ndarray) -> np.ndarray:
+        # One round of iterative refinement against the unjittered H; the
+        # Schur system turns badly conditioned as the gap closes.
+        dy = sla.cho_solve(ch, rhs)
+        dy += sla.cho_solve(ch, rhs - self.H @ dy)
+        return dy
+
+
 def theta(
     g: Graph,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -149,7 +237,7 @@ def theta(
     The returned primal value is a lower and the dual value an upper bound
     on the true optimum, up to the reported residuals.  Non-convergence
     within the iteration cap is reported as status MAX_ITERATIONS carrying
-    the best iterate found, never silently.
+    the best iterate found, never silently; `termination` names the exit.
     """
     _check_graph(g)
     if not (1e-10 <= tolerance <= 1e-3):
@@ -164,6 +252,7 @@ def theta(
             status=SdpStatus.CONVERGED,
             residuals=_residuals(g, X),
             iterations=0,
+            termination=SdpTermination.GAP_TARGET,
         )
 
     n = g.n
@@ -173,6 +262,7 @@ def theta(
     ej = np.fromiter((e[1] for e in g.edges), dtype=int) if me else np.empty(0, dtype=int)
     J = np.ones((n, n))
     eye_n = np.eye(n)
+    schur = _Schur(ei, ej)
 
     def build_Z(y: np.ndarray) -> np.ndarray:
         Z = y[0] * eye_n - J
@@ -210,6 +300,7 @@ def theta(
     best = (X, y)
     stall = 0
     iterations = 0
+    termination = SdpTermination.MAX_ITERATIONS
 
     for iterations in range(1, max_iterations + 1):
         gap = float(y[0] - X.sum())
@@ -219,77 +310,60 @@ def theta(
             best_gap, best = gap, (X, y)
         else:
             stall += 1
-        if gap <= target_gap or stall >= 10:
+        if gap <= target_gap:
+            termination = SdpTermination.GAP_TARGET
+            break
+        if stall >= 10:
+            termination = SdpTermination.STALLED
             break
         mu = gap / n
 
         try:
             cz = sla.cho_factor(Z)
         except np.linalg.LinAlgError:
+            termination = SdpTermination.Z_NOT_FACTORABLE
             break
         W = sla.cho_solve(cz, eye_n)
         W = (W + W.T) / 2
 
-        # Symmetrized HKM Schur complement H[p,q] = tr(A_p X A_q W) using the
-        # sparsity of the constraint matrices (identity + one per edge).
-        H = np.empty((m, m))
-        H[0, 0] = float(np.sum(X * W))
-        if me:
-            R = W @ X
-            h0 = R[ej, ei] + R[ei, ej]
-            H[0, 1:] = h0
-            H[1:, 0] = h0
-            Hxw = (
-                X[np.ix_(ej, ei)] * W[np.ix_(ej, ei)].T
-                + X[np.ix_(ei, ei)] * W[np.ix_(ej, ej)].T
-                + X[np.ix_(ej, ej)] * W[np.ix_(ei, ei)].T
-                + X[np.ix_(ei, ej)] * W[np.ix_(ei, ej)].T
-            )
-            H[1:, 1:] = (Hxw + Hxw.T) / 2
-
-        ch = None
-        jitter_scale = float(np.trace(H)) / m
-        for jit in (0.0, 1e-12, 1e-9, 1e-6):
-            try:
-                ch = sla.cho_factor(H + jit * jitter_scale * np.eye(m))
-                break
-            except np.linalg.LinAlgError:
-                continue
+        schur.assemble(X, W)
+        ch = schur.factor()
         if ch is None:
+            termination = SdpTermination.SCHUR_NOT_FACTORABLE
             break
 
-        def solve_schur(rhs: np.ndarray) -> np.ndarray:
-            # One round of iterative refinement against the unjittered H;
-            # the Schur system turns badly conditioned as the gap closes.
-            dy = sla.cho_solve(ch, rhs)
-            dy += sla.cho_solve(ch, rhs - H @ dy)
-            return dy
-
-        def direction(sigma: float):
+        def direction(sigma: float, C: np.ndarray | None):
+            # Solve the linearised X Z = sigma mu I, plus the second-order
+            # term C = dX_a dZ_a W of the predictor when correcting.
+            R = sigma * mu * W - X
+            if C is not None:
+                R -= C
             rhs = np.empty(m)
-            rhs[0] = sigma * mu * float(np.trace(W)) - 1.0
+            rhs[0] = float(np.trace(R))
             if me:
-                rhs[1:] = 2 * sigma * mu * W[ei, ej] - 2 * X[ei, ej]
-            dy = solve_schur(rhs)
+                rhs[1:] = R[ei, ej] + R[ej, ei]
+            dy = schur.solve(ch, rhs)
             dZ = dy[0] * eye_n
             if me:
                 dZ[ei, ej] += dy[1:]
                 dZ[ej, ei] += dy[1:]
-            dXr = sigma * mu * W - X - X @ dZ @ W
+            dXr = R - X @ dZ @ W
             return dy, dZ, (dXr + dXr.T) / 2
 
-        # Predictor step fixes the centering weight, then the corrector
+        # Mehrotra predictor-corrector: the affine predictor fixes the
+        # centering weight and the second-order term, and the corrector
         # reuses the factorization.
-        dy_a, dZ_a, dX_a = direction(0.0)
+        dy_a, dZ_a, dX_a = direction(0.0, None)
         ap = min(1.0, tau * _max_step(X, dX_a))
         ad = min(1.0, tau * _max_step(Z, dZ_a))
         gap_aff = float((y[0] + ad * dy_a[0]) - (X + ap * dX_a).sum())
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 0.01, 0.8))
 
-        dy, dZ, dX = direction(sigma)
+        dy, dZ, dX = direction(sigma, dX_a @ dZ_a @ W)
         ap = min(1.0, tau * _max_step(X, dX))
         ad = min(1.0, tau * _max_step(Z, dZ))
         if ap <= 1e-12 and ad <= 1e-12:
+            termination = SdpTermination.STEP_TOO_SMALL
             break
         X = reproject(X + ap * dX)
         y = y + ad * dy
@@ -315,6 +389,7 @@ def theta(
         status=SdpStatus.CONVERGED if ok else SdpStatus.MAX_ITERATIONS,
         residuals=resid,
         iterations=iterations,
+        termination=termination,
     )
 
 

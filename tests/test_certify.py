@@ -234,6 +234,21 @@ class TestCli:
         assert main(["certify", "fig2-k2", "--skip-montecarlo"]) == 2
         assert "overall: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_stalled_sweep_graph_now_certifies(self, tmp_path, capsys, scheme):
+        # Its theta(G') once stalled just above tolerance and failed
+        # theta_gprime_converged.
+        path = tmp_path / "stall.json"
+        path.write_text(
+            '{"n": 7, "edges": [[0, 5], [0, 6], [1, 2], [1, 6], [2, 5], [3, 4]],'
+            ' "weights": {"2": 2}}'
+        )
+        argv = ["certify", str(path), "--scheme", scheme, "--noise-depol", "0.05",
+                "--noise-angle", "0.02", "--noise-flip", "0.01", "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["complete"] and all(ok for _, ok in data["checks"])
+
     def test_catalog_listing(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from twopoint import (
     SdpStatus,
+    SdpTermination,
     build_graph,
     build_two_point_graph,
     complement,
@@ -16,6 +17,7 @@ from twopoint import (
     theta_sandwich,
     verify_feasibility,
 )
+from twopoint.theta import _Schur
 from conftest import random_graph
 
 SQRT5 = math.sqrt(5.0)
@@ -124,7 +126,45 @@ class TestCertificates:
     def test_max_iterations_reported_honestly(self, c5):
         sol = theta(c5, max_iterations=1)
         assert sol.status is SdpStatus.MAX_ITERATIONS
+        assert sol.termination is SdpTermination.MAX_ITERATIONS
         assert sol.iterations == 1
+
+    def test_converged_run_names_gap_target(self, c5):
+        assert theta(c5).termination is SdpTermination.GAP_TARGET
+
+
+def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
+    B = rng.standard_normal((n, n))
+    M = B @ B.T + n * np.eye(n)
+    return (M + M.T) / 2
+
+
+class TestSolverInternals:
+    def test_schur_matches_dense_oracle(self):
+        gp = build_two_point_graph(cycle_graph(5)).as_graph()
+        n, edges = gp.n, gp.edges
+        ei = np.array([e[0] for e in edges])
+        ej = np.array([e[1] for e in edges])
+        A = [np.eye(n)]
+        for i, j in edges:
+            Ak = np.zeros((n, n))
+            Ak[i, j] = Ak[j, i] = 1.0
+            A.append(Ak)
+        assert len(A) == 76
+        rng = np.random.default_rng(5)
+        X, W = _random_spd(rng, n), _random_spd(rng, n)
+        oracle = np.array([[np.trace(Ap @ X @ Aq @ W) for Aq in A] for Ap in A])
+        H = _Schur(ei, ej).assemble(X, W)
+        assert np.max(np.abs(H - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("name", ["c5", "petersen", "chsh-circulant", "c21"])
+    def test_gprime_iteration_budget(self, name):
+        # The predictor-corrector needs 11 iterations on these; the plain
+        # centering corrector needed 16-24.
+        sol = theta(build_two_point_graph(catalog(name)).as_graph())
+        assert sol.status is SdpStatus.CONVERGED
+        assert sol.iterations <= 14
 
 
 class TestValidation:
