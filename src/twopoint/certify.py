@@ -10,24 +10,27 @@ the experiment with finite statistics.
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .graphs import Graph, build_two_point_graph, expand_weighted
-from .independence import independence_number
+from .independence import IndependenceResult, independence_number
 from .orthorep import extract_ortho_rep, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
+    ExperimentRecord,
     NoiseModel,
     TwoPointContext,
-    epsilon_prime,
-    epsilon_signaling,
     evaluate_s,
     evaluate_s_prime,
     joint_probs_projective,
     pure_state,
     run_experiment,
 )
+# Unused since record_to_jsonable builds the ε tables; the benchmark tracer patches these names.
+from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 from .theta import theta, verify_feasibility
 
 SCHEMA_VERSION = 1
@@ -86,16 +89,32 @@ def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dic
         "status": sol.status.value,
         "termination": sol.termination.value,
         "iterations": sol.iterations,
-        "residuals": {
-            "min_eigenvalue": sol.residuals.min_eigenvalue,
-            "trace_error": sol.residuals.trace_error,
-            "max_edge_entry": sol.residuals.max_edge_entry,
-        },
+        "residuals": dataclasses.asdict(sol.residuals),
         "feasible": feas.passed,
     }
     if include_matrix:
         out["X"] = [[float(x) for x in row] for row in sol.X]
     return out
+
+
+def _alpha_section(res: IndependenceResult) -> dict[str, Any]:
+    return {"alpha": res.alpha, "witness": list(res.witness), "node_count": res.node_count}
+
+
+def _max_significance(entries: list[dict[str, Any]]) -> float:
+    return max((e["difference"] / e["stderr"] for e in entries), default=0.0)
+
+
+def _montecarlo_section(record: ExperimentRecord) -> dict[str, Any]:
+    """The record's JSON tree plus Ŝ and the largest ε and ε′ significances read from it."""
+    rec_json = record_to_jsonable(record)
+    return {
+        "record": rec_json,
+        "s_estimate": rec_json["s_estimate"],
+        "s_stderr": rec_json["s_stderr"],
+        "max_epsilon_significance": _max_significance(rec_json["epsilon"]),
+        "max_epsilon_prime_significance": _max_significance(rec_json["epsilon_prime"]),
+    }
 
 
 def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport:
@@ -114,22 +133,22 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             "seed": opts.seed,
             "scheme": opts.scheme,
             "skip_montecarlo": opts.skip_montecarlo,
-            "noise": {
-                "depolarizing_p": opts.noise.depolarizing_p,
-                "vector_misalignment_angle": opts.noise.vector_misalignment_angle,
-                "outcome_flip_p": opts.noise.outcome_flip_p,
-            },
+            "noise": dataclasses.asdict(opts.noise),
         },
         "input": {"n": g.n, "edge_count": len(g.edges), "weighted": g.is_weighted},
     }
     checks: list[list[Any]] = []
     data["checks"] = checks
 
-    def fail(stage: str, err: Exception) -> StageError:
-        data["error"] = {"stage": stage, "message": str(err)}
-        return StageError(stage, err, CertifyReport(data=data))
+    @contextmanager
+    def stage(name: str):
+        try:
+            yield
+        except Exception as err:
+            data["error"] = {"stage": name, "message": str(err)}
+            raise StageError(name, err, CertifyReport(data=data)) from err
 
-    try:
+    with stage("expand"):
         if g.is_weighted:
             work, provenance = expand_weighted(g)
             data["expanded"] = {
@@ -139,51 +158,29 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             }
         else:
             work = g
-    except Exception as err:
-        raise fail("expand", err) from err
 
-    try:
-        alpha_res = independence_number(work, limit=opts.alpha_limit)
-        data["alpha_g"] = {
-            "alpha": alpha_res.alpha,
-            "witness": list(alpha_res.witness),
-            "node_count": alpha_res.node_count,
-        }
-    except Exception as err:
-        raise fail("alpha_g", err) from err
+    with stage("alpha_g"):
+        data["alpha_g"] = _alpha_section(independence_number(work, limit=opts.alpha_limit))
 
-    try:
+    with stage("theta_g"):
         sol_g = theta(work, tolerance=opts.tolerance)
         data["theta_g"] = _theta_section(work, sol_g, opts.tolerance, opts.include_sdp_matrices)
         checks.append(["theta_g_converged", data["theta_g"]["status"] == "converged"])
         checks.append(["theta_g_feasible", data["theta_g"]["feasible"]])
-    except Exception as err:
-        raise fail("theta_g", err) from err
 
-    try:
+    with stage("compile"):
         eg = build_two_point_graph(work)
         gp = eg.as_graph()
         data["event_graph"] = {"n": eg.n, "edge_count": len(eg.edges)}
-    except Exception as err:
-        raise fail("compile", err) from err
 
-    try:
-        alpha_gp = independence_number(gp, limit=opts.alpha_limit)
-        data["alpha_gprime"] = {
-            "alpha": alpha_gp.alpha,
-            "witness": list(alpha_gp.witness),
-            "node_count": alpha_gp.node_count,
-        }
-    except Exception as err:
-        raise fail("alpha_gprime", err) from err
+    with stage("alpha_gprime"):
+        data["alpha_gprime"] = _alpha_section(independence_number(gp, limit=opts.alpha_limit))
 
-    try:
+    with stage("theta_gprime"):
         sol_gp = theta(gp, tolerance=opts.tolerance)
         data["theta_gprime"] = _theta_section(gp, sol_gp, opts.tolerance, opts.include_sdp_matrices)
         checks.append(["theta_gprime_converged", data["theta_gprime"]["status"] == "converged"])
         checks.append(["theta_gprime_feasible", data["theta_gprime"]["feasible"]])
-    except Exception as err:
-        raise fail("theta_gprime", err) from err
 
     edge_count = len(work.edges)
     alpha_diff = data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count
@@ -198,7 +195,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     checks.append(["alpha_identity", alpha_diff == 0])
     checks.append(["theta_identity", abs(theta_diff) <= theta_tol])
 
-    try:
+    with stage("orthorep"):
         rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
         rep_report = verify_ortho_rep(
             work, rep, 100 * opts.tolerance, theta_target=data["theta_g"]["value"]
@@ -212,19 +209,12 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             "tolerance": 100 * opts.tolerance,
         }
         checks.append(["orthorep_verified", rep_report.passed])
-    except Exception as err:
-        raise fail("orthorep", err) from err
 
-    try:
+    with stage("exact"):
         state = pure_state(rep.psi)
         singles = {v: rep.overlap(v) for v in range(work.n)}
-        pair11 = {}
-        tables = {}
-        for (i, j) in work.edges:
-            probs = joint_probs_projective(state, TwoPointContext(i, j), rep)
-            pair11[(i, j)] = probs[(1, 1)]
-            tables[(i, j)] = probs
-        s_exact = evaluate_s(work, singles, pair11)
+        tables = {e: joint_probs_projective(state, TwoPointContext(*e), rep) for e in work.edges}
+        s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(work, singles, tables)
         consistency = abs(s_prime - edge_count - s_exact)
         data["exact"] = {
@@ -239,11 +229,9 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         checks.append(
             ["s_matches_theta", data["exact"]["s_vs_theta_error"] <= 100 * opts.tolerance]
         )
-    except Exception as err:
-        raise fail("exact", err) from err
 
     if not opts.skip_montecarlo:
-        try:
+        with stage("montecarlo"):
             record = run_experiment(
                 rep,
                 work,
@@ -252,22 +240,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
                 noise=opts.noise,
                 scheme=opts.scheme,
             )
-            rec_json = record_to_jsonable(record)
-            eps = epsilon_signaling(record)
-            eps_p = epsilon_prime(record)
-            data["montecarlo"] = {
-                "record": rec_json,
-                "s_estimate": rec_json["s_estimate"],
-                "s_stderr": rec_json["s_stderr"],
-                "max_epsilon_significance": max(
-                    (e.difference / e.stderr for e in eps), default=0.0
-                ),
-                "max_epsilon_prime_significance": max(
-                    (e.difference / e.stderr for e in eps_p), default=0.0
-                ),
-            }
-        except Exception as err:
-            raise fail("montecarlo", err) from err
+            data["montecarlo"] = _montecarlo_section(record)
 
     data["complete"] = True
     return CertifyReport(data=data)

@@ -13,7 +13,15 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog import catalog, catalog_names
-from .certify import CertifyOptions, StageError, certify, emit_report
+from .certify import (
+    CertifyOptions,
+    StageError,
+    _alpha_section,
+    _montecarlo_section,
+    _theta_section,
+    certify,
+    emit_report,
+)
 from .graphs import Graph, build_two_point_graph
 from .orthorep import extract_ortho_rep, verify_ortho_rep
 from .independence import independence_number
@@ -25,10 +33,13 @@ from .serialize import (
     format_float,
     orthorep_to_jsonable,
     parse_graph,
-    record_to_jsonable,
 )
-from .simulate import NoiseModel, epsilon_prime, epsilon_signaling, run_experiment
-from .theta import theta, verify_feasibility
+from .simulate import NoiseModel, run_experiment
+from .theta import theta
+
+# Unused since certify._montecarlo_section builds the record; the benchmark tracer patches them.
+from .serialize import record_to_jsonable  # noqa: F401
+from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
 
 def _load_graph(source: str, fmt: str) -> Graph:
@@ -69,6 +80,14 @@ def _add_noise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-depol", type=float, default=0.0, metavar="P")
     p.add_argument("--noise-angle", type=float, default=0.0, metavar="RAD")
     p.add_argument("--noise-flip", type=float, default=0.0, metavar="P")
+
+
+def _noise(args) -> NoiseModel:
+    return NoiseModel(
+        depolarizing_p=args.noise_depol,
+        vector_misalignment_angle=args.noise_angle,
+        outcome_flip_p=args.noise_flip,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,15 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_alpha(args) -> int:
     g = _load_graph(args.graph, args.input_format)
-    res = independence_number(g, limit=args.limit)
+    res = _alpha_section(independence_number(g, limit=args.limit))
     if args.format == "json":
-        out = dumps_canonical(
-            {"alpha": res.alpha, "witness": list(res.witness), "node_count": res.node_count}
-        ) + "\n"
+        out = dumps_canonical(res) + "\n"
     else:
         out = (
-            f"α = {res.alpha}\nwitness = {list(res.witness)}\n"
-            f"search nodes = {res.node_count}\n"
+            f"α = {res['alpha']}\nwitness = {res['witness']}\n"
+            f"search nodes = {res['node_count']}\n"
         )
     _write(out, args.output)
     return 0
@@ -145,35 +162,20 @@ def _cmd_alpha(args) -> int:
 def _cmd_theta(args) -> int:
     g = _load_graph(args.graph, args.input_format)
     sol = theta(g, tolerance=args.tolerance)
-    feas = verify_feasibility(g, sol.X, args.tolerance)
-    payload = {
-        "theta": sol.primal_value,
-        "dual": sol.dual_value,
-        "gap": sol.duality_gap,
-        "status": sol.status.value,
-        "termination": sol.termination.value,
-        "iterations": sol.iterations,
-        "residuals": {
-            "min_eigenvalue": sol.residuals.min_eigenvalue,
-            "trace_error": sol.residuals.trace_error,
-            "max_edge_entry": sol.residuals.max_edge_entry,
-        },
-        "feasible": feas.passed,
-    }
-    if args.dump_sdp:
-        payload["X"] = [[float(x) for x in row] for row in sol.X]
+    t = _theta_section(g, sol, args.tolerance, args.dump_sdp)
+    t["theta"] = t.pop("value")
     if args.format == "json":
-        out = dumps_canonical(payload) + "\n"
+        out = dumps_canonical(t) + "\n"
     else:
         out = (
-            f"ϑ = {format_float(sol.primal_value)}\n"
-            f"dual = {format_float(sol.dual_value)} (gap {format_float(sol.duality_gap)})\n"
-            f"status = {sol.status.value} ({sol.termination.value}), "
-            f"iterations = {sol.iterations}\n"
-            f"feasibility = {'PASS' if feas.passed else 'FAIL'}\n"
+            f"ϑ = {format_float(t['theta'])}\n"
+            f"dual = {format_float(t['dual'])} (gap {format_float(t['gap'])})\n"
+            f"status = {t['status']} ({t['termination']}), "
+            f"iterations = {t['iterations']}\n"
+            f"feasibility = {'PASS' if t['feasible'] else 'FAIL'}\n"
         )
     _write(out, args.output)
-    return 0 if sol.status.value == "converged" and feas.passed else 2
+    return 0 if t["status"] == "converged" and t["feasible"] else 2
 
 
 def _cmd_transform(args) -> int:
@@ -225,27 +227,20 @@ def _cmd_simulate(args) -> int:
     g = _load_graph(args.graph, args.input_format)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
-    noise = NoiseModel(
-        depolarizing_p=args.noise_depol,
-        vector_misalignment_angle=args.noise_angle,
-        outcome_flip_p=args.noise_flip,
-    )
     record = run_experiment(
-        rep, g, shots=args.shots, seed=args.seed, noise=noise, scheme=args.scheme
+        rep, g, shots=args.shots, seed=args.seed, noise=_noise(args), scheme=args.scheme
     )
+    mc = _montecarlo_section(record)
     if args.format == "json":
-        out = dumps_canonical(record_to_jsonable(record)) + "\n"
+        out = dumps_canonical(mc["record"]) + "\n"
     else:
-        s, se = record.s_estimate()
-        eps = epsilon_signaling(record)
-        eps_p = epsilon_prime(record)
-        max_eps = max((e.difference / e.stderr for e in eps), default=0.0)
-        max_eps_p = max((e.difference / e.stderr for e in eps_p), default=0.0)
         out = (
             f"scheme = {record.scheme}, shots = {record.shots}, seed = {record.seed}\n"
-            f"Ŝ = {format_float(s)} ± {format_float(se)}\n"
-            f"ε entries = {len(eps)}, max |ε|/σ = {format_float(max_eps)}\n"
-            f"ε′ entries = {len(eps_p)}, max |ε′|/σ = {format_float(max_eps_p)}\n"
+            f"Ŝ = {format_float(mc['s_estimate'])} ± {format_float(mc['s_stderr'])}\n"
+            f"ε entries = {len(mc['record']['epsilon'])}, "
+            f"max |ε|/σ = {format_float(mc['max_epsilon_significance'])}\n"
+            f"ε′ entries = {len(mc['record']['epsilon_prime'])}, "
+            f"max |ε′|/σ = {format_float(mc['max_epsilon_prime_significance'])}\n"
         )
     _write(out, args.output)
     return 0
@@ -257,11 +252,7 @@ def _cmd_certify(args) -> int:
         tolerance=args.tolerance,
         shots=args.shots,
         seed=args.seed,
-        noise=NoiseModel(
-            depolarizing_p=args.noise_depol,
-            vector_misalignment_angle=args.noise_angle,
-            outcome_flip_p=args.noise_flip,
-        ),
+        noise=_noise(args),
         scheme=args.scheme,
         skip_montecarlo=args.skip_montecarlo,
         alpha_limit=args.alpha_limit,

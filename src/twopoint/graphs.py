@@ -9,6 +9,7 @@ exclusivity of events.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -28,8 +29,9 @@ class Graph:
     edges: tuple[Edge, ...]
     weights: Optional[tuple[int, ...]] = None
 
-    @property
+    @functools.cached_property
     def edge_set(self) -> frozenset[Edge]:
+        # Built once per instance: compile queries it for every label pair.
         return frozenset(self.edges)
 
     @property
@@ -171,13 +173,6 @@ class PairEvent:
 
 
 EventLabel = Union[SingleEvent, PairEvent]
-
-
-def label_is_valid(label: EventLabel, g: Graph) -> bool:
-    """Whether the label refers to observables (and, for pairs, an edge) of g."""
-    if isinstance(label, SingleEvent):
-        return 0 <= label.obs < g.n
-    return (label.obs_a, label.obs_b) in g.edge_set
 
 
 def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:

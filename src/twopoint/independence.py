@@ -1,11 +1,9 @@
-"""Exact independence numbers: branch-and-bound solver and brute-force oracles."""
+"""Exact independence numbers by branch and bound."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import Iterable
 
 from .graphs import Graph
 
@@ -109,68 +107,3 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
     return IndependenceResult(
         alpha=best_size, witness=tuple(_bits(best_set)), node_count=nodes
     )
-
-
-def brute_force_alpha(g: Graph) -> int:
-    """Independence number by exhaustive subset enumeration (n <= 24).
-
-    For weighted graphs this returns the maximum total weight of an
-    independent set, which equals the plain independence number of the
-    weighted blow-up.  Enumeration is vectorized in chunks so n = 24
-    (16.7M subsets) stays affordable.
-    """
-    if g.n > 24:
-        raise SizeLimitError(f"brute force limited to 24 vertices, got {g.n}")
-    adj = _adjacency_masks(g)
-    best = 0
-    chunk = 1 << 20
-    for start in range(0, 1 << g.n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << g.n), dtype=np.uint32)
-        valid = np.ones(masks.shape, dtype=bool)
-        for v in range(g.n):
-            chosen = ((masks >> np.uint32(v)) & 1) != 0
-            conflicted = (masks & np.uint32(adj[v])) != 0
-            valid &= ~(chosen & conflicted)
-        if not valid.any():
-            continue
-        if g.weights is None:
-            values = np.bitwise_count(masks[valid])
-        else:
-            picked = masks[valid]
-            values = np.zeros(picked.shape, dtype=np.int32)
-            for v in range(g.n):
-                values += ((picked >> np.uint32(v)) & 1).astype(np.int32) * g.weight(v)
-        best = max(best, int(values.max()))
-    return best
-
-
-def noncontextual_assignment_value(g: Graph, assignment: Mapping[int, int]) -> int:
-    """Value of the two-point witness under a deterministic 0/1 assignment.
-
-    Computes sum_i a(i) - sum_{(i,j) in E} a(i) a(j).  Assignments that are
-    indicators of independent sets score the set size; the maximum over all
-    assignments is the independence number.
-    """
-    missing = [v for v in range(g.n) if v not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing vertices {missing}")
-    for v in range(g.n):
-        if assignment[v] not in (0, 1):
-            raise ValueError(f"assignment at vertex {v} must be a bit")
-    total = sum(assignment[v] for v in range(g.n))
-    total -= sum(assignment[i] * assignment[j] for (i, j) in g.edges)
-    return total
-
-
-def max_assignment_value(g: Graph) -> int:
-    """Maximum of noncontextual_assignment_value over all 2^n assignments (n <= 20)."""
-    if g.n > 20:
-        raise SizeLimitError(f"exhaustive assignment scan limited to 20 vertices, got {g.n}")
-    best = None
-    for mask in range(1 << g.n):
-        ones = bin(mask).count("1")
-        penalty = sum(1 for (i, j) in g.edges if (mask >> i) & 1 and (mask >> j) & 1)
-        value = ones - penalty
-        if best is None or value > best:
-            best = value
-    return int(best)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, cycle_graph
+from .graphs import Graph
 from .theta import SdpSolution, SdpStatus
 
 
@@ -254,8 +254,3 @@ def builtin_kcbs_rep() -> OrthoRep:
     )
     psi = np.array([1.0, 0.0, 0.0])
     return OrthoRep(dimension=3, psi=psi, vectors=vectors)
-
-
-def kcbs_graph() -> Graph:
-    """The pentagon matching the vertex labeling of builtin_kcbs_rep."""
-    return cycle_graph(5)

@@ -9,6 +9,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -76,25 +77,29 @@ def graph_to_jsonable(g: Graph) -> dict:
 def graph_from_jsonable(data: Any) -> Graph:
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
+    raw_edges = data.get("edges", [])
+    raw_weights = data.get("weights")
+    if not isinstance(raw_edges, list):
+        raise ParseError("graph JSON 'edges' must be a list")
+    for e in raw_edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"edge {e!r} is not a pair")
+    if raw_weights is not None and not isinstance(raw_weights, dict):
+        raise ParseError("graph JSON 'weights' must be an object")
     try:
         n = int(data["n"])
-        raw_edges = data.get("edges", [])
-    except (KeyError, TypeError, ValueError) as err:
+        edges = [(int(i), int(j)) for i, j in raw_edges]
+        weights = None
+        if raw_weights is not None:
+            weights = {int(v): int(w) for v, w in raw_weights.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"bad graph JSON: {err}") from err
-    edges = []
-    for e in raw_edges:
-        if len(e) != 2:
-            raise ParseError(f"edge {e!r} is not a pair")
-        edges.append((int(e[0]), int(e[1])))
     seen = set()
     for (i, j) in edges:
         key = (min(i, j), max(i, j))
         if key in seen:
             warnings.warn(f"duplicate edge {key} in input; deduplicated")
         seen.add(key)
-    weights = None
-    if data.get("weights") is not None:
-        weights = {int(v): int(w) for v, w in data["weights"].items()}
     try:
         return build_graph(n, edges, weights)
     except ValueError as err:
@@ -287,11 +292,7 @@ def record_to_jsonable(record: ExperimentRecord) -> dict:
         "scheme": record.scheme,
         "seed": record.seed,
         "shots": record.shots,
-        "noise": {
-            "depolarizing_p": record.noise.depolarizing_p,
-            "vector_misalignment_angle": record.noise.vector_misalignment_angle,
-            "outcome_flip_p": record.noise.outcome_flip_p,
-        },
+        "noise": dataclasses.asdict(record.noise),
         "singles": singles,
         "pairs": pairs,
         "s_estimate": s_value,

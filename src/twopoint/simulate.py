@@ -59,10 +59,6 @@ def pure_state(vec: np.ndarray) -> QState:
     return QState(np.outer(v, v.conj()))
 
 
-def maximally_mixed(d: int) -> QState:
-    return QState(np.eye(d, dtype=complex) / d)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Preparation, measurement, and readout imperfections.
@@ -123,8 +119,24 @@ def born_single(state: QState, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if v.shape != (state.d,):
         raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    p = float(np.real(np.vdot(v, state.rho @ v)))
+    return _born(state.rho, v)
+
+
+def _born(rho: np.ndarray, v: np.ndarray) -> float:
+    p = float(np.real(np.vdot(v, rho @ v)))
     return min(1.0, max(0.0, p))
+
+
+def _luders_rho(rho: np.ndarray, v: np.ndarray, outcome: int) -> np.ndarray:
+    """Normalised Lueders post-measurement matrix; raises on a near-zero outcome."""
+    proj = np.outer(v, v.conj())
+    op = proj if outcome == 1 else np.eye(rho.shape[0]) - proj
+    unnorm = op @ rho @ op
+    p = float(np.real(np.trace(unnorm)))
+    if p <= PROB_ATOL:
+        raise ValueError(f"conditioning on outcome {outcome} with probability {p:.3e}")
+    rho = unnorm / p
+    return (rho + rho.conj().T) / 2
 
 
 def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
@@ -134,30 +146,21 @@ def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
     v = np.asarray(v, dtype=complex)
     if v.shape != (state.d,):
         raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    proj = np.outer(v, v.conj())
-    op = proj if outcome == 1 else np.eye(state.d) - proj
-    unnorm = op @ state.rho @ op
-    p = float(np.real(np.trace(unnorm)))
-    if p <= PROB_ATOL:
-        raise ValueError(f"conditioning on outcome {outcome} with probability {p:.3e}")
-    rho = unnorm / p
-    rho = (rho + rho.conj().T) / 2
-    return QState(rho)
-
-
-def _clamp_probs(probs: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    return {k: min(1.0, max(0.0, p)) for k, p in probs.items()}
+    return QState(_luders_rho(state.rho, v, outcome))
 
 
 _BRANCH_ATOL = 10 * PROB_ATOL  # skip margin above the conditioning threshold
 
 
-def joint_probs_projective(
-    state: QState, ctx: TwoPointContext, rep: OrthoRep
+def _joint_probs(
+    state: QState, ctx: TwoPointContext, rep: OrthoRep, demolition: bool
 ) -> dict[tuple[int, int], float]:
-    """Joint outcome probabilities from sequential projective measurements."""
-    v1 = rep.vectors[ctx.first]
-    v2 = rep.vectors[ctx.second]
+    """P(a, b) = P(a) P(b|a); the schemes differ only in the state that the
+    second measurement sees after first outcome 1.  The conditional state
+    stays a plain matrix: a QState would reject the roundoff that dividing
+    by a tiny P(a) leaves in it, although the product P(a) P(b|a) is sound."""
+    v1 = np.asarray(rep.vectors[ctx.first], dtype=complex)
+    v2 = np.asarray(rep.vectors[ctx.second], dtype=complex)
     p_first1 = born_single(state, v1)
     probs: dict[tuple[int, int], float] = {}
     for a, pa in ((1, p_first1), (0, 1.0 - p_first1)):
@@ -165,11 +168,21 @@ def joint_probs_projective(
             probs[(a, 0)] = 0.0
             probs[(a, 1)] = 0.0
             continue
-        updated = luders_update(state, v1, a)
-        pb1 = born_single(updated, v2)
+        if demolition and a == 1:
+            rho = pure_state(v1).rho
+        else:
+            rho = _luders_rho(state.rho, v1, a)
+        pb1 = _born(rho, v2)
         probs[(a, 1)] = pa * pb1
         probs[(a, 0)] = pa * (1.0 - pb1)
-    return _clamp_probs(probs)
+    return {k: min(1.0, max(0.0, p)) for k, p in probs.items()}
+
+
+def joint_probs_projective(
+    state: QState, ctx: TwoPointContext, rep: OrthoRep
+) -> dict[tuple[int, int], float]:
+    """Joint outcome probabilities from sequential projective measurements."""
+    return _joint_probs(state, ctx, rep, demolition=False)
 
 
 def joint_probs_demolition(
@@ -182,28 +195,7 @@ def joint_probs_demolition(
     re-prepares the Lueders outcome-0 state of the input.  Agrees with the
     projective scheme for every state, context, and representation.
     """
-    v1 = rep.vectors[ctx.first]
-    v2 = rep.vectors[ctx.second]
-    p_first1 = born_single(state, v1)
-    probs: dict[tuple[int, int], float] = {}
-    if p_first1 <= _BRANCH_ATOL:
-        probs[(1, 0)] = 0.0
-        probs[(1, 1)] = 0.0
-    else:
-        reprepared = pure_state(v1)
-        pb1 = born_single(reprepared, v2)
-        probs[(1, 1)] = p_first1 * pb1
-        probs[(1, 0)] = p_first1 * (1.0 - pb1)
-    p_first0 = 1.0 - p_first1
-    if p_first0 <= _BRANCH_ATOL:
-        probs[(0, 0)] = 0.0
-        probs[(0, 1)] = 0.0
-    else:
-        reprepared = luders_update(state, v1, 0)
-        pb1 = born_single(reprepared, v2)
-        probs[(0, 1)] = p_first0 * pb1
-        probs[(0, 0)] = p_first0 * (1.0 - pb1)
-    return _clamp_probs(probs)
+    return _joint_probs(state, ctx, rep, demolition=True)
 
 
 def evaluate_s(
@@ -349,15 +341,10 @@ class ExperimentRecord:
         p = c / n
         return p, binomial_stderr(p, n)
 
-    def first_marginal(self, first: int, second: int, a: int) -> tuple[float, float]:
-        counts = self.pair_counts[(first, second)]
-        c = counts[(a, 0)] + counts[(a, 1)]
-        p = c / self.shots
-        return p, binomial_stderr(p, self.shots)
-
-    def second_marginal(self, first: int, second: int, b: int) -> tuple[float, float]:
-        counts = self.pair_counts[(first, second)]
-        c = counts[(0, b)] + counts[(1, b)]
+    def marginal(self, ctx: tuple[int, int], position: int, outcome: int) -> tuple[float, float]:
+        """Marginal estimate of the first (position 0) or second (position 1)
+        measurement of the ordered pair ``ctx = (first, second)``."""
+        c = sum(n for ab, n in self.pair_counts[ctx].items() if ab[position] == outcome)
         p = c / self.shots
         return p, binomial_stderr(p, self.shots)
 
@@ -448,6 +435,33 @@ def run_experiment(
     )
 
 
+def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
+    """Compare the marginal at ``position`` of every observable across the
+    settings measured with it in the other position."""
+    out: list[SignalingEntry] = []
+    for fixed in range(record.graph.n):
+        ctxs = sorted(
+            (c for c in record.pair_counts if c[position] == fixed),
+            key=lambda c: c[1 - position],
+        )
+        for x in range(len(ctxs)):
+            for y in range(x + 1, len(ctxs)):
+                for outcome in (0, 1):
+                    p1, se1 = record.marginal(ctxs[x], position, outcome)
+                    p2, se2 = record.marginal(ctxs[y], position, outcome)
+                    out.append(
+                        SignalingEntry(
+                            fixed=fixed,
+                            varied_a=ctxs[x][1 - position],
+                            varied_b=ctxs[y][1 - position],
+                            outcome=outcome,
+                            difference=abs(p1 - p2),
+                            stderr=math.sqrt(se1 * se1 + se2 * se2),
+                        )
+                    )
+    return out
+
+
 def epsilon_signaling(record: ExperimentRecord) -> list[SignalingEntry]:
     """Influence of the first setting on the second measurement's marginal.
 
@@ -456,27 +470,7 @@ def epsilon_signaling(record: ExperimentRecord) -> list[SignalingEntry]:
     propagated standard error.  Zero for perfectly compatible measurements;
     sensitive to measurement imperfections.
     """
-    out: list[SignalingEntry] = []
-    for b_obs in range(record.graph.n):
-        firsts = sorted(
-            a for (a, b) in record.pair_counts.keys() if b == b_obs
-        )
-        for x in range(len(firsts)):
-            for y in range(x + 1, len(firsts)):
-                for outcome in (0, 1):
-                    p1, se1 = record.second_marginal(firsts[x], b_obs, outcome)
-                    p2, se2 = record.second_marginal(firsts[y], b_obs, outcome)
-                    out.append(
-                        SignalingEntry(
-                            fixed=b_obs,
-                            varied_a=firsts[x],
-                            varied_b=firsts[y],
-                            outcome=outcome,
-                            difference=abs(p1 - p2),
-                            stderr=math.sqrt(se1 * se1 + se2 * se2),
-                        )
-                    )
-    return out
+    return _signaling(record, 1)
 
 
 def epsilon_prime(record: ExperimentRecord) -> list[SignalingEntry]:
@@ -485,24 +479,4 @@ def epsilon_prime(record: ExperimentRecord) -> list[SignalingEntry]:
     Zero by causality in any sampling scheme; its empirical spread is the
     yardstick against which the epsilon table is judged.
     """
-    out: list[SignalingEntry] = []
-    for a_obs in range(record.graph.n):
-        seconds = sorted(
-            b for (a, b) in record.pair_counts.keys() if a == a_obs
-        )
-        for x in range(len(seconds)):
-            for y in range(x + 1, len(seconds)):
-                for outcome in (0, 1):
-                    p1, se1 = record.first_marginal(a_obs, seconds[x], outcome)
-                    p2, se2 = record.first_marginal(a_obs, seconds[y], outcome)
-                    out.append(
-                        SignalingEntry(
-                            fixed=a_obs,
-                            varied_a=seconds[x],
-                            varied_b=seconds[y],
-                            outcome=outcome,
-                            difference=abs(p1 - p2),
-                            stderr=math.sqrt(se1 * se1 + se2 * se2),
-                        )
-                    )
-    return out
+    return _signaling(record, 0)

@@ -33,7 +33,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graphs import Graph
-from .independence import independence_number
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -391,26 +390,3 @@ def theta(
         iterations=iterations,
         termination=termination,
     )
-
-
-def odd_cycle_theta(n: int) -> float:
-    """Closed-form Lovasz number of an odd cycle: n cos(pi/n) / (1 + cos(pi/n))."""
-    if n < 5 or n % 2 == 0:
-        raise ValueError(f"odd cycle formula needs odd n >= 5, got {n}")
-    c = math.cos(math.pi / n)
-    return n * c / (1 + c)
-
-
-def theta_sandwich(
-    g: Graph,
-    tolerance: float = DEFAULT_TOLERANCE,
-    alpha_limit: int = 64,
-) -> tuple[int, float]:
-    """Independence number and Lovasz number, checked against alpha <= theta."""
-    alpha = independence_number(g, limit=alpha_limit).alpha
-    sol = theta(g, tolerance=tolerance)
-    if alpha > sol.primal_value + max(tolerance, sol.duality_gap) + 10 * tolerance:
-        raise ArithmeticError(
-            f"sandwich violated: alpha={alpha} > theta={sol.primal_value}"
-        )
-    return alpha, sol.primal_value

@@ -13,7 +13,6 @@ from twopoint import (
     CertifyOptions,
     OrthoRep,
     QState,
-    brute_force_alpha,
     build_graph,
     build_two_point_graph,
     catalog,
@@ -26,8 +25,6 @@ from twopoint import (
     independence_number,
     joint_probs_demolition,
     joint_probs_projective,
-    max_assignment_value,
-    odd_cycle_theta,
     pure_state,
     run_experiment,
     theta,
@@ -35,6 +32,7 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.simulate import TwoPointContext
 from conftest import random_graph
+from oracles import brute_force_alpha, max_assignment_value, odd_cycle_theta
 
 SQRT5 = math.sqrt(5.0)
 SDP_TOL = 1e-7

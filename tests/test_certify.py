@@ -32,14 +32,14 @@ class TestCatalog:
         assert catalog("fig2-k2") == complete_graph(2)
 
     def test_chsh_circulant(self):
-        from twopoint import brute_force_alpha
+        from oracles import brute_force_alpha
 
         g = catalog("chsh-circulant")
         assert g.n == 8 and len(g.edges) == 12
         assert brute_force_alpha(g) == 3
 
     def test_petersen(self):
-        from twopoint import brute_force_alpha
+        from oracles import brute_force_alpha
 
         g = catalog("petersen")
         assert g.n == 10 and len(g.edges) == 15

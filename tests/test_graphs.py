@@ -7,7 +7,6 @@ from twopoint import (
     PairEvent,
     SingleEvent,
     are_exclusive,
-    brute_force_alpha,
     build_graph,
     build_two_point_graph,
     complement,
@@ -16,6 +15,7 @@ from twopoint import (
     expand_weighted,
 )
 from conftest import random_graph
+from oracles import brute_force_alpha
 
 
 class TestBuildGraph:

@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from twopoint import (
     SizeLimitError,
-    brute_force_alpha,
     build_graph,
     build_two_point_graph,
     complete_graph,
     cycle_graph,
     independence_number,
     is_independent,
-    max_assignment_value,
-    noncontextual_assignment_value,
 )
 from conftest import random_graph
+from oracles import brute_force_alpha, max_assignment_value, noncontextual_assignment_value
 
 
 class TestIsIndependent:

@@ -9,12 +9,12 @@ from twopoint import (
     build_graph,
     builtin_kcbs_rep,
     extract_ortho_rep,
-    kcbs_graph,
     theta,
     verify_ortho_rep,
 )
 from twopoint.simulate import TwoPointContext, joint_probs_projective, pure_state
 from conftest import random_graph
+from oracles import kcbs_graph
 
 SQRT5 = math.sqrt(5.0)
 

@@ -11,7 +11,6 @@ from twopoint import (
     build_two_point_graph,
     builtin_kcbs_rep,
     emit_graph,
-    kcbs_graph,
     parse_graph,
     run_experiment,
 )
@@ -24,6 +23,7 @@ from twopoint.serialize import (
     orthorep_to_jsonable,
     record_to_jsonable,
 )
+from oracles import kcbs_graph
 
 
 class TestFloatFormat:

@@ -17,14 +17,13 @@ from twopoint import (
     evaluate_s_prime,
     joint_probs_demolition,
     joint_probs_projective,
-    kcbs_graph,
     luders_update,
-    maximally_mixed,
     ordered_contexts,
     pure_state,
     run_experiment,
 )
 from twopoint.simulate import TwoPointContext
+from oracles import kcbs_graph, maximally_mixed
 
 SQRT5 = math.sqrt(5.0)
 

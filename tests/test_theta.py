@@ -12,13 +12,12 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     catalog,
-    odd_cycle_theta,
     theta,
-    theta_sandwich,
     verify_feasibility,
 )
 from twopoint.theta import _Schur
 from conftest import random_graph
+from oracles import odd_cycle_theta, theta_sandwich
 
 SQRT5 = math.sqrt(5.0)
 
