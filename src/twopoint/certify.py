@@ -1,11 +1,19 @@
 """End-to-end certification pipeline.
 
 For an input graph G the pipeline computes the classical bound alpha(G) and
-the quantum bound theta(G), compiles the two-point event graph G', recomputes
-both bounds there, checks the transfer identities alpha(G') = alpha(G) + |E|
-and theta(G') = theta(G) + |E|, extracts and verifies an optimal orthogonal
-representation, evaluates the exact witness values, and optionally simulates
-the experiment with finite statistics.
+the quantum bound theta(G), compiles the two-point event graph G', computes
+alpha(G'), extracts and verifies an optimal orthogonal representation of G,
+certifies theta(G') from G's certificates, checks the transfer identities
+alpha(G') = alpha(G) + |E| and theta(G') = theta(G) + |E|, evaluates the
+exact witness values, and optionally simulates the experiment with finite
+statistics.
+
+theta(G') is certified without a second SDP.  The lower bound is <J, X'>
+for the primal matrix X' of G's representation lifted to G' (the paper's
+realisation); the upper bound is lambda_max(J - Y') for the dual
+multipliers Y' of G scaled by Lovasz's direct sum over the single events
+and the |E| pair-event triangles.  Each is checked on the edges of G' by
+code that did not build it, and weak duality pins theta(G') between them.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Any, Optional
 
 from .graphs import Graph, build_two_point_graph, expand_weighted
 from .independence import IndependenceResult, independence_number
-from .orthorep import extract_ortho_rep, verify_ortho_rep
+from .orthorep import extract_ortho_rep, lift_ortho_rep, primal_matrix, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
     ExperimentRecord,
@@ -31,9 +39,16 @@ from .simulate import (
 )
 # Unused since record_to_jsonable builds the ε tables; the benchmark tracer patches these names.
 from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
-from .theta import theta, verify_feasibility
+from .theta import (
+    DualReport,
+    lift_dual,
+    multiplier_matrix,
+    theta,
+    verify_dual,
+    verify_feasibility,
+)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXACT_CONSISTENCY_TOL = 1e-10
 
 
@@ -80,20 +95,35 @@ class StageError(RuntimeError):
         super().__init__(f"certify stage {stage!r} failed: {cause}")
 
 
-def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dict[str, Any]:
-    feas = verify_feasibility(g, sol.X, tolerance)
+def _bounds_section(
+    g: Graph, X, dual: DualReport, tolerance: float, include_matrix: bool
+) -> dict[str, Any]:
+    """Lower bound <J, X> and upper bound ``dual.bound``, with X's residuals on g."""
+    feas = verify_feasibility(g, X, tolerance)
+    value = float(X.sum())
     out: dict[str, Any] = {
-        "value": float(sol.primal_value),
-        "dual": float(sol.dual_value),
-        "gap": float(sol.duality_gap),
-        "status": sol.status.value,
-        "termination": sol.termination.value,
-        "iterations": sol.iterations,
-        "residuals": dataclasses.asdict(sol.residuals),
+        "value": value,
+        "dual": dual.bound,
+        "gap": dual.bound - value,
+        "residuals": {
+            "min_eigenvalue": feas.min_eigenvalue,
+            "trace_error": feas.trace_error,
+            "max_edge_entry": feas.max_edge_entry,
+        },
         "feasible": feas.passed,
+        "dual_verified": dual.passed,
     }
     if include_matrix:
-        out["X"] = [[float(x) for x in row] for row in sol.X]
+        out["X"] = [[float(x) for x in row] for row in X]
+    return out
+
+
+def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dict[str, Any]:
+    dual = verify_dual(g, multiplier_matrix(g, sol.y))
+    out = _bounds_section(g, sol.X, dual, tolerance, include_matrix)
+    out["status"] = sol.status.value
+    out["termination"] = sol.termination.value
+    out["iterations"] = sol.iterations
     return out
 
 
@@ -167,6 +197,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         data["theta_g"] = _theta_section(work, sol_g, opts.tolerance, opts.include_sdp_matrices)
         checks.append(["theta_g_converged", data["theta_g"]["status"] == "converged"])
         checks.append(["theta_g_feasible", data["theta_g"]["feasible"]])
+        checks.append(["theta_g_dual_verified", data["theta_g"]["dual_verified"]])
 
     with stage("compile"):
         eg = build_two_point_graph(work)
@@ -175,25 +206,6 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("alpha_gprime"):
         data["alpha_gprime"] = _alpha_section(independence_number(gp, limit=opts.alpha_limit))
-
-    with stage("theta_gprime"):
-        sol_gp = theta(gp, tolerance=opts.tolerance)
-        data["theta_gprime"] = _theta_section(gp, sol_gp, opts.tolerance, opts.include_sdp_matrices)
-        checks.append(["theta_gprime_converged", data["theta_gprime"]["status"] == "converged"])
-        checks.append(["theta_gprime_feasible", data["theta_gprime"]["feasible"]])
-
-    edge_count = len(work.edges)
-    alpha_diff = data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count
-    theta_diff = data["theta_gprime"]["value"] - data["theta_g"]["value"] - edge_count
-    theta_tol = 10 * opts.tolerance
-    data["identities"] = {
-        "edge_count": edge_count,
-        "alpha_difference": alpha_diff,
-        "theta_difference": theta_diff,
-        "theta_tolerance": theta_tol,
-    }
-    checks.append(["alpha_identity", alpha_diff == 0])
-    checks.append(["theta_identity", abs(theta_diff) <= theta_tol])
 
     with stage("orthorep"):
         rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
@@ -209,6 +221,33 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             "tolerance": 100 * opts.tolerance,
         }
         checks.append(["orthorep_verified", rep_report.passed])
+
+    with stage("theta_gprime"):
+        X_gp = primal_matrix(lift_ortho_rep(eg, rep))
+        Y_gp = lift_dual(eg, multiplier_matrix(work, sol_g.y), data["theta_g"]["dual"])
+        section = _bounds_section(
+            gp, X_gp, verify_dual(gp, Y_gp), opts.tolerance, opts.include_sdp_matrices
+        )
+        converged = abs(section["gap"]) <= opts.tolerance and section["feasible"]
+        section["method"] = "constructive"
+        section["status"] = "converged" if converged else "not_converged"
+        data["theta_gprime"] = section
+        checks.append(["theta_gprime_converged", converged])
+        checks.append(["theta_gprime_feasible", section["feasible"]])
+        checks.append(["theta_gprime_dual_verified", section["dual_verified"]])
+
+    edge_count = len(work.edges)
+    alpha_diff = data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count
+    theta_diff = data["theta_gprime"]["value"] - data["theta_g"]["value"] - edge_count
+    theta_tol = 10 * opts.tolerance
+    data["identities"] = {
+        "edge_count": edge_count,
+        "alpha_difference": alpha_diff,
+        "theta_difference": theta_diff,
+        "theta_tolerance": theta_tol,
+    }
+    checks.append(["alpha_identity", alpha_diff == 0])
+    checks.append(["theta_identity", abs(theta_diff) <= theta_tol])
 
     with stage("exact"):
         state = pure_state(rep.psi)
@@ -250,6 +289,15 @@ def _fmt(x: Any) -> str:
     return format_float(float(x))
 
 
+def _theta_line(t: dict[str, Any]) -> str:
+    method = f"{t['method']}, " if "method" in t else ""
+    return (
+        f"{_fmt(t['value'])} (dual {_fmt(t['dual'])}, gap {_fmt(t['gap'])}, {method}"
+        f"{t['status']}, feasible {'PASS' if t['feasible'] else 'FAIL'}, "
+        f"dual verified {'PASS' if t['dual_verified'] else 'FAIL'})"
+    )
+
+
 def render_text(report: CertifyReport) -> str:
     """Human-readable rendering; recomputes every PASS/FAIL from report numbers."""
     d = report.data
@@ -266,17 +314,14 @@ def render_text(report: CertifyReport) -> str:
         lines.append(f"α(G) = {a['alpha']} (witness {a['witness']}, nodes {a['node_count']})")
     if "theta_g" in d:
         t = d["theta_g"]
-        lines.append(
-            f"ϑ(G) = {_fmt(t['value'])} (dual {_fmt(t['dual'])}, gap {_fmt(t['gap'])}, "
-            f"{t['status']}, feasible {'PASS' if t['feasible'] else 'FAIL'})"
-        )
+        lines.append(f"ϑ(G) = {_theta_line(t)}")
     if "event_graph" in d:
         egs = d["event_graph"]
         lines.append(f"G': {egs['n']} vertices, {egs['edge_count']} edges")
     if "alpha_gprime" in d:
         lines.append(f"α(G') = {d['alpha_gprime']['alpha']}")
     if "theta_gprime" in d:
-        lines.append(f"ϑ(G') = {_fmt(d['theta_gprime']['value'])}")
+        lines.append(f"ϑ(G') = {_theta_line(d['theta_gprime'])}")
     if "identities" in d:
         ident = d["identities"]
         ok_a = ident["alpha_difference"] == 0

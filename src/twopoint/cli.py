@@ -173,9 +173,11 @@ def _cmd_theta(args) -> int:
             f"status = {t['status']} ({t['termination']}), "
             f"iterations = {t['iterations']}\n"
             f"feasibility = {'PASS' if t['feasible'] else 'FAIL'}\n"
+            f"dual verification = {'PASS' if t['dual_verified'] else 'FAIL'}\n"
         )
     _write(out, args.output)
-    return 0 if t["status"] == "converged" and t["feasible"] else 2
+    ok = t["status"] == "converged" and t["feasible"] and t["dual_verified"]
+    return 0 if ok else 2
 
 
 def _cmd_transform(args) -> int:

@@ -5,7 +5,10 @@ adjacent vertices orthogonal, together with a unit handle state psi whose
 squared overlaps with the vertex vectors sum to the Lovasz number.  The
 extractor factors the optimal primal matrix of the theta program; the
 verifier certifies the result numerically instead of trusting the
-construction.
+construction.  `lift_ortho_rep` carries a representation of G over to
+the two-point event graph G' the way the paper's realisation does, and
+`primal_matrix` turns any representation into a feasible point of the
+theta program.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import EventGraph, Graph, PairEvent
 from .theta import SdpSolution, SdpStatus
 
 
@@ -229,6 +232,66 @@ def extract_ortho_rep(
             f"overlap-sum error {report.overlap_error:.3e}"
         )
     return rep
+
+
+# A (0,0) event whose residual handle has squared norm at most this gets a
+# fresh basis direction instead of a normalised roundoff vector.
+_FRESH_DIRECTION_NORM_SQ = 1e-14
+
+
+def lift_ortho_rep(eg: EventGraph, rep: OrthoRep) -> OrthoRep:
+    """Representation of G' = eg from one of its source graph G, same handle.
+
+    An event with outcome 1 on observable i gets v_i: that covers the single
+    events, (i, j, 1, 0) and, for j, (i, j, 0, 1).  The event (i, j, 0, 0)
+    gets psi with v_i and v_j projected out (two Gram-Schmidt passes), then
+    normalised; when nothing of psi is left it gets a fresh basis
+    direction, orthogonal to everything, and the dimension grows by one.
+    The overlaps of an edge's three pair events then sum to one, so the
+    overlap sum is rep's plus |E|.  Exclusive events carry orthogonal
+    vectors up to rep's own orthogonality errors.
+    """
+    V, psi = rep.vectors, rep.psi
+    rows: list[np.ndarray] = []
+    fresh: list[int] = []
+    for k, label in enumerate(eg.labels):
+        ones = [obs for obs, out in label.assignments().items() if out == 1]
+        if ones:
+            rows.append(V[ones[0]])
+            continue
+        if not isinstance(label, PairEvent):
+            raise ValueError(f"no two-point event vector for {label}")
+        r = psi.copy()
+        for _ in range(2):
+            for v in (V[label.obs_a], V[label.obs_b]):
+                r = r - np.vdot(v, r) * v
+        norm_sq = float(np.vdot(r, r).real)
+        if norm_sq <= _FRESH_DIRECTION_NORM_SQ:
+            fresh.append(k)
+            r = np.zeros_like(psi)
+        else:
+            r = r / math.sqrt(norm_sq)
+        rows.append(r)
+    vectors = np.vstack(rows)
+    vectors = np.hstack([vectors, np.zeros((eg.n, len(fresh)), dtype=vectors.dtype)])
+    for col, k in enumerate(fresh, start=rep.dimension):
+        vectors[k, col] = 1.0
+    handle = np.concatenate([psi, np.zeros(len(fresh), dtype=psi.dtype)])
+    return OrthoRep(dimension=vectors.shape[1], psi=handle, vectors=vectors)
+
+
+def primal_matrix(rep: OrthoRep) -> np.ndarray:
+    """Feasible point of the theta program built from a representation.
+
+    The Gram matrix of the vectors <psi|u_k> u_k, divided by its trace (the
+    overlap sum).  It is positive semidefinite by construction and its
+    edge entries are the representation's edge overlaps scaled down, so it
+    is feasible whenever rep is; its objective <J, X> is at least the
+    overlap sum and equals it when the weighted vectors sum along psi.
+    """
+    weighted = (rep.vectors @ rep.psi.conj())[:, None] * rep.vectors
+    X = (weighted @ weighted.conj().T).real
+    return X / np.trace(X)
 
 
 def builtin_kcbs_rep() -> OrthoRep:

@@ -21,6 +21,15 @@ by construction.  Its m x m arrays (m = 1 + |E|) are allocated once per
 call, so one iteration costs one in-place Cholesky of the m x m system, no
 m x m allocation, and a handful of n x n eigendecompositions for the step
 lengths.  `SdpSolution.termination` names the exit the loop took.
+
+The dual of the program is
+
+    minimize  y_0   subject to  y_0 I - (J - Y) positive semidefinite,
+
+with Y symmetric and supported on the edges, so every such Y certifies
+the upper bound lambda_max(J - Y).  `SdpSolution.y` carries the solver's
+multipliers; `verify_dual` recomputes the bound from Y alone, and
+`lift_dual` builds a Y for the two-point event graph G' from one for G.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .graphs import Graph
+from .graphs import EventGraph, Graph, PairEvent
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -63,7 +72,14 @@ class SdpResiduals:
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """Primal matrix X and dual multipliers y of the returned iterate.
+
+    ``y[0]`` is the trace multiplier (the dual value) and ``y[1:]`` holds
+    one multiplier per edge of the graph, in edge order.
+    """
+
     X: np.ndarray
+    y: np.ndarray
     primal_value: float
     dual_value: float
     tolerance: float
@@ -73,9 +89,10 @@ class SdpSolution:
     termination: SdpTermination
 
     def __post_init__(self) -> None:
-        X = np.array(self.X)
-        X.setflags(write=False)
-        object.__setattr__(self, "X", X)
+        for name in ("X", "y"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def duality_gap(self) -> float:
@@ -96,6 +113,19 @@ class FeasibilityReport:
         return self.eigenvalue_ok and self.trace_ok and self.edges_ok
 
 
+@dataclass(frozen=True)
+class DualReport:
+    """``bound`` = lambda_max(J - Y) bounds theta from above only if ``passed``."""
+
+    bound: float
+    symmetric_ok: bool
+    support_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.symmetric_ok and self.support_ok
+
+
 def _check_graph(g: Graph) -> None:
     if g.n < 1:
         raise ValueError("theta needs at least one vertex")
@@ -103,12 +133,17 @@ def _check_graph(g: Graph) -> None:
         raise ValueError("theta expects an unweighted graph; apply expand_weighted")
 
 
+def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    ei = np.fromiter((e[0] for e in g.edges), dtype=int, count=len(g.edges))
+    ej = np.fromiter((e[1] for e in g.edges), dtype=int, count=len(g.edges))
+    return ei, ej
+
+
 def _residuals(g: Graph, X: np.ndarray) -> SdpResiduals:
     eigs = np.linalg.eigvalsh((X + X.T) / 2)
     max_edge = 0.0
     if g.edges:
-        ei = np.fromiter((e[0] for e in g.edges), dtype=int)
-        ej = np.fromiter((e[1] for e in g.edges), dtype=int)
+        ei, ej = _edge_index(g)
         max_edge = float(np.max(np.abs(X[ei, ej])))
     return SdpResiduals(
         min_eigenvalue=float(eigs[0]),
@@ -131,6 +166,64 @@ def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> Feasibility
         trace_ok=r.trace_error <= tolerance,
         edges_ok=r.max_edge_entry <= tolerance,
     )
+
+
+def multiplier_matrix(g: Graph, y: np.ndarray) -> np.ndarray:
+    """The edge multipliers ``y[1:]`` of a dual iterate as a symmetric matrix Y."""
+    ei, ej = _edge_index(g)
+    Y = np.zeros((g.n, g.n))
+    Y[ei, ej] = y[1:]
+    Y[ej, ei] = y[1:]
+    return Y
+
+
+def verify_dual(g: Graph, Y: np.ndarray) -> DualReport:
+    """Recompute the dual bound lambda_max(J - Y) independently of the solver.
+
+    Y is a valid dual point iff it is exactly symmetric and vanishes off the
+    edges of g (its diagonal included); either failure is reported, not
+    raised.  Then y_0 = lambda_max(J - Y) makes y_0 I - J + Y positive
+    semidefinite, so the bound holds for every feasible X.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (g.n, g.n):
+        raise ValueError(f"Y has shape {Y.shape}, expected ({g.n},{g.n})")
+    ei, ej = _edge_index(g)
+    off_edges = Y.copy()
+    off_edges[ei, ej] = 0.0
+    off_edges[ej, ei] = 0.0
+    M = np.ones((g.n, g.n)) - Y
+    return DualReport(
+        bound=float(np.linalg.eigvalsh((M + M.T) / 2)[-1]),
+        symmetric_ok=bool(np.array_equal(Y, Y.T)),
+        support_ok=not np.any(off_edges),
+    )
+
+
+def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
+    """Dual multipliers for G' from multipliers Y of G certifying ``bound``.
+
+    Lovasz's direct sum in matrix form.  The single events of G' induce G
+    and get (t / bound) Y, with t = bound + |E|; each edge's three pair
+    events form a triangle and get t (J_3 - I_3).  Cauchy-Schwarz over the
+    1 + |E| blocks, weighted bound : 1 : ... : 1, gives
+    lambda_max(J' - Y') <= t.  The blocks are read from ``eg.labels``,
+    so the result does not depend on the vertex order of G'.
+    """
+    source = eg.source
+    t = bound + len(source.edges)
+    singles = np.empty(source.n, dtype=int)
+    triangles: dict[tuple[int, int], list[int]] = {e: [] for e in source.edges}
+    for k, label in enumerate(eg.labels):
+        if isinstance(label, PairEvent):
+            triangles[(label.obs_a, label.obs_b)].append(k)
+        else:
+            singles[label.obs] = k
+    Yp = np.zeros((eg.n, eg.n))
+    Yp[np.ix_(singles, singles)] = (t / bound) * np.asarray(Y, dtype=float)
+    for tri in triangles.values():
+        Yp[np.ix_(tri, tri)] = t * (1.0 - np.eye(len(tri)))
+    return Yp
 
 
 def _lift_to_pd(M: np.ndarray) -> np.ndarray:
@@ -245,6 +338,7 @@ def theta(
         X = np.ones((1, 1))
         return SdpSolution(
             X=X,
+            y=np.ones(1),
             primal_value=1.0,
             dual_value=1.0,
             tolerance=tolerance,
@@ -257,8 +351,7 @@ def theta(
     n = g.n
     me = len(g.edges)
     m = 1 + me
-    ei = np.fromiter((e[0] for e in g.edges), dtype=int) if me else np.empty(0, dtype=int)
-    ej = np.fromiter((e[1] for e in g.edges), dtype=int) if me else np.empty(0, dtype=int)
+    ei, ej = _edge_index(g)
     J = np.ones((n, n))
     eye_n = np.eye(n)
     schur = _Schur(ei, ej)
@@ -382,6 +475,7 @@ def theta(
     )
     return SdpSolution(
         X=X,
+        y=y,
         primal_value=float(X.sum()),
         dual_value=float(y[0]),
         tolerance=tolerance,

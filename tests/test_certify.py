@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import math
+import random
 
 import pytest
 
@@ -7,13 +10,20 @@ from twopoint import (
     CertifyOptions,
     StageError,
     build_graph,
+    build_two_point_graph,
     catalog,
     certify,
     complete_graph,
     cycle_graph,
     emit_report,
+    extract_ortho_rep,
+    lift_ortho_rep,
+    theta,
 )
 from twopoint.cli import main
+
+# The package re-exports the function `certify` under the module's name.
+certify_mod = importlib.import_module("twopoint.certify")
 
 SQRT5 = math.sqrt(5.0)
 FAST = CertifyOptions(skip_montecarlo=True)
@@ -120,6 +130,101 @@ class TestCertifyPipeline:
         assert report.data["alpha_gprime"]["alpha"] == 1 + 21
 
 
+def _ladder_graph(name: str):
+    if name == "random-10-22":
+        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        return build_graph(10, sorted(random.Random(0).sample(pairs, 22)))
+    return catalog(name)
+
+
+LADDER = ["c5", "c7", "chsh-circulant", "petersen", "c21", "k6", "random-10-22"]
+
+
+class TestConstructiveThetaGprime:
+    """theta(G') is certified from G's certificates; the direct SDP cross-checks it."""
+
+    @pytest.mark.parametrize("name", LADDER)
+    def test_sandwich_against_direct_sdp(self, name):
+        g = _ladder_graph(name)
+        report = certify(g, CertifyOptions(skip_montecarlo=True, alpha_limit=128))
+        assert report.all_passed, [c for c, ok in report.checks() if not ok]
+        t = report.data["theta_gprime"]
+        assert t["method"] == "constructive"
+        assert "iterations" not in t and "termination" not in t
+        sdp = theta(build_two_point_graph(g).as_graph())
+        assert t["value"] <= sdp.dual_value + 1e-7
+        assert sdp.primal_value <= t["dual"] + 1e-7
+        assert abs(t["value"] - sdp.primal_value) <= 1e-6
+
+    def test_theta_runs_once_on_g(self, monkeypatch):
+        calls = []
+
+        def counting(g, **kwargs):
+            calls.append(g)
+            return theta(g, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "theta", counting)
+        g = catalog("petersen")
+        assert certify(g, FAST).all_passed
+        assert calls == [g]
+
+    @pytest.mark.parametrize("name", ["fig2-k2", "k6"])
+    def test_fresh_direction_for_vanishing_residual_handle(self, name):
+        g = catalog(name)
+        rep = extract_ortho_rep(g, theta(g))
+        lifted = lift_ortho_rep(build_two_point_graph(g), rep)
+        assert lifted.dimension > rep.dimension
+        report = certify(g, FAST)
+        assert report.all_passed, [c for c, ok in report.checks() if not ok]
+
+    @staticmethod
+    def _tampered(monkeypatch, add=(), drop=()):
+        def compile_tampered(g):
+            eg = build_two_point_graph(g)
+            edges = tuple(sorted((set(eg.edges) | set(add)) - set(drop)))
+            return dataclasses.replace(eg, edges=edges)
+
+        monkeypatch.setattr(certify_mod, "build_two_point_graph", compile_tampered)
+        return dict(certify(cycle_graph(5), FAST).checks())
+
+    def test_added_edge_fails_primal_feasibility(self, monkeypatch):
+        # Single events 0 and 2 of c5 are not exclusive; their lifted
+        # vectors overlap and both overlap the handle.
+        eg = build_two_point_graph(cycle_graph(5))
+        assert (0, 2) not in eg.edges
+        checks = self._tampered(monkeypatch, add=[(0, 2)])
+        assert checks["theta_gprime_feasible"] is False
+        assert checks["theta_gprime_dual_verified"] is True
+
+    def test_deleted_triangle_edge_fails_dual(self, monkeypatch):
+        # Vertices 5 and 6 are the (0,0) and (0,1) events of edge (0, 1).
+        eg = build_two_point_graph(cycle_graph(5))
+        assert (5, 6) in eg.edges
+        checks = self._tampered(monkeypatch, drop=[(5, 6)])
+        assert checks["theta_gprime_dual_verified"] is False
+        assert checks["theta_gprime_feasible"] is True
+
+    def test_report_fields(self):
+        d = certify(cycle_graph(5), FAST).data
+        assert d["schema"] == 2
+        t = d["theta_gprime"]
+        assert t["status"] == "converged" and t["feasible"] and t["dual_verified"]
+        assert abs(t["gap"]) <= 1e-7
+        assert t["gap"] == t["dual"] - t["value"]
+        assert set(t["residuals"]) == {"min_eigenvalue", "trace_error", "max_edge_entry"}
+        assert d["theta_g"]["dual_verified"] is True
+        names = [name for name, _ in d["checks"]]
+        assert names.index("orthorep_verified") < names.index("theta_gprime_converged")
+        assert {"theta_g_dual_verified", "theta_gprime_dual_verified"} <= set(names)
+
+    def test_dump_sdp_holds_the_lifted_matrix(self):
+        opts = CertifyOptions(skip_montecarlo=True, include_sdp_matrices=True)
+        t = certify(cycle_graph(5), opts).data["theta_gprime"]
+        X = t["X"]
+        assert len(X) == 20 and len(X[0]) == 20
+        assert sum(map(sum, X)) == pytest.approx(t["value"], abs=1e-12)
+
+
 class TestReportEmission:
     def test_byte_identical_reruns(self):
         a = emit_report(certify(cycle_graph(5), CertifyOptions(shots=2000, seed=3)), "json")
@@ -129,7 +234,7 @@ class TestReportEmission:
     def test_json_is_parseable_and_versioned(self):
         report = certify(complete_graph(2), FAST)
         data = json.loads(emit_report(report, "json"))
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["complete"] is True
 
     def test_text_has_identity_lines(self):

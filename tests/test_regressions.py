@@ -129,19 +129,30 @@ class TestParserFuzz:
         _parses_or_refuses("\n".join(lines), "dimacs")
 
 
+def _certify_bytes(graph: str, threads: str, hash_seed: str) -> bytes:
+    src = str(Path(twopoint.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twopoint.cli", "certify", graph,
+         "--format", "json", "--shots", "2000", "--alpha-limit", "80"],
+        env=env, capture_output=True, check=True,
+    )
+    return proc.stdout
+
+
 def test_certify_bytes_identical_across_hash_seeds():
     """The determinism promise: same machine, same numpy/BLAS build and the
     same BLAS thread count give identical bytes, whatever the hash seed."""
-    src = str(Path(twopoint.__file__).resolve().parent.parent)
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twopoint.cli", "certify", "petersen",
-             "--format", "json", "--shots", "2000"],
-            env=env, capture_output=True, check=True,
-        )
-        outputs.append(proc.stdout)
+    outputs = [_certify_bytes("petersen", "1", hash_seed) for hash_seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["complete"] is True
+
+
+@pytest.mark.parametrize("graph", ["petersen", "k6"])
+def test_certify_bytes_identical_across_blas_threads(graph):
+    """Measured beyond the promise: with theta(G') certified from G's
+    certificates, one and two BLAS threads give identical bytes here."""
+    outputs = [_certify_bytes(graph, threads, "0") for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["complete"] is True

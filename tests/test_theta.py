@@ -12,7 +12,10 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     catalog,
+    lift_dual,
+    multiplier_matrix,
     theta,
+    verify_dual,
     verify_feasibility,
 )
 from twopoint.theta import _Schur
@@ -130,6 +133,74 @@ class TestCertificates:
 
     def test_converged_run_names_gap_target(self, c5):
         assert theta(c5).termination is SdpTermination.GAP_TARGET
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("name", ["c5", "petersen", "chsh-circulant", "k4"])
+    def test_verified_bound_matches_solver_dual(self, name):
+        g = catalog(name)
+        sol = theta(g)
+        report = verify_dual(g, multiplier_matrix(g, sol.y))
+        assert report.passed
+        assert report.bound == pytest.approx(sol.dual_value, abs=1e-8)
+        assert sol.primal_value <= report.bound + 1e-9
+
+    def test_y_on_every_exit(self, c5):
+        assert theta(build_graph(1, [])).y.tolist() == [1.0]
+        sol = theta(c5, max_iterations=1)
+        assert sol.y.shape == (6,)
+        assert sol.dual_value == sol.y[0]
+        # A non-converged dual iterate still certifies an upper bound.
+        assert verify_dual(c5, multiplier_matrix(c5, sol.y)).bound >= SQRT5 - 1e-9
+
+    def test_asymmetric_multipliers_fail(self, c5):
+        Y = multiplier_matrix(c5, theta(c5).y)
+        Y[0, 1] += 1e-3
+        report = verify_dual(c5, Y)
+        assert not report.symmetric_ok and report.support_ok and not report.passed
+
+    def test_support_off_the_edges_fails(self, c5):
+        Y = multiplier_matrix(c5, theta(c5).y)
+        Y[0, 2] = Y[2, 0] = -0.5
+        report = verify_dual(c5, Y)
+        assert report.symmetric_ok and not report.support_ok and not report.passed
+        diagonal = np.eye(5)
+        assert not verify_dual(c5, diagonal).support_ok
+
+    def test_zero_multipliers_bound_by_n(self, petersen):
+        report = verify_dual(petersen, np.zeros((10, 10)))
+        assert report.passed and report.bound == pytest.approx(10.0, abs=1e-12)
+
+    def test_dimension_mismatch(self, c5):
+        with pytest.raises(ValueError, match="shape"):
+            verify_dual(c5, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("name", ["c5", "petersen", "fig2-k2", "empty3"])
+    def test_lifted_dual_bounds_gprime(self, name):
+        g = catalog(name)
+        sol = theta(g)
+        base = verify_dual(g, multiplier_matrix(g, sol.y))
+        eg = build_two_point_graph(g)
+        lifted = verify_dual(eg.as_graph(), lift_dual(eg, multiplier_matrix(g, sol.y), base.bound))
+        assert lifted.passed
+        assert lifted.bound <= base.bound + len(g.edges) + 1e-9
+        assert lifted.bound == pytest.approx(sol.dual_value + len(g.edges), abs=1e-8)
+
+    def test_unscaled_stacking_is_not_enough(self, c5):
+        # Stacking G's multipliers with plain triangle blocks is a valid dual
+        # point but a loose one: the (t / bound) scaling is what makes the
+        # direct sum tight.
+        sol = theta(c5)
+        Y = multiplier_matrix(c5, sol.y)
+        eg = build_two_point_graph(c5)
+        naive = np.zeros((eg.n, eg.n))
+        naive[:5, :5] = Y
+        for k in range(5):
+            tri = slice(5 + 3 * k, 8 + 3 * k)
+            naive[tri, tri] = 1.0 - np.eye(3)
+        report = verify_dual(eg.as_graph(), naive)
+        assert report.passed
+        assert report.bound == pytest.approx(17.814, abs=1e-3)
 
 
 def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
