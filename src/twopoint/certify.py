@@ -9,10 +9,10 @@ exact witness values, and optionally simulates the experiment with finite
 statistics.
 
 theta(G') is certified without a second SDP.  The lower bound is <J, X'>
-for the primal matrix X' of G's representation lifted to G' (the paper's
-realisation); the upper bound is lambda_max(J - Y') for the dual
-multipliers Y' of G scaled by Lovasz's direct sum over the single events
-and the |E| pair-event triangles.  Each is checked on the edges of G' by
+for the Gram matrix X' of the event vectors of the paper's realisation,
+built from G's representation; the upper bound is lambda_max(J - Y') for
+the dual multipliers Y' of G scaled by Lovasz's direct sum over the single
+events and the |E| pair-event triangles.  Each is checked on the edges of G' by
 code that did not build it, and weak duality pins theta(G') between them.
 """
 
@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 from .graphs import Graph, build_two_point_graph, expand_weighted
 from .independence import IndependenceResult, independence_number
-from .orthorep import extract_ortho_rep, lift_ortho_rep, primal_matrix, verify_ortho_rep
+from .orthorep import extract_ortho_rep, lift_primal, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
     ExperimentRecord,
@@ -223,7 +223,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         checks.append(["orthorep_verified", rep_report.passed])
 
     with stage("theta_gprime"):
-        X_gp = primal_matrix(lift_ortho_rep(eg, rep))
+        X_gp = lift_primal(eg, rep)
         Y_gp = lift_dual(eg, multiplier_matrix(work, sol_g.y), data["theta_g"]["dual"])
         section = _bounds_section(
             gp, X_gp, verify_dual(gp, Y_gp), opts.tolerance, opts.include_sdp_matrices

@@ -5,10 +5,9 @@ adjacent vertices orthogonal, together with a unit handle state psi whose
 squared overlaps with the vertex vectors sum to the Lovasz number.  The
 extractor factors the optimal primal matrix of the theta program; the
 verifier certifies the result numerically instead of trusting the
-construction.  `lift_ortho_rep` carries a representation of G over to
-the two-point event graph G' the way the paper's realisation does, and
-`primal_matrix` turns any representation into a feasible point of the
-theta program.
+construction.  `lift_primal` turns a representation of G into a feasible
+point of the theta program of the two-point event graph G', the Gram
+matrix of the event vectors of the paper's realisation.
 """
 
 from __future__ import annotations
@@ -108,9 +107,10 @@ def verify_ortho_rep(
     )
 
 
-def _ascend_overlap_sum(
-    g: Graph, vectors: np.ndarray, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+_ASCENT_SWEEPS = 100
+
+
+def _ascend_overlap_sum(g: Graph, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Alternating maximization of the handle overlap sum.
 
     With the vectors fixed, the best handle is the dominant eigenvector of
@@ -123,8 +123,7 @@ def _ascend_overlap_sum(
     """
     nbrs = [list(g.neighbors(v)) for v in range(g.n)]
     best = -math.inf
-    psi = np.linalg.eigh(vectors.T @ vectors)[1][:, -1]
-    for _ in range(max_sweeps):
+    for _ in range(_ASCENT_SWEEPS):
         op = vectors.T @ vectors
         vals, vecs = np.linalg.eigh(op)
         psi = vecs[:, -1]
@@ -234,86 +233,32 @@ def extract_ortho_rep(
     return rep
 
 
-# A (0,0) event whose residual handle has squared norm at most this gets a
-# fresh basis direction instead of a normalised roundoff vector.
-_FRESH_DIRECTION_NORM_SQ = 1e-14
+def lift_primal(eg: EventGraph, rep: OrthoRep) -> np.ndarray:
+    """Feasible point X' of the theta program of G' = eg from a representation of G.
 
-
-def lift_ortho_rep(eg: EventGraph, rep: OrthoRep) -> OrthoRep:
-    """Representation of G' = eg from one of its source graph G, same handle.
-
-    An event with outcome 1 on observable i gets v_i: that covers the single
-    events, (i, j, 1, 0) and, for j, (i, j, 0, 1).  The event (i, j, 0, 0)
-    gets psi with v_i and v_j projected out (two Gram-Schmidt passes), then
-    normalised; when nothing of psi is left it gets a fresh basis
-    direction, orthogonal to everything, and the dimension grows by one.
-    The overlaps of an edge's three pair events then sum to one, so the
-    overlap sum is rep's plus |E|.  Exclusive events carry orthogonal
-    vectors up to rep's own orthogonality errors.
+    X' = W W^* / tr(W W^*), where row k of W is the paper's event vector for
+    vertex k of G'.  An event with outcome 1 on observable i (a single
+    event, (i, j, 1, 0), or (i, j, 0, 1) for j) has Pi_i psi = <v_i|psi> v_i.
+    The event (i, j, 0, 0) has psi projected off span(v_i, v_j) by an exact
+    Gram solve, so its row is orthogonal to v_i and v_j even where
+    rep's edge overlaps are not zero.  When they are zero, an edge's three
+    pair-event rows sum to psi and their squared norms to one, so
+    tr(W W^*) is rep's overlap sum plus |E|, and <J, X'> equals it when the
+    single-event rows also sum along psi (psi an eigenvector of
+    sum_i |v_i><v_i|).  Other exclusive events have orthogonal rows up to
+    rep's own edge overlaps.
     """
     V, psi = rep.vectors, rep.psi
-    rows: list[np.ndarray] = []
-    fresh: list[int] = []
+    s = V.conj() @ psi  # s[i] = <v_i|psi>
+    W = np.empty((eg.n, rep.dimension), dtype=np.result_type(V, psi))
     for k, label in enumerate(eg.labels):
-        ones = [obs for obs, out in label.assignments().items() if out == 1]
-        if ones:
-            rows.append(V[ones[0]])
-            continue
-        if not isinstance(label, PairEvent):
-            raise ValueError(f"no two-point event vector for {label}")
-        r = psi.copy()
-        for _ in range(2):
-            for v in (V[label.obs_a], V[label.obs_b]):
-                r = r - np.vdot(v, r) * v
-        norm_sq = float(np.vdot(r, r).real)
-        if norm_sq <= _FRESH_DIRECTION_NORM_SQ:
-            fresh.append(k)
-            r = np.zeros_like(psi)
+        hit = [obs for obs, out in label.assignments().items() if out == 1]
+        if hit:
+            W[k] = s[hit[0]] * V[hit[0]]
+        elif isinstance(label, PairEvent):
+            B = V[[label.obs_a, label.obs_b]]
+            W[k] = psi - np.linalg.solve(B.conj() @ B.T, s[[label.obs_a, label.obs_b]]) @ B
         else:
-            r = r / math.sqrt(norm_sq)
-        rows.append(r)
-    vectors = np.vstack(rows)
-    vectors = np.hstack([vectors, np.zeros((eg.n, len(fresh)), dtype=vectors.dtype)])
-    for col, k in enumerate(fresh, start=rep.dimension):
-        vectors[k, col] = 1.0
-    handle = np.concatenate([psi, np.zeros(len(fresh), dtype=psi.dtype)])
-    return OrthoRep(dimension=vectors.shape[1], psi=handle, vectors=vectors)
-
-
-def primal_matrix(rep: OrthoRep) -> np.ndarray:
-    """Feasible point of the theta program built from a representation.
-
-    The Gram matrix of the vectors <psi|u_k> u_k, divided by its trace (the
-    overlap sum).  It is positive semidefinite by construction and its
-    edge entries are the representation's edge overlaps scaled down, so it
-    is feasible whenever rep is; its objective <J, X> is at least the
-    overlap sum and equals it when the weighted vectors sum along psi.
-    """
-    weighted = (rep.vectors @ rep.psi.conj())[:, None] * rep.vectors
-    X = (weighted @ weighted.conj().T).real
+            raise ValueError(f"no two-point event vector for {label}")
+    X = (W @ W.conj().T).real
     return X / np.trace(X)
-
-
-def builtin_kcbs_rep() -> OrthoRep:
-    """The qutrit pentagon representation saturating the KCBS inequality.
-
-    Vertex k carries (cos t, sin t cos(4 pi k / 5), sin t sin(4 pi k / 5))
-    with cos^2 t = cos(pi/5) / (1 + cos(pi/5)) = 1/sqrt(5); consecutive
-    vectors are orthogonal, so the source graph is the standard pentagon
-    with edges (0,1),(1,2),(2,3),(3,4),(0,4).  Every squared overlap with
-    psi = (1,0,0) is 1/sqrt(5) and their sum is sqrt(5).
-    """
-    cos2 = math.cos(math.pi / 5) / (1 + math.cos(math.pi / 5))
-    t = math.acos(math.sqrt(cos2))
-    vectors = np.array(
-        [
-            [
-                math.cos(t),
-                math.sin(t) * math.cos(4 * math.pi * k / 5),
-                math.sin(t) * math.sin(4 * math.pi * k / 5),
-            ]
-            for k in range(5)
-        ]
-    )
-    psi = np.array([1.0, 0.0, 0.0])
-    return OrthoRep(dimension=3, psi=psi, vectors=vectors)

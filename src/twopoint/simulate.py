@@ -79,14 +79,6 @@ class NoiseModel:
         if not 0.0 <= self.outcome_flip_p <= 1.0:
             raise ValueError("outcome_flip_p must lie in [0, 1]")
 
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            self.depolarizing_p == 0.0
-            and self.vector_misalignment_angle == 0.0
-            and self.outcome_flip_p == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class TwoPointContext:

@@ -64,13 +64,6 @@ class SdpTermination(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SdpResiduals:
-    min_eigenvalue: float
-    trace_error: float
-    max_edge_entry: float
-
-
-@dataclass(frozen=True)
 class SdpSolution:
     """Primal matrix X and dual multipliers y of the returned iterate.
 
@@ -84,7 +77,6 @@ class SdpSolution:
     dual_value: float
     tolerance: float
     status: SdpStatus
-    residuals: SdpResiduals
     iterations: int
     termination: SdpTermination
 
@@ -139,32 +131,27 @@ def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return ei, ej
 
 
-def _residuals(g: Graph, X: np.ndarray) -> SdpResiduals:
-    eigs = np.linalg.eigvalsh((X + X.T) / 2)
+def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> FeasibilityReport:
+    """Recompute the primal feasibility residuals independently of the solver.
+
+    `theta` judges its own iterate by this same check.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape != (g.n, g.n):
+        raise ValueError(f"X has shape {X.shape}, expected ({g.n},{g.n})")
+    min_eig = float(np.linalg.eigvalsh((X + X.T) / 2)[0])
+    trace_err = float(abs(np.trace(X) - 1.0))
     max_edge = 0.0
     if g.edges:
         ei, ej = _edge_index(g)
         max_edge = float(np.max(np.abs(X[ei, ej])))
-    return SdpResiduals(
-        min_eigenvalue=float(eigs[0]),
-        trace_error=float(abs(np.trace(X) - 1.0)),
-        max_edge_entry=max_edge,
-    )
-
-
-def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> FeasibilityReport:
-    """Recompute the primal feasibility residuals independently of the solver."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (g.n, g.n):
-        raise ValueError(f"X has shape {X.shape}, expected ({g.n},{g.n})")
-    r = _residuals(g, X)
     return FeasibilityReport(
-        min_eigenvalue=r.min_eigenvalue,
-        trace_error=r.trace_error,
-        max_edge_entry=r.max_edge_entry,
-        eigenvalue_ok=r.min_eigenvalue >= -tolerance,
-        trace_ok=r.trace_error <= tolerance,
-        edges_ok=r.max_edge_entry <= tolerance,
+        min_eigenvalue=min_eig,
+        trace_error=trace_err,
+        max_edge_entry=max_edge,
+        eigenvalue_ok=min_eig >= -tolerance,
+        trace_ok=trace_err <= tolerance,
+        edges_ok=max_edge <= tolerance,
     )
 
 
@@ -327,23 +314,23 @@ def theta(
     """Lovasz number of g with feasibility and duality-gap certificates.
 
     The returned primal value is a lower and the dual value an upper bound
-    on the true optimum, up to the reported residuals.  Non-convergence
-    within the iteration cap is reported as status MAX_ITERATIONS carrying
-    the best iterate found, never silently; `termination` names the exit.
+    on the true optimum, up to X's feasibility residuals.  The status is
+    CONVERGED iff the gap is within tolerance and X passes
+    `verify_feasibility` at tolerance; otherwise it is MAX_ITERATIONS,
+    carrying the best iterate found, never silently.  `termination` names
+    the exit.
     """
     _check_graph(g)
     if not (1e-10 <= tolerance <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
     if g.n == 1:
-        X = np.ones((1, 1))
         return SdpSolution(
-            X=X,
+            X=np.ones((1, 1)),
             y=np.ones(1),
             primal_value=1.0,
             dual_value=1.0,
             tolerance=tolerance,
             status=SdpStatus.CONVERGED,
-            residuals=_residuals(g, X),
             iterations=0,
             termination=SdpTermination.GAP_TARGET,
         )
@@ -466,13 +453,7 @@ def theta(
         best_gap, best = gap, (X, y)
     X, y = best
 
-    resid = _residuals(g, X)
-    ok = (
-        best_gap <= tolerance
-        and resid.min_eigenvalue >= -tolerance
-        and resid.trace_error <= tolerance
-        and resid.max_edge_entry <= tolerance
-    )
+    ok = best_gap <= tolerance and verify_feasibility(g, X, tolerance).passed
     return SdpSolution(
         X=X,
         y=y,
@@ -480,7 +461,6 @@ def theta(
         dual_value=float(y[0]),
         tolerance=tolerance,
         status=SdpStatus.CONVERGED if ok else SdpStatus.MAX_ITERATIONS,
-        residuals=resid,
         iterations=iterations,
         termination=termination,
     )

@@ -9,7 +9,15 @@ from typing import Mapping
 
 import numpy as np
 
-from twopoint import Graph, QState, SizeLimitError, cycle_graph, independence_number, theta
+from twopoint import (
+    Graph,
+    OrthoRep,
+    QState,
+    SizeLimitError,
+    cycle_graph,
+    independence_number,
+    theta,
+)
 from twopoint.theta import DEFAULT_TOLERANCE
 
 
@@ -102,6 +110,31 @@ def theta_sandwich(
             f"sandwich violated: alpha={alpha} > theta={sol.primal_value}"
         )
     return alpha, sol.primal_value
+
+
+def builtin_kcbs_rep() -> OrthoRep:
+    """The qutrit pentagon representation saturating the KCBS inequality.
+
+    Vertex k carries (cos t, sin t cos(4 pi k / 5), sin t sin(4 pi k / 5))
+    with cos^2 t = cos(pi/5) / (1 + cos(pi/5)) = 1/sqrt(5); consecutive
+    vectors are orthogonal, so the source graph is the standard pentagon
+    with edges (0,1),(1,2),(2,3),(3,4),(0,4).  Every squared overlap with
+    psi = (1,0,0) is 1/sqrt(5) and their sum is sqrt(5).
+    """
+    cos2 = math.cos(math.pi / 5) / (1 + math.cos(math.pi / 5))
+    t = math.acos(math.sqrt(cos2))
+    vectors = np.array(
+        [
+            [
+                math.cos(t),
+                math.sin(t) * math.cos(4 * math.pi * k / 5),
+                math.sin(t) * math.sin(4 * math.pi * k / 5),
+            ]
+            for k in range(5)
+        ]
+    )
+    psi = np.array([1.0, 0.0, 0.0])
+    return OrthoRep(dimension=3, psi=psi, vectors=vectors)
 
 
 def kcbs_graph() -> Graph:

@@ -4,10 +4,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from twopoint import (
     CertifyOptions,
+    PairEvent,
     StageError,
     build_graph,
     build_two_point_graph,
@@ -17,7 +19,7 @@ from twopoint import (
     cycle_graph,
     emit_report,
     extract_ortho_rep,
-    lift_ortho_rep,
+    lift_primal,
     theta,
 )
 from twopoint.cli import main
@@ -170,12 +172,37 @@ class TestConstructiveThetaGprime:
 
     @pytest.mark.parametrize("name", ["fig2-k2", "k6"])
     def test_fresh_direction_for_vanishing_residual_handle(self, name):
+        # On some edges psi lies in span(v_i, v_j): the (0,0) event vector
+        # vanishes, and so does its row of X'.
         g = catalog(name)
         rep = extract_ortho_rep(g, theta(g))
-        lifted = lift_ortho_rep(build_two_point_graph(g), rep)
-        assert lifted.dimension > rep.dimension
+        eg = build_two_point_graph(g)
+        X = lift_primal(eg, rep)
+        s = rep.vectors @ rep.psi
+        zero_rows = [
+            k
+            for k, label in enumerate(eg.labels)
+            if isinstance(label, PairEvent)
+            and (label.outcome_a, label.outcome_b) == (0, 0)
+            and 1 - s[label.obs_a] ** 2 - s[label.obs_b] ** 2 <= 1e-14
+        ]
+        assert zero_rows
+        assert np.abs(X[zero_rows]).max() <= 1e-15
         report = certify(g, FAST)
         assert report.all_passed, [c for c, ok in report.checks() if not ok]
+
+    @pytest.mark.parametrize("name", LADDER)
+    def test_lifted_objective_is_overlap_sum_plus_edges(self, name):
+        # <J, X'> = overlap sum + |E| + sum_E 2 <psi|v_i><v_i|v_j><v_j|psi>,
+        # up to terms of second order in the edge overlaps; the last term
+        # vanishes for an exactly orthogonal representation.
+        g = _ladder_graph(name)
+        rep = extract_ortho_rep(g, theta(g))
+        X = lift_primal(build_two_point_graph(g), rep)
+        V, s = rep.vectors, rep.vectors @ rep.psi
+        drift = sum(2 * s[i] * float(V[i] @ V[j]) * s[j] for i, j in g.edges)
+        assert abs(drift) <= 1e-9
+        assert X.sum() == pytest.approx(rep.overlap_sum() + len(g.edges) + drift, abs=1e-12)
 
     @staticmethod
     def _tampered(monkeypatch, add=(), drop=()):

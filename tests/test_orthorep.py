@@ -7,14 +7,13 @@ from twopoint import (
     OrthoRep,
     SdpStatus,
     build_graph,
-    builtin_kcbs_rep,
     extract_ortho_rep,
     theta,
     verify_ortho_rep,
 )
 from twopoint.simulate import TwoPointContext, joint_probs_projective, pure_state
 from conftest import random_graph
-from oracles import kcbs_graph
+from oracles import builtin_kcbs_rep, kcbs_graph
 
 SQRT5 = math.sqrt(5.0)
 

@@ -9,7 +9,6 @@ from twopoint import (
     ParseError,
     build_graph,
     build_two_point_graph,
-    builtin_kcbs_rep,
     emit_graph,
     parse_graph,
     run_experiment,
@@ -23,7 +22,7 @@ from twopoint.serialize import (
     orthorep_to_jsonable,
     record_to_jsonable,
 )
-from oracles import kcbs_graph
+from oracles import builtin_kcbs_rep, kcbs_graph
 
 
 class TestFloatFormat:

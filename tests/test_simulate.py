@@ -9,7 +9,6 @@ from twopoint import (
     QState,
     born_single,
     build_graph,
-    builtin_kcbs_rep,
     context,
     epsilon_prime,
     epsilon_signaling,
@@ -23,7 +22,7 @@ from twopoint import (
     run_experiment,
 )
 from twopoint.simulate import TwoPointContext
-from oracles import kcbs_graph, maximally_mixed
+from oracles import builtin_kcbs_rep, kcbs_graph, maximally_mixed
 
 SQRT5 = math.sqrt(5.0)
 

@@ -134,6 +134,14 @@ class TestCertificates:
     def test_converged_run_names_gap_target(self, c5):
         assert theta(c5).termination is SdpTermination.GAP_TARGET
 
+    @pytest.mark.parametrize("max_iterations", [10_000, 1])
+    def test_status_is_gap_and_feasibility(self, petersen, max_iterations):
+        sol = theta(petersen, max_iterations=max_iterations)
+        tol = sol.tolerance
+        passed = sol.duality_gap <= tol and verify_feasibility(petersen, sol.X, tol).passed
+        assert (sol.status is SdpStatus.CONVERGED) == passed
+        assert passed == (max_iterations > 1)
+
 
 class TestDualCertificate:
     @pytest.mark.parametrize("name", ["c5", "petersen", "chsh-circulant", "k4"])
