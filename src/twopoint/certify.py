@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .graphs import Graph, build_two_point_graph, expand_weighted
-from .independence import IndependenceResult, independence_number
+from .independence import IndependenceResult, SizeLimitError, independence_number
 from .orthorep import extract_ortho_rep, lift_primal, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
@@ -180,6 +180,13 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("expand"):
         if g.is_weighted:
+            # alpha_g would refuse the blow-up anyway; refuse it before it is built.
+            total = sum(g.weights)
+            if total > opts.alpha_limit:
+                raise SizeLimitError(
+                    f"weighted graph expands to sum of weights = {total} vertices, "
+                    f"exceeding the limit of {opts.alpha_limit}"
+                )
             work, provenance = expand_weighted(g)
             data["expanded"] = {
                 "n": work.n,

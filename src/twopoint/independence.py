@@ -50,7 +50,9 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
 
     Branches on a maximum-degree vertex of the remaining subgraph (lowest id
     on ties) and prunes with a greedy clique-cover upper bound; vertex sets
-    are bitmasks.  Deterministic: identical inputs explore identical trees.
+    are bitmasks.  Deterministic: identical inputs explore identical trees,
+    and ``tests/test_independence.py`` pins the tree (alpha, witness and
+    node count) on four event graphs, so a change to either policy shows.
 
     Raises SizeLimitError above ``limit`` vertices and ValueError for
     weighted graphs (expand them first).
@@ -62,31 +64,30 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
     adj = _adjacency_masks(g)
 
     def cover_bound(mask: int) -> int:
-        # Greedily peel cliques; the number of cliques needed to cover the
-        # candidate set bounds its independence number from above.
+        # Greedily peel cliques, each grown from the lowest remaining vertex;
+        # the number of cliques needed to cover the candidate set bounds its
+        # independence number from above.
         count = 0
         rem = mask
         while rem:
-            v = (rem & -rem).bit_length() - 1
-            clique = 1 << v
-            cand = rem & adj[v]
+            clique = rem & -rem
+            cand = rem & adj[clique.bit_length() - 1]
             while cand:
-                u = (cand & -cand).bit_length() - 1
-                clique |= 1 << u
-                cand &= adj[u]
-            rem &= ~clique
+                low = cand & -cand
+                clique |= low
+                cand &= adj[low.bit_length() - 1]
+            rem ^= clique
             count += 1
         return count
 
     best_size = 0
     best_set = 0
     nodes = 0
-    # Explicit stack of (candidate mask, chosen mask) frames.
-    stack = [((1 << g.n) - 1, 0)]
+    # Explicit stack of (candidate mask, chosen mask, chosen size) frames.
+    stack = [((1 << g.n) - 1, 0, 0)]
     while stack:
-        mask, chosen = stack.pop()
+        mask, chosen, size = stack.pop()
         nodes += 1
-        size = bin(chosen).count("1")
         if not mask:
             if size > best_size:
                 best_size, best_set = size, chosen
@@ -96,14 +97,16 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
         pivot, pivot_deg = -1, -1
         m = mask
         while m:
-            v = (m & -m).bit_length() - 1
-            d = bin(adj[v] & mask).count("1")
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & mask).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
-            m &= m - 1
+        bit = 1 << pivot
         # Exclude branch pushed first so the include branch is explored first.
-        stack.append((mask & ~(1 << pivot), chosen))
-        stack.append((mask & ~(adj[pivot] | (1 << pivot)), chosen | (1 << pivot)))
+        stack.append((mask ^ bit, chosen, size))
+        stack.append(((mask & ~adj[pivot]) ^ bit, chosen | bit, size + 1))
     return IndependenceResult(
         alpha=best_size, witness=tuple(_bits(best_set)), node_count=nodes
     )

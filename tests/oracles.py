@@ -10,6 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from twopoint import (
+    EventLabel,
     Graph,
     OrthoRep,
     QState,
@@ -55,6 +56,46 @@ def brute_force_alpha(g: Graph) -> int:
                 values += ((picked >> np.uint32(v)) & 1).astype(np.int32) * g.weight(v)
         best = max(best, int(values.max()))
     return best
+
+
+def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:
+    """Decide whether two measurement events are exclusive.
+
+    Two events are exclusive when they cannot both occur, i.e. they are
+    alternative outcomes of one sharp measurement.  That happens iff
+
+    (a) some observable appears in both events with different outcomes, or
+    (b) an observable of the first and an observable of the second are
+        adjacent in g and both are assigned outcome 1 (adjacent observables
+        carry orthogonal projectors, so their 1-outcomes cannot co-occur).
+
+    The relation is symmetric, and irreflexive on the labels used by the
+    two-point compilation.  This is the label-pair reference for the rule
+    by rule edge emission of ``build_two_point_graph``.
+    """
+    a1 = e1.assignments()
+    a2 = e2.assignments()
+    for obs, out in a1.items():
+        if obs in a2 and a2[obs] != out:
+            return True
+    eset = g.edge_set
+    for o1, v1 in a1.items():
+        if v1 != 1:
+            continue
+        for o2, v2 in a2.items():
+            if v2 == 1 and o1 != o2 and (min(o1, o2), max(o1, o2)) in eset:
+                return True
+    return False
+
+
+def exclusive_pairs(g: Graph, labels: tuple[EventLabel, ...]) -> tuple[tuple[int, int], ...]:
+    """All label-index pairs p < q with exclusive labels, in lexicographic order."""
+    return tuple(
+        (p, q)
+        for p in range(len(labels))
+        for q in range(p + 1, len(labels))
+        if are_exclusive(labels[p], labels[q], g)
+    )
 
 
 def noncontextual_assignment_value(g: Graph, assignment: Mapping[int, int]) -> int:

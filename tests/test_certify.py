@@ -10,6 +10,7 @@ import pytest
 from twopoint import (
     CertifyOptions,
     PairEvent,
+    SizeLimitError,
     StageError,
     build_graph,
     build_two_point_graph,
@@ -106,6 +107,22 @@ class TestCertifyPipeline:
         assert d["input"]["weighted"] is True
         assert d["expanded"]["n"] == 6
         assert d["alpha_g"]["alpha"] == 3
+
+    def test_oversized_blowup_refused_before_expansion(self, monkeypatch):
+        def never(g):
+            raise AssertionError("expand_weighted must not be called")
+
+        monkeypatch.setattr(certify_mod, "expand_weighted", never)
+        g = build_graph(2, [(0, 1)], weights={0: 100_000_000})
+        with pytest.raises(StageError) as excinfo:
+            certify(g, FAST)
+        err = excinfo.value
+        assert err.stage == "expand"
+        assert isinstance(err.cause, SizeLimitError)
+        message = err.report.data["error"]["message"]
+        assert "sum of weights = 100000001" in message
+        assert "limit of 64" in message
+        assert "expanded" not in err.report.data
 
     def test_montecarlo_section(self):
         report = certify(cycle_graph(5), CertifyOptions(shots=20_000, seed=5))

@@ -1,12 +1,13 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint import (
     PairEvent,
     SingleEvent,
-    are_exclusive,
     build_graph,
     build_two_point_graph,
     complement,
@@ -15,7 +16,7 @@ from twopoint import (
     expand_weighted,
 )
 from conftest import random_graph
-from oracles import brute_force_alpha
+from oracles import are_exclusive, brute_force_alpha, exclusive_pairs
 
 
 class TestBuildGraph:
@@ -185,6 +186,18 @@ class TestTwoPointGraph:
         g = build_graph(2, [(0, 1)], weights={0: 2})
         with pytest.raises(ValueError, match="expand"):
             build_two_point_graph(g)
+
+    @given(st.integers(1, 8), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    @example(8, 0.0, random.Random(0))  # edgeless
+    @example(8, 1.0, random.Random(0))  # complete
+    @settings(max_examples=60, deadline=None)
+    def test_edges_match_all_pairs_oracle(self, n, density, rnd):
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < density
+        ]
+        g = build_graph(n, edges)
+        eg = build_two_point_graph(g)
+        assert eg.edges == exclusive_pairs(g, eg.labels)
 
     def test_never_emits_one_one_pairs(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,76 @@ class TestGadgetAlphaTransfer:
                 independence_number(gp, limit=128).alpha
                 == independence_number(g).alpha + len(g.edges)
             )
+
+
+def _pinned_random_graph(rng: random.Random):
+    n = rng.randint(24, 30)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return build_graph(n, rng.sample(pairs, rng.randint(2 * n, 5 * n // 2)))
+
+
+def _pinned_sources():
+    rng = random.Random("pinned-tree")
+    return {
+        "c21": cycle_graph(21),
+        "c31": cycle_graph(31),
+        "random-0": _pinned_random_graph(rng),
+        "random-1": _pinned_random_graph(rng),
+    }
+
+
+# (alpha, witness, node_count) of independence_number on G' of each source.
+# The node count changes with any change to the pivot rule or to the bound,
+# even one that keeps alpha and the witness, and reports print it.
+PINNED_TREES = {
+    "c21": (
+        31,
+        (
+            0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 23, 26, 27, 31, 35, 37, 41, 43, 47, 49,
+            53, 55, 59, 61, 65, 67, 71, 73, 77, 79, 83,
+        ),
+        339,
+    ),
+    "c31": (
+        46,
+        (
+            0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 33, 36, 37, 41, 45,
+            47, 51, 53, 57, 59, 63, 65, 69, 71, 75, 77, 81, 83, 87, 89, 93, 95, 99, 101,
+            105, 107, 111, 113, 117, 119, 123,
+        ),
+        773,
+    ),
+    "random-0": (
+        71,
+        (
+            1, 2, 3, 5, 6, 8, 16, 17, 19, 20, 22, 26, 29, 31, 35, 39, 42, 45, 48, 51,
+            54, 57, 60, 63, 64, 67, 72, 75, 78, 81, 84, 87, 90, 93, 94, 97, 100, 103,
+            107, 111, 114, 117, 120, 121, 124, 128, 130, 133, 137, 140, 142, 145, 149,
+            151, 154, 157, 160, 163, 166, 169, 173, 176, 178, 182, 186, 189, 192, 195,
+            198, 199, 204,
+        ),
+        1571,
+    ),
+    "random-1": (
+        73,
+        (
+            2, 5, 6, 7, 10, 12, 13, 16, 18, 19, 22, 28, 32, 34, 37, 41, 43, 47, 50, 52,
+            57, 60, 63, 65, 68, 71, 73, 77, 80, 82, 86, 89, 92, 94, 99, 102, 105, 108,
+            111, 114, 117, 120, 123, 126, 128, 130, 134, 136, 140, 144, 147, 150, 152,
+            155, 159, 162, 165, 168, 171, 174, 175, 178, 182, 184, 187, 190, 195, 198,
+            199, 202, 205, 208, 211,
+        ),
+        1613,
+    ),
+}
+
+
+class TestPinnedSearchTree:
+    @pytest.mark.parametrize("name", sorted(PINNED_TREES))
+    def test_tree_is_unchanged(self, name):
+        g = _pinned_sources()[name]
+        gp = build_two_point_graph(g).as_graph()
+        res = independence_number(gp, limit=gp.n)
+        alpha, witness, node_count = PINNED_TREES[name]
+        assert (res.alpha, res.witness, res.node_count) == (alpha, witness, node_count)
+
