@@ -1,19 +1,17 @@
 """End-to-end certification pipeline.
 
-For an input graph G the pipeline computes the classical bound alpha(G) and
-the quantum bound theta(G), compiles the two-point event graph G', computes
-alpha(G'), extracts and verifies an optimal orthogonal representation of G,
-certifies theta(G') from G's certificates, checks the transfer identities
-alpha(G') = alpha(G) + |E| and theta(G') = theta(G) + |E|, evaluates the
-exact witness values, and optionally simulates the experiment with finite
-statistics.
+For an input graph G the pipeline computes alpha(G) and theta(G), compiles
+the two-point event graph G', computes alpha(G'), certifies theta(G') from
+G's SDP solution, checks the identities alpha(G') = alpha(G) + |E| and
+theta(G') = theta(G) + |E|, then extracts an optimal orthogonal representation
+of G for the exact witness values and an optional simulated experiment.
 
-theta(G') is certified without a second SDP.  The lower bound is <J, X'>
-for the Gram matrix X' of the event vectors of the paper's realisation,
-built from G's representation; the upper bound is lambda_max(J - Y') for
-the dual multipliers Y' of G scaled by Lovasz's direct sum over the single
-events and the |E| pair-event triangles.  Each is checked on the edges of G' by
-code that did not build it, and weak duality pins theta(G') between them.
+theta(G') is certified without a second SDP, from G's X, Y and verified bound
+t.  The lower bound is <J, X'> for the Gram matrix X' of the paper's event
+vectors, read off X = F F^T; the upper bound is lambda_max(J - Y') for Y
+scaled by Lovasz's direct sum over the single events and the |E| pair-event
+triangles.  Each is checked on the edges of G' by code that did not build it,
+and weak duality pins theta(G') between them, even if extraction then fails.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Any, Optional
 
 from .graphs import Graph, build_two_point_graph, expand_weighted
 from .independence import IndependenceResult, SizeLimitError, independence_number
-from .orthorep import extract_ortho_rep, lift_primal, verify_ortho_rep
+from .orthorep import extract_ortho_rep, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
     ExperimentRecord,
@@ -42,6 +40,7 @@ from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 from .theta import (
     DualReport,
     lift_dual,
+    lift_primal,
     multiplier_matrix,
     theta,
     verify_dual,
@@ -214,23 +213,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     with stage("alpha_gprime"):
         data["alpha_gprime"] = _alpha_section(independence_number(gp, limit=opts.alpha_limit))
 
-    with stage("orthorep"):
-        rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
-        rep_report = verify_ortho_rep(
-            work, rep, 100 * opts.tolerance, theta_target=data["theta_g"]["value"]
-        )
-        data["orthorep"] = {
-            "dimension": rep.dimension,
-            "max_edge_overlap": rep_report.max_edge_overlap,
-            "max_norm_error": rep_report.max_norm_error,
-            "overlap_sum": rep_report.overlap_sum,
-            "overlap_error": rep_report.overlap_error,
-            "tolerance": 100 * opts.tolerance,
-        }
-        checks.append(["orthorep_verified", rep_report.passed])
-
     with stage("theta_gprime"):
-        X_gp = lift_primal(eg, rep)
+        X_gp = lift_primal(eg, sol_g.X, data["theta_g"]["dual"])
         Y_gp = lift_dual(eg, multiplier_matrix(work, sol_g.y), data["theta_g"]["dual"])
         section = _bounds_section(
             gp, X_gp, verify_dual(gp, Y_gp), opts.tolerance, opts.include_sdp_matrices
@@ -255,6 +239,21 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     }
     checks.append(["alpha_identity", alpha_diff == 0])
     checks.append(["theta_identity", abs(theta_diff) <= theta_tol])
+
+    with stage("orthorep"):
+        rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
+        rep_report = verify_ortho_rep(
+            work, rep, 100 * opts.tolerance, theta_target=data["theta_g"]["value"]
+        )
+        data["orthorep"] = {
+            "dimension": rep.dimension,
+            "max_edge_overlap": rep_report.max_edge_overlap,
+            "max_norm_error": rep_report.max_norm_error,
+            "overlap_sum": rep_report.overlap_sum,
+            "overlap_error": rep_report.overlap_error,
+            "tolerance": 100 * opts.tolerance,
+        }
+        checks.append(["orthorep_verified", rep_report.passed])
 
     with stage("exact"):
         state = pure_state(rep.psi)

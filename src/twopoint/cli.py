@@ -54,6 +54,14 @@ def _load_graph(source: str, fmt: str) -> Graph:
         raise ParseError(f"{source!r} is neither a readable file nor a catalog name ({err})")
 
 
+def _load_unweighted(args) -> Graph:
+    g = _load_graph(args.graph, args.input_format)
+    if g.is_weighted:
+        hint = "twopoint certify expands vertex weights"
+        raise ValueError(f"twopoint {args.command} needs an unweighted graph; {hint}")
+    return g
+
+
 def _write(text: str, output: Optional[str]) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_alpha(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_unweighted(args)
     res = _alpha_section(independence_number(g, limit=args.limit))
     if args.format == "json":
         out = dumps_canonical(res) + "\n"
@@ -160,7 +168,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     t = _theta_section(g, sol, args.tolerance, args.dump_sdp)
     t["theta"] = t.pop("value")
@@ -181,7 +189,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_unweighted(args)
     eg = build_two_point_graph(g)
     if args.format == "json":
         out = dumps_canonical(event_graph_to_jsonable(eg)) + "\n"
@@ -199,7 +207,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_orthorep(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
     report = verify_ortho_rep(g, rep, 100 * args.tolerance, theta_target=sol.primal_value)
@@ -226,7 +234,7 @@ def _cmd_orthorep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
     record = run_experiment(

@@ -5,9 +5,7 @@ adjacent vertices orthogonal, together with a unit handle state psi whose
 squared overlaps with the vertex vectors sum to the Lovasz number.  The
 extractor factors the optimal primal matrix of the theta program; the
 verifier certifies the result numerically instead of trusting the
-construction.  `lift_primal` turns a representation of G into a feasible
-point of the theta program of the two-point event graph G', the Gram
-matrix of the event vectors of the paper's realisation.
+construction.  It feeds the exact witness values and the simulation only.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import EventGraph, Graph, PairEvent
+from .graphs import Graph
 from .theta import SdpSolution, SdpStatus
 
 
@@ -231,34 +229,3 @@ def extract_ortho_rep(
             f"overlap-sum error {report.overlap_error:.3e}"
         )
     return rep
-
-
-def lift_primal(eg: EventGraph, rep: OrthoRep) -> np.ndarray:
-    """Feasible point X' of the theta program of G' = eg from a representation of G.
-
-    X' = W W^* / tr(W W^*), where row k of W is the paper's event vector for
-    vertex k of G'.  An event with outcome 1 on observable i (a single
-    event, (i, j, 1, 0), or (i, j, 0, 1) for j) has Pi_i psi = <v_i|psi> v_i.
-    The event (i, j, 0, 0) has psi projected off span(v_i, v_j) by an exact
-    Gram solve, so its row is orthogonal to v_i and v_j even where
-    rep's edge overlaps are not zero.  When they are zero, an edge's three
-    pair-event rows sum to psi and their squared norms to one, so
-    tr(W W^*) is rep's overlap sum plus |E|, and <J, X'> equals it when the
-    single-event rows also sum along psi (psi an eigenvector of
-    sum_i |v_i><v_i|).  Other exclusive events have orthogonal rows up to
-    rep's own edge overlaps.
-    """
-    V, psi = rep.vectors, rep.psi
-    s = V.conj() @ psi  # s[i] = <v_i|psi>
-    W = np.empty((eg.n, rep.dimension), dtype=np.result_type(V, psi))
-    for k, label in enumerate(eg.labels):
-        hit = [obs for obs, out in label.assignments().items() if out == 1]
-        if hit:
-            W[k] = s[hit[0]] * V[hit[0]]
-        elif isinstance(label, PairEvent):
-            B = V[[label.obs_a, label.obs_b]]
-            W[k] = psi - np.linalg.solve(B.conj() @ B.T, s[[label.obs_a, label.obs_b]]) @ B
-        else:
-            raise ValueError(f"no two-point event vector for {label}")
-    X = (W @ W.conj().T).real
-    return X / np.trace(X)

@@ -28,8 +28,9 @@ The dual of the program is
 
 with Y symmetric and supported on the edges, so every such Y certifies
 the upper bound lambda_max(J - Y).  `SdpSolution.y` carries the solver's
-multipliers; `verify_dual` recomputes the bound from Y alone, and
-`lift_dual` builds a Y for the two-point event graph G' from one for G.
+multipliers; `verify_dual` recomputes the bound from Y alone.  For the
+two-point event graph G', `lift_primal` and `lift_dual` build an X and a Y
+from G's own X, Y and verified bound.
 """
 
 from __future__ import annotations
@@ -211,6 +212,30 @@ def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
     for tri in triangles.values():
         Yp[np.ix_(tri, tri)] = t * (1.0 - np.eye(len(tri)))
     return Yp
+
+
+def lift_primal(eg: EventGraph, X: np.ndarray, bound: float) -> np.ndarray:
+    """Primal point X' for G' from a primal point X of G and its dual ``bound`` t.
+
+    Rows of W are the paper's event vectors read off X = F F^T (eigh, negative
+    eigenvalues clipped): Pi_i psi = sqrt(t) f_i for an event with outcome 1 on
+    observable i, and psi = sum_k f_k / sqrt(t) projected off span(f_i, f_j) by
+    least squares (a zero f_i needs no special case) for (i, j, 0, 0).  X' is
+    W W^T over its trace; <J, X'> = t + |E| at an optimum of G.
+    """
+    vals, vecs = np.linalg.eigh((X + X.T) / 2)
+    F = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    root = math.sqrt(bound)
+    psi = F.sum(axis=0) / root
+    W = np.empty((eg.n, F.shape[1]))
+    for k, label in enumerate(eg.labels):
+        if isinstance(label, PairEvent) and label.outcome_a == label.outcome_b == 0:
+            B = F[[label.obs_a, label.obs_b]].T
+            W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
+        else:
+            hit = [obs for obs, out in label.assignments().items() if out == 1]
+            W[k] = root * F[hit[0]]
+    return (W @ W.T) / np.sum(W * W)
 
 
 def _lift_to_pd(M: np.ndarray) -> np.ndarray:

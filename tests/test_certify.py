@@ -9,6 +9,7 @@ import pytest
 
 from twopoint import (
     CertifyOptions,
+    ExtractionError,
     PairEvent,
     SizeLimitError,
     StageError,
@@ -19,9 +20,10 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     emit_report,
-    extract_ortho_rep,
     lift_primal,
+    multiplier_matrix,
     theta,
+    verify_dual,
 )
 from twopoint.cli import main
 
@@ -143,6 +145,21 @@ class TestCertifyPipeline:
         text = emit_report(partial, "text")
         assert "complete: NO" in text
 
+    def test_extraction_failure_keeps_theta_gprime(self, monkeypatch):
+        def failing(g, sol, tolerance):
+            raise ExtractionError("injected")
+
+        monkeypatch.setattr(certify_mod, "extract_ortho_rep", failing)
+        with pytest.raises(StageError) as excinfo:
+            certify(cycle_graph(5), FAST)
+        err = excinfo.value
+        assert err.stage == "orthorep"
+        d = err.report.data
+        assert d["theta_gprime"]["status"] == "converged"
+        assert "identities" in d
+        assert dict(err.report.checks())["theta_identity"] is True
+        assert "orthorep" not in d and "exact" not in d
+
     def test_raised_alpha_limit_unblocks(self):
         report = certify(complete_graph(7), CertifyOptions(skip_montecarlo=True, alpha_limit=80))
         assert report.all_passed
@@ -157,6 +174,16 @@ def _ladder_graph(name: str):
 
 
 LADDER = ["c5", "c7", "chsh-circulant", "petersen", "c21", "k6", "random-10-22"]
+
+
+def _sweep_graph(index: int):
+    """Graph ``index`` of the probe-sweep stream: n in 12-40, |E| in 2n-3n."""
+    rng = random.Random("probe-sweep")
+    for _ in range(index + 1):
+        n = rng.randint(12, 40)
+        m = rng.randint(2 * n, 3 * n)
+        edges = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], m)
+    return build_graph(n, sorted(edges))
 
 
 class TestConstructiveThetaGprime:
@@ -189,37 +216,53 @@ class TestConstructiveThetaGprime:
 
     @pytest.mark.parametrize("name", ["fig2-k2", "k6"])
     def test_fresh_direction_for_vanishing_residual_handle(self, name):
-        # On some edges psi lies in span(v_i, v_j): the (0,0) event vector
-        # vanishes, and so does its row of X'.
+        # Where psi = sum_k f_k / sqrt(t) lies in span(f_i, f_j), the (0,0)
+        # event vector vanishes, and so does its row of X'.  The residual
+        # |psi|^2 minus its projection onto the span is read from X alone.
         g = catalog(name)
-        rep = extract_ortho_rep(g, theta(g))
+        sol = theta(g)
+        t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
         eg = build_two_point_graph(g)
-        X = lift_primal(eg, rep)
-        s = rep.vectors @ rep.psi
-        zero_rows = [
-            k
+        X = lift_primal(eg, sol.X, t)
+        load = sol.X.sum(axis=1)
+
+        def residual(i, j):
+            b = load[[i, j]]
+            return (sol.X.sum() - b @ np.linalg.pinv(sol.X[np.ix_([i, j], [i, j])]) @ b) / t
+
+        residuals = {
+            k: residual(label.obs_a, label.obs_b)
             for k, label in enumerate(eg.labels)
-            if isinstance(label, PairEvent)
-            and (label.outcome_a, label.outcome_b) == (0, 0)
-            and 1 - s[label.obs_a] ** 2 - s[label.obs_b] ** 2 <= 1e-14
-        ]
-        assert zero_rows
-        assert np.abs(X[zero_rows]).max() <= 1e-15
+            if isinstance(label, PairEvent) and (label.outcome_a, label.outcome_b) == (0, 0)
+        }
+        zero_rows = [k for k, r in residuals.items() if r <= 1e-14]
+        # K2's one edge spans psi; K6's six orthogonal f_k leave 2/3 of it outside any pair.
+        assert len(zero_rows) == {"fig2-k2": 1, "k6": 0}[name]
+        assert np.abs(X[zero_rows]).max(initial=0.0) <= 1e-15
+        for k, r in residuals.items():
+            assert X[k, k] == pytest.approx(r / (t + len(g.edges)), abs=1e-9)
         report = certify(g, FAST)
         assert report.all_passed, [c for c, ok in report.checks() if not ok]
 
     @pytest.mark.parametrize("name", LADDER)
     def test_lifted_objective_is_overlap_sum_plus_edges(self, name):
-        # <J, X'> = overlap sum + |E| + sum_E 2 <psi|v_i><v_i|v_j><v_j|psi>,
-        # up to terms of second order in the edge overlaps; the last term
-        # vanishes for an exactly orthogonal representation.
+        # At an optimum of G, <J, X'> = t + |E| = <J, X> + |E|; near one the
+        # difference stays within G's own gap.
         g = _ladder_graph(name)
-        rep = extract_ortho_rep(g, theta(g))
-        X = lift_primal(build_two_point_graph(g), rep)
-        V, s = rep.vectors, rep.vectors @ rep.psi
-        drift = sum(2 * s[i] * float(V[i] @ V[j]) * s[j] for i, j in g.edges)
-        assert abs(drift) <= 1e-9
-        assert X.sum() == pytest.approx(rep.overlap_sum() + len(g.edges) + drift, abs=1e-12)
+        sol = theta(g)
+        t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
+        X = lift_primal(build_two_point_graph(g), sol.X, t)
+        assert abs(X.sum() - sol.X.sum() - len(g.edges)) <= t - sol.X.sum()
+
+    def test_sweep_graph_118_certifies(self):
+        # With X' lifted from the extracted representation, this graph failed
+        # theta_gprime_converged and theta_identity with a gap of 1.1e-6.
+        g = _sweep_graph(118)
+        assert (g.n, len(g.edges)) == (15, 45)
+        report = certify(g, CertifyOptions(skip_montecarlo=True, alpha_limit=150))
+        assert report.all_passed, [c for c, ok in report.checks() if not ok]
+        d = report.data
+        assert abs(d["identities"]["theta_difference"]) <= d["theta_g"]["gap"]
 
     @staticmethod
     def _tampered(monkeypatch, add=(), drop=()):
@@ -258,7 +301,7 @@ class TestConstructiveThetaGprime:
         assert set(t["residuals"]) == {"min_eigenvalue", "trace_error", "max_edge_entry"}
         assert d["theta_g"]["dual_verified"] is True
         names = [name for name, _ in d["checks"]]
-        assert names.index("orthorep_verified") < names.index("theta_gprime_converged")
+        assert names.index("theta_gprime_converged") < names.index("orthorep_verified")
         assert {"theta_g_dual_verified", "theta_gprime_dual_verified"} <= set(names)
 
     def test_dump_sdp_holds_the_lifted_matrix(self):
@@ -366,6 +409,18 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["expanded"]["n"] == 3
         assert data["alpha_g"]["alpha"] == 2
+
+    @pytest.mark.parametrize("command", ["alpha", "theta", "transform", "orthorep", "simulate"])
+    def test_weighted_graph_file_points_to_certify(self, tmp_path, capsys, command):
+        path = tmp_path / "weighted.json"
+        path.write_text('{"n": 2, "edges": [[0, 1]], "weights": {"0": 2}}')
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: twopoint {command} needs an unweighted graph; "
+            "twopoint certify expands vertex weights\n"
+        )
 
     def test_unknown_graph_is_operational_error(self, capsys):
         assert main(["alpha", "no-such-graph"]) == 1

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from twopoint import (
 from twopoint.theta import _Schur
 from conftest import random_graph
 from oracles import odd_cycle_theta, theta_sandwich
+
+# The package re-exports the function `theta` under the module's name.
+theta_mod = importlib.import_module("twopoint.theta")
 
 SQRT5 = math.sqrt(5.0)
 
@@ -243,6 +247,66 @@ class TestSolverInternals:
         sol = theta(build_two_point_graph(catalog(name)).as_graph())
         assert sol.status is SdpStatus.CONVERGED
         assert sol.iterations <= 14
+
+
+class TestUndrivenExits:
+    """Exits no known input reaches, driven by failing a factorisation or the step search.
+
+    Each failure fires at iteration K + 1, after that iteration's start point
+    has been scored, so the solver must return the best iterate of a run
+    capped at K iterations, bit for bit.
+    """
+
+    K = 3
+
+    def _check(self, sol, ref, termination):
+        assert sol.termination is termination
+        assert sol.status is SdpStatus.MAX_ITERATIONS
+        assert sol.iterations == self.K + 1
+        assert np.array_equal(sol.X, ref.X) and np.array_equal(sol.y, ref.y)
+        assert sol.duality_gap < 5.0  # below the gap n of the start point
+
+    def test_z_not_factorable(self, c5, monkeypatch):
+        ref = theta(c5, max_iterations=self.K)
+        original = theta_mod.sla.cho_factor
+        z_calls = []
+
+        def cho_factor(a, **kwargs):
+            # Z = y_0 I - J + Y has trace 5 (y_0 - 1) > 6 on c5; the re-projected
+            # X has trace 1 and the Schur factor passes overwrite_a.
+            if not kwargs and np.trace(a) > 2:
+                z_calls.append(a)
+                if len(z_calls) > self.K:
+                    raise np.linalg.LinAlgError("injected")
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(theta_mod.sla, "cho_factor", cho_factor)
+        self._check(theta(c5), ref, SdpTermination.Z_NOT_FACTORABLE)
+
+    def test_schur_not_factorable(self, c5, monkeypatch):
+        ref = theta(c5, max_iterations=self.K)
+        original = theta_mod._Schur.factor
+        calls = []
+
+        def factor(schur):
+            calls.append(schur)
+            return None if len(calls) > self.K else original(schur)
+
+        monkeypatch.setattr(theta_mod._Schur, "factor", factor)
+        self._check(theta(c5), ref, SdpTermination.SCHUR_NOT_FACTORABLE)
+
+    def test_step_too_small(self, c5, monkeypatch):
+        ref = theta(c5, max_iterations=self.K)
+        original = theta_mod._max_step
+        calls = []
+
+        def max_step(M, dM):
+            # Four step searches per iteration: predictor and corrector, X and Z.
+            calls.append(M)
+            return 0.0 if len(calls) > 4 * self.K else original(M, dM)
+
+        monkeypatch.setattr(theta_mod, "_max_step", max_step)
+        self._check(theta(c5), ref, SdpTermination.STEP_TOO_SMALL)
 
 
 class TestValidation:
