@@ -214,7 +214,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         data["alpha_gprime"] = _alpha_section(independence_number(gp, limit=opts.alpha_limit))
 
     with stage("theta_gprime"):
-        X_gp = lift_primal(eg, sol_g.X, data["theta_g"]["dual"])
+        X_gp = lift_primal(eg, sol_g.X)
         Y_gp = lift_dual(eg, multiplier_matrix(work, sol_g.y), data["theta_g"]["dual"])
         section = _bounds_section(
             gp, X_gp, verify_dual(gp, Y_gp), opts.tolerance, opts.include_sdp_matrices

@@ -2,8 +2,8 @@
 
 Graphs travel as JSON ``{"n": int, "edges": [[i,j],...], "weights": {...}?}``
 or DIMACS edge lists; event graphs, representations, and experiment records
-have JSON forms of their own.  All emitters go through a canonical JSON
-writer (sorted keys, floats at 17 significant digits) so identical inputs
+have JSON forms of their own.  All emitters go through the standard library's
+C encoder with sorted keys and shortest round-trip floats, so identical inputs
 produce byte-identical output.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import warnings
 from typing import Any, Optional
 
@@ -37,32 +36,29 @@ class ParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def _plain_number(obj: Any) -> Any:
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain_number
+)
+
+
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form, always recognizably a float."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize {x}")
-    s = f"{x:.17g}"
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    """Shortest decimal that reads back as the same double; NaN and inf raise ValueError."""
+    return _CANONICAL.encode(float(x))
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, fixed float format, no whitespace."""
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(f"{json.dumps(str(k))}:{dumps_canonical(v)}" for k, v in items) + "}"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    """Deterministic JSON: sorted keys (which must be strings: int keys would sort
+    numerically), no whitespace, floats as :func:`format_float` writes them, and
+    numpy scalars as Python numbers.  Other types raise TypeError."""
+    return _CANONICAL.encode(obj)
 
 
 # -- graphs -------------------------------------------------------------

@@ -161,7 +161,8 @@ def _joint_probs(
             probs[(a, 1)] = 0.0
             continue
         if demolition and a == 1:
-            rho = pure_state(v1).rho
+            u = v1 / np.linalg.norm(v1)
+            rho = np.outer(u, u.conj())
         else:
             rho = _luders_rho(state.rho, v1, a)
         pb1 = _born(rho, v2)
@@ -428,24 +429,24 @@ def run_experiment(
 
 
 def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
-    """Compare the marginal at ``position`` of every observable across the
-    settings measured with it in the other position."""
+    """Compare the marginal at ``position`` of every observable across the settings
+    measured with it in the other position, from two marginals per context."""
+    other = 1 - position
+    groups: dict[int, list] = {}
+    for ctx in sorted(record.pair_counts, key=lambda c: c[other]):
+        marginals = [record.marginal(ctx, position, outcome) for outcome in (0, 1)]
+        groups.setdefault(ctx[position], []).append((ctx[other], marginals))
     out: list[SignalingEntry] = []
-    for fixed in range(record.graph.n):
-        ctxs = sorted(
-            (c for c in record.pair_counts if c[position] == fixed),
-            key=lambda c: c[1 - position],
-        )
-        for x in range(len(ctxs)):
-            for y in range(x + 1, len(ctxs)):
+    for fixed, rows in sorted(groups.items()):
+        for x, (varied_a, m1) in enumerate(rows):
+            for varied_b, m2 in rows[x + 1:]:
                 for outcome in (0, 1):
-                    p1, se1 = record.marginal(ctxs[x], position, outcome)
-                    p2, se2 = record.marginal(ctxs[y], position, outcome)
+                    (p1, se1), (p2, se2) = m1[outcome], m2[outcome]
                     out.append(
                         SignalingEntry(
                             fixed=fixed,
-                            varied_a=ctxs[x][1 - position],
-                            varied_b=ctxs[y][1 - position],
+                            varied_a=varied_a,
+                            varied_b=varied_b,
                             outcome=outcome,
                             difference=abs(p1 - p2),
                             stderr=math.sqrt(se1 * se1 + se2 * se2),

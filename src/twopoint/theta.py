@@ -29,8 +29,8 @@ The dual of the program is
 with Y symmetric and supported on the edges, so every such Y certifies
 the upper bound lambda_max(J - Y).  `SdpSolution.y` carries the solver's
 multipliers; `verify_dual` recomputes the bound from Y alone.  For the
-two-point event graph G', `lift_primal` and `lift_dual` build an X and a Y
-from G's own X, Y and verified bound.
+two-point event graph G', `lift_primal` builds an X from G's own X, and
+`lift_dual` a Y from G's own Y and verified bound.
 """
 
 from __future__ import annotations
@@ -214,27 +214,29 @@ def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
     return Yp
 
 
-def lift_primal(eg: EventGraph, X: np.ndarray, bound: float) -> np.ndarray:
-    """Primal point X' for G' from a primal point X of G and its dual ``bound`` t.
+def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
+    """Primal point X' for G' from a primal point X of G.
 
     Rows of W are the paper's event vectors read off X = F F^T (eigh, negative
-    eigenvalues clipped): Pi_i psi = sqrt(t) f_i for an event with outcome 1 on
-    observable i, and psi = sum_k f_k / sqrt(t) projected off span(f_i, f_j) by
-    least squares (a zero f_i needs no special case) for (i, j, 0, 0).  X' is
-    W W^T over its trace; <J, X'> = t + |E| at an optimum of G.
-    """
+    eigenvalues clipped, an f_i no longer than 1e-12 of the longest zeroed as
+    round-off) with psi = sum_k f_k / |sum_k f_k|: psi projected onto span(f_i)
+    for outcome 1 on observable i, off span(f_i, f_j) by least squares for
+    (i, j, 0, 0).  X' is W W^T over its trace, and <J, X'> >= <J, X> + |E| by
+    Cauchy-Schwarz when X vanishes on G's edges, with equality at an optimum."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2)
     F = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    root = math.sqrt(bound)
-    psi = F.sum(axis=0) / root
+    sq = np.einsum("ij,ij->i", F, F)
+    F[sq <= 1e-24 * sq.max()] = 0.0
+    psi = F.sum(axis=0)
+    psi /= np.linalg.norm(psi)
+    P = F * np.divide(F @ psi, sq, out=np.zeros(len(F)), where=F.any(axis=1))[:, None]
     W = np.empty((eg.n, F.shape[1]))
     for k, label in enumerate(eg.labels):
         if isinstance(label, PairEvent) and label.outcome_a == label.outcome_b == 0:
             B = F[[label.obs_a, label.obs_b]].T
             W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
         else:
-            hit = [obs for obs, out in label.assignments().items() if out == 1]
-            W[k] = root * F[hit[0]]
+            W[k] = P[next(obs for obs, out in label.assignments().items() if out == 1)]
     return (W @ W.T) / np.sum(W * W)
 
 

@@ -4,16 +4,19 @@ Each oracle computes its answer by a route that shares no algorithm with
 the code it checks (exhaustive enumeration, closed forms, fixed examples).
 """
 
+import json
 import math
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from twopoint import (
     EventLabel,
+    ExperimentRecord,
     Graph,
     OrthoRep,
     QState,
+    SignalingEntry,
     SizeLimitError,
     cycle_graph,
     independence_number,
@@ -185,3 +188,56 @@ def kcbs_graph() -> Graph:
 
 def maximally_mixed(d: int) -> QState:
     return QState(np.eye(d, dtype=complex) / d)
+
+
+def recursive_canonical_json(obj: Any) -> str:
+    """Canonical JSON by recursive descent: keys sorted by ``str(k)``, floats
+    at 17 significant digits.  The reference for ``dumps_canonical``, which
+    must read back to the same values in the same key order."""
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"cannot serialize {x}")
+        s = f"{x:.17g}"
+        return s if any(c in s for c in ".eE") else s + ".0"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(recursive_canonical_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(
+            f"{json.dumps(str(k))}:{recursive_canonical_json(v)}" for k, v in items
+        ) + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def pairwise_signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
+    """The epsilon (position 1) or epsilon-prime (position 0) table, with both
+    marginals recomputed from the counts for every comparison."""
+    out: list[SignalingEntry] = []
+    for fixed in range(record.graph.n):
+        ctxs = sorted(
+            (c for c in record.pair_counts if c[position] == fixed),
+            key=lambda c: c[1 - position],
+        )
+        for x in range(len(ctxs)):
+            for y in range(x + 1, len(ctxs)):
+                for outcome in (0, 1):
+                    p1, se1 = record.marginal(ctxs[x], position, outcome)
+                    p2, se2 = record.marginal(ctxs[y], position, outcome)
+                    out.append(
+                        SignalingEntry(
+                            fixed=fixed,
+                            varied_a=ctxs[x][1 - position],
+                            varied_b=ctxs[y][1 - position],
+                            outcome=outcome,
+                            difference=abs(p1 - p2),
+                            stderr=math.sqrt(se1 * se1 + se2 * se2),
+                        )
+                    )
+    return out

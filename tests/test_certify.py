@@ -176,9 +176,9 @@ def _ladder_graph(name: str):
 LADDER = ["c5", "c7", "chsh-circulant", "petersen", "c21", "k6", "random-10-22"]
 
 
-def _sweep_graph(index: int):
-    """Graph ``index`` of the probe-sweep stream: n in 12-40, |E| in 2n-3n."""
-    rng = random.Random("probe-sweep")
+def _sweep_graph(index: int, stream: str = "probe-sweep"):
+    """Graph ``index`` of a sweep stream: n in 12-40, |E| in 2n-3n."""
+    rng = random.Random(stream)
     for _ in range(index + 1):
         n = rng.randint(12, 40)
         m = rng.randint(2 * n, 3 * n)
@@ -223,7 +223,7 @@ class TestConstructiveThetaGprime:
         sol = theta(g)
         t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
         eg = build_two_point_graph(g)
-        X = lift_primal(eg, sol.X, t)
+        X = lift_primal(eg, sol.X)
         load = sol.X.sum(axis=1)
 
         def residual(i, j):
@@ -251,7 +251,7 @@ class TestConstructiveThetaGprime:
         g = _ladder_graph(name)
         sol = theta(g)
         t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
-        X = lift_primal(build_two_point_graph(g), sol.X, t)
+        X = lift_primal(build_two_point_graph(g), sol.X)
         assert abs(X.sum() - sol.X.sum() - len(g.edges)) <= t - sol.X.sum()
 
     def test_sweep_graph_118_certifies(self):
@@ -263,6 +263,28 @@ class TestConstructiveThetaGprime:
         assert report.all_passed, [c for c, ok in report.checks() if not ok]
         d = report.data
         assert abs(d["identities"]["theta_difference"]) <= d["theta_g"]["gap"]
+
+    def test_sweep_graph_254_certifies(self):
+        # With outcome-1 rows sqrt(t) f_i, <J, X'> fell short of <J, X> + |E|
+        # off complementarity: gap' was 1.63e-7 against G's gap of 7.7e-8.
+        g = _sweep_graph(254, "sweep-400")
+        assert (g.n, len(g.edges)) == (39, 84)
+        report = certify(g, CertifyOptions(skip_montecarlo=True, alpha_limit=300))
+        assert report.all_passed, [c for c, ok in report.checks() if not ok]
+        assert report.data["theta_gprime"]["gap"] <= report.data["theta_g"]["gap"]
+
+    def test_roundoff_sized_vector_lifts_as_zero(self):
+        # f_2 is 1e-15 along f_0: as a direction it would carry psi's unit-scale
+        # component along f_0 into the rows of the events with outcome 1 on 2.
+        g = build_graph(3, [(1, 2)])
+        eg = build_two_point_graph(g)
+        F = np.array([[0.6, 0.0], [0.0, 0.8], [1e-15, 0.0]])
+        exact = np.array([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]])
+        X = lift_primal(eg, F @ F.T)
+        on_2 = [k for k, lab in enumerate(eg.labels) if lab.assignments().get(2) == 1]
+        assert len(on_2) == 2
+        assert np.all(X[on_2] == 0.0)
+        assert np.allclose(X, lift_primal(eg, exact @ exact.T), rtol=0.0, atol=1e-15)
 
     @staticmethod
     def _tampered(monkeypatch, add=(), drop=()):

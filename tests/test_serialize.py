@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopoint import (
     OrthoRep,
     ParseError,
     build_graph,
     build_two_point_graph,
+    cycle_graph,
     emit_graph,
     parse_graph,
     run_experiment,
 )
+from twopoint import cli
+from twopoint import serialize
 from twopoint.serialize import (
     dumps_canonical,
     event_graph_from_jsonable,
@@ -22,7 +27,7 @@ from twopoint.serialize import (
     orthorep_to_jsonable,
     record_to_jsonable,
 )
-from oracles import builtin_kcbs_rep, kcbs_graph
+from oracles import builtin_kcbs_rep, kcbs_graph, recursive_canonical_json
 
 
 class TestFloatFormat:
@@ -30,9 +35,11 @@ class TestFloatFormat:
         assert format_float(2.0) == "2.0"
         assert format_float(-1.0) == "-1.0"
 
-    def test_seventeen_digits_round_trip(self):
-        for x in (math.sqrt(5), 1 / 3, 2.2360679774997896, 1e-17, -math.pi):
+    def test_shortest_digits_round_trip(self):
+        for x in (math.sqrt(5), 1 / 3, 2.2360679774997896, 1e-17, -math.pi, 0.1):
             assert float(format_float(x)) == x
+            assert format_float(x) == repr(x)
+        assert format_float(0.1) == "0.1"
 
     def test_rejects_non_finite(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -55,6 +62,89 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps_canonical(object())
+
+    def test_numpy_scalars_as_python_numbers(self):
+        assert dumps_canonical([np.int64(7), np.float64(0.1), np.float32(0.5)]) == "[7,0.1,0.5]"
+        assert dumps_canonical({"x": np.float32(0.1)}) == '{"x":%r}' % float(np.float32(0.1))
+        for bad in (np.arange(3), np.zeros(()), object()):
+            with pytest.raises(TypeError):
+                dumps_canonical({"x": [bad]})
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf)):
+            with pytest.raises(ValueError):
+                dumps_canonical([bad])
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=25,
+)
+
+
+def _ordered(text: str):
+    """Parsed JSON with every object as its list of (key, value) pairs."""
+    return json.loads(text, object_pairs_hook=list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_writer_matches_recursive_oracle(tree):
+    # Floats compare by ==, so a value must read back as the same double;
+    # objects compare as pair lists, so the key order must agree too.
+    assert _ordered(dumps_canonical(tree)) == _ordered(recursive_canonical_json(tree))
+
+
+def test_every_emitted_tree_has_string_keys(tmp_path, monkeypatch):
+    # The encoder sorts int keys numerically where str(k) order would
+    # differ, so every tree the package writes must use string keys only.
+    trees = []
+
+    class Recording:
+        def encode(self, obj):
+            trees.append(obj)
+            return encoder.encode(obj)
+
+    path = tmp_path / "c5.json"
+    path.write_text(emit_graph(cycle_graph(5), "json"))
+    encoder = serialize._CANONICAL
+    monkeypatch.setattr(serialize, "_CANONICAL", Recording())
+    runs = (
+        ["certify", str(path), "--shots", "200", "--dump-sdp"],
+        ["simulate", str(path), "--shots", "200", "--scheme", "demolition"],
+        ["orthorep", str(path)],
+        ["transform", str(path)],
+        ["theta", str(path), "--dump-sdp"],
+        ["alpha", str(path)],
+        ["catalog"],
+        ["catalog", "petersen"],
+    )
+    for argv in runs:
+        assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "out")]) == 0
+    assert len(trees) == len(runs)
+
+    def keys(node):
+        if isinstance(node, dict):
+            yield from node
+            nodes = node.values()
+        elif isinstance(node, (list, tuple)):
+            nodes = node
+        else:
+            return
+        for child in nodes:
+            yield from keys(child)
+
+    assert all(isinstance(k, str) for tree in trees for k in keys(tree))
 
 
 class TestGraphFormats:

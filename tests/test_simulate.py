@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from twopoint import (
     epsilon_prime,
     epsilon_signaling,
     evaluate_s,
+    extract_ortho_rep,
     evaluate_s_prime,
     joint_probs_demolition,
     joint_probs_projective,
@@ -20,9 +22,10 @@ from twopoint import (
     ordered_contexts,
     pure_state,
     run_experiment,
+    theta,
 )
 from twopoint.simulate import TwoPointContext
-from oracles import builtin_kcbs_rep, kcbs_graph, maximally_mixed
+from oracles import builtin_kcbs_rep, kcbs_graph, maximally_mixed, pairwise_signaling
 
 SQRT5 = math.sqrt(5.0)
 
@@ -350,6 +353,31 @@ class TestSignalingDiagnostics:
         # hub as second observable: 3 first settings -> 3 pairs x 2 outcomes
         assert len(epsilon_signaling(record)) == 6
         assert len(epsilon_prime(record)) == 6
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_tables_equal_pairwise_oracle_on_noisy_records(self, petersen, scheme):
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        noise = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
+        record = run_experiment(rep, petersen, shots=20_000, seed=4, noise=noise, scheme=scheme)
+        assert len(epsilon_signaling(record)) == 10 * 3 * 2
+        assert epsilon_signaling(record) == pairwise_signaling(record, 1)
+        assert epsilon_prime(record) == pairwise_signaling(record, 0)
+
+    def test_tables_equal_pairwise_oracle_with_isolated_and_leaf_vertices(self):
+        # Vertex 5 is isolated; 1, 2 and 4 have one neighbour each.
+        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        rng = np.random.default_rng(3)
+        vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        rep = OrthoRep(dimension=6, psi=random_unit(rng, 6, complex_=False), vectors=vecs.T.copy())
+        noise = NoiseModel(outcome_flip_p=0.02)
+        record = run_experiment(rep, g, shots=5_000, seed=2, noise=noise)
+        shuffled = dataclasses.replace(
+            record, pair_counts=dict(reversed(record.pair_counts.items()))
+        )
+        for rec in (record, shuffled):
+            assert epsilon_signaling(rec) == pairwise_signaling(rec, 1)
+            assert epsilon_prime(rec) == pairwise_signaling(rec, 0)
+        assert {e.fixed for e in epsilon_signaling(record)} == {0, 3}
 
     def test_context_order_within_experiment(self):
         g = kcbs_graph()
