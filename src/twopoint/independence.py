@@ -50,9 +50,18 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
 
     Branches on a maximum-degree vertex of the remaining subgraph (lowest id
     on ties) and prunes with a greedy clique-cover upper bound; vertex sets
-    are bitmasks.  Deterministic: identical inputs explore identical trees,
-    and ``tests/test_independence.py`` pins the tree (alpha, witness and
-    node count) on four event graphs, so a change to either policy shows.
+    are bitmasks.  Two reductions shrink the tree without changing alpha:
+
+    - False twins (vertices with equal adjacency masks) are branched on as
+      one class: some maximum independent set holds all of a class's
+      remaining members or none of them.  G' is G with each vertex's
+      single event and outcome-1 pair events merged into one such class.
+    - A candidate set with no edge left is taken whole, in one leaf.
+
+    Deterministic: identical inputs explore identical trees, and
+    ``tests/test_independence.py`` pins the tree (alpha, witness and node
+    count) on four event graphs, so a change to the pivot, the bound or
+    either reduction shows.
 
     Raises SizeLimitError above ``limit`` vertices and ValueError for
     weighted graphs (expand them first).
@@ -62,6 +71,10 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
     if g.n > limit:
         raise SizeLimitError(f"graph has {g.n} vertices, exceeding the limit of {limit}")
     adj = _adjacency_masks(g)
+    classes: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        classes[a] = classes.get(a, 0) | 1 << v
+    twins = [classes[a] for a in adj]
 
     def cover_bound(mask: int) -> int:
         # Greedily peel cliques, each grown from the lowest remaining vertex;
@@ -103,10 +116,13 @@ def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
             d = (adj[v] & mask).bit_count()
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
-        bit = 1 << pivot
+        if not pivot_deg:
+            stack.append((0, chosen | mask, size + mask.bit_count()))
+            continue
+        cls = twins[pivot] & mask
         # Exclude branch pushed first so the include branch is explored first.
-        stack.append((mask ^ bit, chosen, size))
-        stack.append(((mask & ~adj[pivot]) ^ bit, chosen | bit, size + 1))
+        stack.append((mask ^ cls, chosen, size))
+        stack.append((mask & ~adj[pivot] & ~cls, chosen | cls, size + cls.bit_count()))
     return IndependenceResult(
         alpha=best_size, witness=tuple(_bits(best_set)), node_count=nodes
     )

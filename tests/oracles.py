@@ -1,7 +1,8 @@
 """Test-only oracles: brute-force and closed-form references for the package.
 
 Each oracle computes its answer by a route that shares no algorithm with
-the code it checks (exhaustive enumeration, closed forms, fixed examples).
+the code it checks (exhaustive enumeration, closed forms, fixed examples),
+or is the simpler implementation the package replaced, kept as a reference.
 """
 
 import json
@@ -14,6 +15,7 @@ from twopoint import (
     EventLabel,
     ExperimentRecord,
     Graph,
+    IndependenceResult,
     OrthoRep,
     QState,
     SignalingEntry,
@@ -59,6 +61,63 @@ def brute_force_alpha(g: Graph) -> int:
                 values += ((picked >> np.uint32(v)) & 1).astype(np.int32) * g.weight(v)
         best = max(best, int(values.max()))
     return best
+
+
+def one_vertex_branch_alpha(g: Graph) -> IndependenceResult:
+    """Branch and bound that branches on one vertex at a time.
+
+    The kernel ``independence_number`` used before it branched on whole
+    false-twin classes and closed an edgeless candidate set in one leaf:
+    the same pivot (maximum degree, lowest id on ties), the same greedy
+    clique-cover bound and the same stack order, with neither reduction.
+    It has no size limit, so it cross-checks alpha above brute force's
+    n <= 24.
+    """
+    if g.is_weighted:
+        raise ValueError("one_vertex_branch_alpha expects an unweighted graph")
+    adj = [0] * g.n
+    for (i, j) in g.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    def cover_bound(mask: int) -> int:
+        count = 0
+        rem = mask
+        while rem:
+            clique = rem & -rem
+            cand = rem & adj[clique.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                clique |= low
+                cand &= adj[low.bit_length() - 1]
+            rem ^= clique
+            count += 1
+        return count
+
+    best_size = 0
+    best_set = 0
+    nodes = 0
+    stack = [((1 << g.n) - 1, 0, 0)]
+    while stack:
+        mask, chosen, size = stack.pop()
+        nodes += 1
+        if not mask:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            continue
+        if size + cover_bound(mask) <= best_size:
+            continue
+        pivot, pivot_deg = -1, -1
+        for v in range(g.n):
+            if mask >> v & 1:
+                d = (adj[v] & mask).bit_count()
+                if d > pivot_deg:
+                    pivot, pivot_deg = v, d
+        bit = 1 << pivot
+        stack.append((mask ^ bit, chosen, size))
+        stack.append(((mask & ~adj[pivot]) ^ bit, chosen | bit, size + 1))
+    witness = tuple(v for v in range(g.n) if best_set >> v & 1)
+    return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
 
 
 def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:

@@ -6,16 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twopoint import (
+    PairEvent,
     SizeLimitError,
     build_graph,
     build_two_point_graph,
+    catalog,
     complete_graph,
     cycle_graph,
+    expand_weighted,
     independence_number,
     is_independent,
 )
 from conftest import random_graph
-from oracles import brute_force_alpha, max_assignment_value, noncontextual_assignment_value
+from oracles import (
+    brute_force_alpha,
+    max_assignment_value,
+    noncontextual_assignment_value,
+    one_vertex_branch_alpha,
+)
 
 
 class TestIsIndependent:
@@ -54,7 +62,10 @@ class TestIndependenceNumber:
         g = build_graph(65, [])
         with pytest.raises(SizeLimitError):
             independence_number(g)
-        assert independence_number(g, limit=65).alpha == 65
+        res = independence_number(g, limit=65)
+        # The root sees no edge among its candidates and pushes one leaf
+        # holding all of them.
+        assert (res.alpha, res.node_count) == (65, 2)
 
     def test_weighted_rejected(self):
         g = build_graph(2, [(0, 1)], weights={0: 2})
@@ -164,8 +175,9 @@ def _pinned_sources():
 
 
 # (alpha, witness, node_count) of independence_number on G' of each source.
-# The node count changes with any change to the pivot rule or to the bound,
-# even one that keeps alpha and the witness, and reports print it.
+# The node count changes with any change to the pivot rule, the bound, the
+# false-twin class branching or the edgeless-remainder leaf, even one that
+# keeps alpha and the witness, and reports print it.
 PINNED_TREES = {
     "c21": (
         31,
@@ -173,7 +185,7 @@ PINNED_TREES = {
             0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 23, 26, 27, 31, 35, 37, 41, 43, 47, 49,
             53, 55, 59, 61, 65, 67, 71, 73, 77, 79, 83,
         ),
-        339,
+        97,
     ),
     "c31": (
         46,
@@ -182,7 +194,7 @@ PINNED_TREES = {
             47, 51, 53, 57, 59, 63, 65, 69, 71, 75, 77, 81, 83, 87, 89, 93, 95, 99, 101,
             105, 107, 111, 113, 117, 119, 123,
         ),
-        773,
+        219,
     ),
     "random-0": (
         71,
@@ -193,7 +205,7 @@ PINNED_TREES = {
             151, 154, 157, 160, 163, 166, 169, 173, 176, 178, 182, 186, 189, 192, 195,
             198, 199, 204,
         ),
-        1571,
+        274,
     ),
     "random-1": (
         73,
@@ -204,7 +216,7 @@ PINNED_TREES = {
             155, 159, 162, 165, 168, 171, 174, 175, 178, 182, 184, 187, 190, 195, 198,
             199, 202, 205, 208, 211,
         ),
-        1613,
+        313,
     ),
 }
 
@@ -218,3 +230,103 @@ class TestPinnedSearchTree:
         alpha, witness, node_count = PINNED_TREES[name]
         assert (res.alpha, res.witness, res.node_count) == (alpha, witness, node_count)
 
+
+
+def _false_twin_classes(gp):
+    """Vertex sets of gp with equal neighbourhoods, as a set of frozensets."""
+    nbrs = [set() for _ in range(gp.n)]
+    for (p, q) in gp.edges:
+        nbrs[p].add(q)
+        nbrs[q].add(p)
+    classes = {}
+    for v in range(gp.n):
+        classes.setdefault(frozenset(nbrs[v]), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
+def _random_edges(rnd, n, p):
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
+
+
+class TestTwinReductions:
+    @pytest.mark.parametrize("name", ["c21", "c31", "c41", "random-0", "random-1"])
+    def test_matches_one_vertex_branching_on_gprime(self, name):
+        g = cycle_graph(41) if name == "c41" else _pinned_sources()[name]
+        gp = build_two_point_graph(g).as_graph()
+        res = independence_number(gp, limit=gp.n)
+        assert res.alpha == one_vertex_branch_alpha(gp).alpha
+        assert len(res.witness) == res.alpha and is_independent(gp, res.witness)
+
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_weighted_blowups_match_brute_force(self, n, rnd):
+        # expand_weighted makes each weight-w vertex a class of w false twins.
+        weights = {v: rnd.randint(1, 24 // n) for v in range(n)}
+        g = build_graph(n, _random_edges(rnd, n, rnd.random()), weights=weights)
+        blowup, _ = expand_weighted(g)
+        res = independence_number(blowup)
+        assert res.alpha == brute_force_alpha(g)
+        assert len(res.witness) == res.alpha and is_independent(blowup, res.witness)
+
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_small_gprime_matches_brute_force(self, n, rnd):
+        edges = _random_edges(rnd, n, rnd.random())
+        rnd.shuffle(edges)
+        g = build_graph(n, edges[: (24 - n) // 3])
+        gp = build_two_point_graph(g).as_graph()
+        res = independence_number(gp)
+        assert res.alpha == brute_force_alpha(gp)
+        assert len(res.witness) == res.alpha and is_independent(gp, res.witness)
+
+    @given(st.integers(0, 12), st.integers(2, 8), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_isolated_vertices_match_brute_force(self, n, isolated, rnd):
+        order = list(range(n + isolated))
+        rnd.shuffle(order)
+        edges = [(order[i], order[j]) for (i, j) in _random_edges(rnd, n, rnd.random())]
+        g = build_graph(n + isolated, edges)
+        res = independence_number(g)
+        assert res.alpha == brute_force_alpha(g)
+        assert len(res.witness) == res.alpha and is_independent(g, res.witness)
+
+
+def _structure_sources():
+    return {"c5": cycle_graph(5), "petersen": catalog("petersen"), **_pinned_sources()}
+
+
+class TestGprimeTwinClasses:
+    """G' is G with each vertex blown up into a class of false twins, plus one
+    (0,0) event per edge; the lifted witness of alpha(G) attains alpha(G')."""
+
+    @pytest.mark.parametrize("name", sorted(_structure_sources()))
+    def test_classes_are_vertex_classes_and_zero_zero_events(self, name):
+        g = _structure_sources()[name]
+        assert all(g.degree(v) for v in range(g.n))  # isolated vertices would merge
+        eg = build_two_point_graph(g)
+        expected = set()
+        for i in range(g.n):
+            expected.add(frozenset(
+                [i] + [k for k, lab in enumerate(eg.labels)
+                       if isinstance(lab, PairEvent) and lab.assignments().get(i) == 1]
+            ))
+        for k, lab in enumerate(eg.labels):
+            if isinstance(lab, PairEvent) and lab.outcome_a == lab.outcome_b == 0:
+                expected.add(frozenset([k]))
+        classes = _false_twin_classes(eg.as_graph())
+        assert classes == expected
+        assert len(classes) == g.n + len(g.edges)
+
+    @pytest.mark.parametrize("name", sorted(_structure_sources()))
+    def test_lifted_witness_attains_alpha_gprime(self, name):
+        g = _structure_sources()[name]
+        eg = build_two_point_graph(g)
+        s = set(independence_number(g).witness)
+        reads = [1 if v in s else 0 for v in range(g.n)]
+        lifted = [
+            k for k, lab in enumerate(eg.labels)
+            if all(reads[o] == out for o, out in lab.assignments().items())
+        ]
+        assert len(lifted) == len(s) + len(g.edges)
+        assert is_independent(eg.as_graph(), lifted)
+        assert len(lifted) == independence_number(eg.as_graph(), limit=eg.n).alpha
