@@ -8,6 +8,7 @@ check failed, 1 on operational errors (bad input, stage failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -153,6 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def _cmd_alpha(args) -> int:
     g = _load_unweighted(args)
     res = _alpha_section(independence_number(g, limit=args.limit))
@@ -234,11 +241,12 @@ def _cmd_orthorep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    noise = _noise(args)
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
     record = run_experiment(
-        rep, g, shots=args.shots, seed=args.seed, noise=_noise(args), scheme=args.scheme
+        rep, g, shots=args.shots, seed=args.seed, noise=noise, scheme=args.scheme
     )
     mc = _montecarlo_section(record)
     if args.format == "json":
@@ -305,7 +313,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as err:

@@ -25,7 +25,13 @@ from .graphs import (
     build_graph,
 )
 from .orthorep import OrthoRep
-from .simulate import ExperimentRecord, epsilon_prime, epsilon_signaling
+from .simulate import (
+    OUTCOMES,
+    ExperimentRecord,
+    binomial_estimates,
+    epsilon_prime,
+    epsilon_signaling,
+)
 
 
 class ParseError(ValueError):
@@ -254,34 +260,34 @@ def orthorep_from_jsonable(data: dict) -> OrthoRep:
 
 def _signaling_to_jsonable(entries) -> list:
     return [
-        {
-            "fixed": e.fixed,
-            "varied_a": e.varied_a,
-            "varied_b": e.varied_b,
-            "outcome": e.outcome,
-            "difference": e.difference,
-            "stderr": e.stderr,
-        }
-        for e in entries
+        {"fixed": f, "varied_a": a, "varied_b": b, "outcome": o, "difference": d, "stderr": se}
+        for f, a, b, o, d, se in entries
     ]
 
 
+_OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
+
+
 def record_to_jsonable(record: ExperimentRecord) -> dict:
-    singles = {}
-    for v in range(record.graph.n):
-        n0, n1 = record.single_counts[v]
-        p, se = record.single_estimate(v)
-        singles[str(v)] = {"n0": n0, "n1": n1, "p1": p, "stderr": se}
-    pairs = {}
-    for (first, second), counts in sorted(record.pair_counts.items()):
-        entry: dict[str, Any] = {"counts": {}, "p": {}, "stderr": {}}
-        for (a, b), c in sorted(counts.items()):
-            key = f"{a}{b}"
-            p, se = record.pair_estimate(first, second, a, b)
-            entry["counts"][key] = c
-            entry["p"][key] = p
-            entry["stderr"][key] = se
-        pairs[f"{first},{second}"] = entry
+    """The record with every count's estimate and standard error, as
+    ``single_estimate`` and ``pair_estimate`` give them, and both ε tables."""
+    n = record.graph.n
+    n1 = np.array([record.single_counts[v][1] for v in range(n)], dtype=np.int64)
+    p, se = binomial_estimates(n1, record.shots)
+    singles = {
+        str(v): {"n0": record.single_counts[v][0], "n1": c, "p1": pv, "stderr": sv}
+        for v, c, pv, sv in zip(range(n), n1.tolist(), p.tolist(), se.tolist())
+    }
+    keys, counts = record.pair_count_table()
+    p, se = binomial_estimates(counts, record.shots)
+    pairs = {
+        f"{first},{second}": {
+            "counts": dict(zip(_OUTCOME_KEYS, c)),
+            "p": dict(zip(_OUTCOME_KEYS, pv)),
+            "stderr": dict(zip(_OUTCOME_KEYS, sv)),
+        }
+        for (first, second), c, pv, sv in zip(keys, counts.tolist(), p.tolist(), se.tolist())
+    }
     s_value, s_err = record.s_estimate()
     return {
         "graph": graph_to_jsonable(record.graph),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .orthorep import OrthoRep
 
 PROB_ATOL = 1e-12
 SCHEMES = ("projective", "demolition")
+OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))  # the (a, b) order of every count array
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class NoiseModel:
             raise ValueError("depolarizing_p must lie in [0, 1]")
         if not 0.0 <= self.outcome_flip_p <= 1.0:
             raise ValueError("outcome_flip_p must lie in [0, 1]")
+        if not math.isfinite(self.vector_misalignment_angle):
+            raise ValueError("vector_misalignment_angle must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,31 +147,50 @@ def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
 _BRANCH_ATOL = 10 * PROB_ATOL  # skip margin above the conditioning threshold
 
 
-def _joint_probs(
-    state: QState, ctx: TwoPointContext, rep: OrthoRep, demolition: bool
-) -> dict[tuple[int, int], float]:
-    """P(a, b) = P(a) P(b|a); the schemes differ only in the state that the
-    second measurement sees after first outcome 1.  The conditional state
-    stays a plain matrix: a QState would reject the roundoff that dividing
-    by a tiny P(a) leaves in it, although the product P(a) P(b|a) is sound."""
-    v1 = np.asarray(rep.vectors[ctx.first], dtype=complex)
-    v2 = np.asarray(rep.vectors[ctx.second], dtype=complex)
+def _conditionals(
+    state: QState, v1: np.ndarray, demolition: bool
+) -> list[tuple[int, float, Optional[np.ndarray]]]:
+    """The first measurement of ``v1``: for outcome a = 1, then a = 0, P(a) and
+    the matrix that the second measurement sees after it, or None when P(a)
+    is too small to condition on.  The schemes differ only in that matrix
+    after outcome 1.  It stays a plain matrix: a QState would reject the
+    roundoff that dividing by a tiny P(a) leaves in it, although the product
+    P(a) P(b|a) is sound."""
     p_first1 = born_single(state, v1)
-    probs: dict[tuple[int, int], float] = {}
+    out = []
     for a, pa in ((1, p_first1), (0, 1.0 - p_first1)):
         if pa <= _BRANCH_ATOL:
+            out.append((a, pa, None))
+        elif demolition and a == 1:
+            u = v1 / np.linalg.norm(v1)
+            out.append((a, pa, np.outer(u, u.conj())))
+        else:
+            out.append((a, pa, _luders_rho(state.rho, v1, a)))
+    return out
+
+
+def _second_probs(
+    conditionals: list[tuple[int, float, Optional[np.ndarray]]], v2: np.ndarray
+) -> dict[tuple[int, int], float]:
+    """P(a, b) = P(a) P(b|a) from the first measurement's :func:`_conditionals`."""
+    probs: dict[tuple[int, int], float] = {}
+    for a, pa, rho in conditionals:
+        if rho is None:
             probs[(a, 0)] = 0.0
             probs[(a, 1)] = 0.0
             continue
-        if demolition and a == 1:
-            u = v1 / np.linalg.norm(v1)
-            rho = np.outer(u, u.conj())
-        else:
-            rho = _luders_rho(state.rho, v1, a)
         pb1 = _born(rho, v2)
         probs[(a, 1)] = pa * pb1
         probs[(a, 0)] = pa * (1.0 - pb1)
     return {k: min(1.0, max(0.0, p)) for k, p in probs.items()}
+
+
+def _joint_probs(
+    state: QState, ctx: TwoPointContext, rep: OrthoRep, demolition: bool
+) -> dict[tuple[int, int], float]:
+    v1 = np.asarray(rep.vectors[ctx.first], dtype=complex)
+    v2 = np.asarray(rep.vectors[ctx.second], dtype=complex)
+    return _second_probs(_conditionals(state, v1, demolition), v2)
 
 
 def joint_probs_projective(
@@ -243,6 +265,17 @@ def binomial_stderr(p: float, shots: int) -> float:
     return math.sqrt(p * (1.0 - p) / shots)
 
 
+def binomial_estimates(counts: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``c / shots`` and its :func:`binomial_stderr`, the same doubles
+    as the scalar arithmetic."""
+    if shots <= 2**53:  # int64 counts and shots convert to doubles exactly
+        p = counts / shots
+    else:
+        p = np.array([c / shots for c in counts.ravel().tolist()]).reshape(counts.shape)
+    floor = binomial_stderr(0.0, shots)
+    return p, np.where((p <= 0.0) | (p >= 1.0), floor, np.sqrt(p * (1.0 - p) / shots))
+
+
 def _flip_single(p1: float, f: float) -> float:
     return (1.0 - f) * p1 + f * (1.0 - p1)
 
@@ -287,8 +320,7 @@ def _misaligned_vectors(rep: OrthoRep, angle: float, rng: np.random.Generator) -
     return vecs
 
 
-@dataclass(frozen=True)
-class SignalingEntry:
+class SignalingEntry(NamedTuple):
     """One marginal-consistency comparison.
 
     ``fixed`` is the observable whose marginal is compared while the
@@ -334,12 +366,12 @@ class ExperimentRecord:
         p = c / n
         return p, binomial_stderr(p, n)
 
-    def marginal(self, ctx: tuple[int, int], position: int, outcome: int) -> tuple[float, float]:
-        """Marginal estimate of the first (position 0) or second (position 1)
-        measurement of the ordered pair ``ctx = (first, second)``."""
-        c = sum(n for ab, n in self.pair_counts[ctx].items() if ab[position] == outcome)
-        p = c / self.shots
-        return p, binomial_stderr(p, self.shots)
+    def pair_count_table(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The ordered contexts sorted by (first, second), and their counts as a
+        contexts x 4 int64 array with columns in ``OUTCOMES`` order."""
+        keys = sorted(self.pair_counts)
+        rows = [[self.pair_counts[k][o] for o in OUTCOMES] for k in keys]
+        return keys, np.array(rows, dtype=np.int64).reshape(-1, 4)
 
     def s_estimate(self) -> tuple[float, float]:
         """Witness estimate with combined binomial standard error."""
@@ -373,15 +405,24 @@ def run_experiment(
     k of SeedSequence(seed): k=0 drives vector misalignment, then singles in
     vertex order, then ordered pair contexts sorted by (first, second)), so
     results do not depend on sampling order.  Fixed seed, fixed record.
+
+    Conditioning happens once per first observable: P(first = 1) and the
+    matrices the second measurement sees (Lueders, or the re-prepared
+    eigenstate) are computed when the sorted contexts reach a new first
+    observable, and each context adds one Born probability per first
+    outcome.  The probabilities are those of ``joint_probs_projective`` and
+    ``joint_probs_demolition``, bit for bit.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots >= 2**63:
+        raise ValueError(f"shots must be below 2**63 (counts are int64), got {shots}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if rep.n != g.n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {g.n}")
     noise = noise or NoiseModel()
-    joint_fn = joint_probs_projective if scheme == "projective" else joint_probs_demolition
+    flip = noise.outcome_flip_p
 
     contexts = ordered_contexts(g)
     streams = np.random.SeedSequence(seed).spawn(1 + g.n + len(contexts))
@@ -396,26 +437,28 @@ def run_experiment(
         vectors = _misaligned_vectors(
             rep, noise.vector_misalignment_angle, np.random.default_rng(streams[0])
         )
-    noisy_rep = OrthoRep(dimension=vectors.shape[1], psi=rep.psi, vectors=vectors)
+    vectors = np.asarray(vectors, dtype=complex)
 
     single_counts: dict[int, tuple[int, int]] = {}
     for v in range(g.n):
-        p1 = _flip_single(born_single(state, vectors[v]), noise.outcome_flip_p)
+        p1 = _flip_single(born_single(state, vectors[v]), flip)
         rng = np.random.default_rng(streams[1 + v])
         n1 = int(rng.binomial(shots, min(1.0, max(0.0, p1))))
         single_counts[v] = (shots - n1, n1)
 
-    outcome_order = ((0, 0), (0, 1), (1, 0), (1, 1))
+    demolition = scheme == "demolition"
     pair_counts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    first = None
     for k, ctx in enumerate(contexts):
-        probs = _flip_joint(joint_fn(state, ctx, noisy_rep), noise.outcome_flip_p)
-        vec = np.array([max(0.0, probs[o]) for o in outcome_order])
+        if ctx.first != first:
+            first = ctx.first
+            conditionals = _conditionals(state, vectors[first], demolition)
+        probs = _flip_joint(_second_probs(conditionals, vectors[ctx.second]), flip)
+        vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
         vec = vec / vec.sum()
         rng = np.random.default_rng(streams[1 + g.n + k])
         counts = rng.multinomial(shots, vec)
-        pair_counts[(ctx.first, ctx.second)] = {
-            o: int(c) for o, c in zip(outcome_order, counts)
-        }
+        pair_counts[(ctx.first, ctx.second)] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
 
     return ExperimentRecord(
         graph=g,
@@ -430,29 +473,32 @@ def run_experiment(
 
 def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
     """Compare the marginal at ``position`` of every observable across the settings
-    measured with it in the other position, from two marginals per context."""
+    measured with it in the other position.
+
+    The tables come from count arrays: the counts are read once into a
+    contexts x 4 array, each context's two marginal counts, estimates and
+    standard errors are computed once, and a fixed observable's comparisons
+    are index pairs into them, in (fixed, varied_a, varied_b, outcome) order.
+    """
     other = 1 - position
-    groups: dict[int, list] = {}
-    for ctx in sorted(record.pair_counts, key=lambda c: c[other]):
-        marginals = [record.marginal(ctx, position, outcome) for outcome in (0, 1)]
-        groups.setdefault(ctx[position], []).append((ctx[other], marginals))
-    out: list[SignalingEntry] = []
-    for fixed, rows in sorted(groups.items()):
-        for x, (varied_a, m1) in enumerate(rows):
-            for varied_b, m2 in rows[x + 1:]:
-                for outcome in (0, 1):
-                    (p1, se1), (p2, se2) = m1[outcome], m2[outcome]
-                    out.append(
-                        SignalingEntry(
-                            fixed=fixed,
-                            varied_a=varied_a,
-                            varied_b=varied_b,
-                            outcome=outcome,
-                            difference=abs(p1 - p2),
-                            stderr=math.sqrt(se1 * se1 + se2 * se2),
-                        )
-                    )
-    return out
+    keys, counts = record.pair_count_table()
+    ctx = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    # counts[k, a, b]: summing out the other position leaves the marginal of ``position``
+    p, se = binomial_estimates(counts.reshape(-1, 2, 2).sum(axis=2 - position), record.shots)
+    groups: dict[int, list[int]] = {}
+    for k in np.lexsort((ctx[:, other], ctx[:, position])).tolist():
+        groups.setdefault(keys[k][position], []).append(k)
+    pairs = [(x, y) for rows in groups.values() for i, x in enumerate(rows) for y in rows[i + 1:]]
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    columns = (  # one row per pair and outcome, outcome fastest
+        ctx[a, position].repeat(2).tolist(),
+        ctx[a, other].repeat(2).tolist(),
+        ctx[b, other].repeat(2).tolist(),
+        [0, 1] * len(pairs),
+        np.abs(p[a] - p[b]).ravel().tolist(),
+        np.sqrt(se[a] * se[a] + se[b] * se[b]).ravel().tolist(),
+    )
+    return list(map(SignalingEntry._make, zip(*columns)))
 
 
 def epsilon_signaling(record: ExperimentRecord) -> list[SignalingEntry]:

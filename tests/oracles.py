@@ -7,7 +7,7 @@ or is the simpler implementation the package replaced, kept as a reference.
 
 import json
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
@@ -16,13 +16,26 @@ from twopoint import (
     ExperimentRecord,
     Graph,
     IndependenceResult,
+    NoiseModel,
     OrthoRep,
     QState,
     SignalingEntry,
     SizeLimitError,
+    born_single,
     cycle_graph,
     independence_number,
+    joint_probs_demolition,
+    joint_probs_projective,
+    ordered_contexts,
+    pure_state,
     theta,
+)
+from twopoint.simulate import (
+    OUTCOMES,
+    _flip_joint,
+    _flip_single,
+    _misaligned_vectors,
+    binomial_stderr,
 )
 from twopoint.theta import DEFAULT_TOLERANCE
 
@@ -275,6 +288,16 @@ def recursive_canonical_json(obj: Any) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def record_marginal(
+    record: ExperimentRecord, ctx: tuple[int, int], position: int, outcome: int
+) -> tuple[float, float]:
+    """Marginal estimate of the first (position 0) or second (position 1)
+    measurement of the ordered pair ``ctx = (first, second)``, from its counts."""
+    c = sum(n for ab, n in record.pair_counts[ctx].items() if ab[position] == outcome)
+    p = c / record.shots
+    return p, binomial_stderr(p, record.shots)
+
+
 def pairwise_signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
     """The epsilon (position 1) or epsilon-prime (position 0) table, with both
     marginals recomputed from the counts for every comparison."""
@@ -287,8 +310,8 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[Signalin
         for x in range(len(ctxs)):
             for y in range(x + 1, len(ctxs)):
                 for outcome in (0, 1):
-                    p1, se1 = record.marginal(ctxs[x], position, outcome)
-                    p2, se2 = record.marginal(ctxs[y], position, outcome)
+                    p1, se1 = record_marginal(record, ctxs[x], position, outcome)
+                    p2, se2 = record_marginal(record, ctxs[y], position, outcome)
                     out.append(
                         SignalingEntry(
                             fixed=fixed,
@@ -300,3 +323,47 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[Signalin
                         )
                     )
     return out
+
+
+def per_context_counts(
+    rep: OrthoRep,
+    g: Graph,
+    shots: int,
+    seed: int,
+    noise: Optional[NoiseModel] = None,
+    scheme: str = "projective",
+) -> tuple[dict, dict]:
+    """``run_experiment``'s single and pair counts, sampled the way it did before
+    it conditioned once per first observable: the public ``joint_probs_*``
+    kernel is called once per ordered context, on the same RNG streams."""
+    noise = noise or NoiseModel()
+    joint_fn = joint_probs_projective if scheme == "projective" else joint_probs_demolition
+    contexts = ordered_contexts(g)
+    streams = np.random.SeedSequence(seed).spawn(1 + g.n + len(contexts))
+    state = pure_state(rep.psi)
+    if noise.depolarizing_p > 0.0:
+        d = state.d
+        rho = (1.0 - noise.depolarizing_p) * state.rho + noise.depolarizing_p * np.eye(d) / d
+        state = QState(rho)
+    vectors = rep.vectors
+    if noise.vector_misalignment_angle != 0.0:
+        vectors = _misaligned_vectors(
+            rep, noise.vector_misalignment_angle, np.random.default_rng(streams[0])
+        )
+    noisy_rep = OrthoRep(dimension=vectors.shape[1], psi=rep.psi, vectors=vectors)
+
+    single_counts = {}
+    for v in range(g.n):
+        p1 = _flip_single(born_single(state, vectors[v]), noise.outcome_flip_p)
+        rng = np.random.default_rng(streams[1 + v])
+        n1 = int(rng.binomial(shots, min(1.0, max(0.0, p1))))
+        single_counts[v] = (shots - n1, n1)
+    pair_counts = {}
+    for k, ctx in enumerate(contexts):
+        probs = _flip_joint(joint_fn(state, ctx, noisy_rep), noise.outcome_flip_p)
+        vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
+        vec = vec / vec.sum()
+        rng = np.random.default_rng(streams[1 + g.n + k])
+        counts = rng.multinomial(shots, vec)
+        pair_counts[(ctx.first, ctx.second)] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
+    return single_counts, pair_counts

@@ -404,6 +404,44 @@ class TestCli:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_simulate_json_deterministic(self, tmp_path, scheme):
+        argv = ["simulate", "petersen", "--shots", "20000", "--seed", "3", "--format", "json",
+                "--scheme", scheme, "--noise-depol", "0.05", "--noise-angle", "0.02",
+                "--noise-flip", "0.01"]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(argv + ["--output", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["scheme"] == scheme
+
+    def test_consecutive_calls_share_no_parser_state(self, capsys):
+        base = ["simulate", "c5", "--shots", "100", "--format", "json"]
+        assert main(base + ["--scheme", "demolition"]) == 0
+        assert json.loads(capsys.readouterr().out)["scheme"] == "demolition"
+        assert main(base) == 0
+        assert json.loads(capsys.readouterr().out)["scheme"] == "projective"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_noise_angle_refused(self, capsys, fmt, angle):
+        for command in ("simulate", "certify"):
+            assert main([command, "c5", "--noise-angle", angle, "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "vector_misalignment_angle must be finite" in captured.err
+
+    def test_oversized_shots_refused(self, capsys):
+        assert main(["simulate", "c5", "--shots", str(10**19)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shots must be below 2**63" in captured.err
+        with pytest.raises(StageError) as info:
+            certify(cycle_graph(5), CertifyOptions(shots=10**19))
+        assert info.value.stage == "montecarlo"
+        assert "shots must be below 2**63" in str(info.value.cause)
+        assert info.value.report.data["error"]["stage"] == "montecarlo"
+
     def test_certify_stage_failure_emits_partial_report(self, capsys):
         assert main(["certify", "k7", "--skip-montecarlo", "--format", "json"]) == 1
         captured = capsys.readouterr()

@@ -25,7 +25,15 @@ from twopoint import (
     theta,
 )
 from twopoint.simulate import TwoPointContext
-from oracles import builtin_kcbs_rep, kcbs_graph, maximally_mixed, pairwise_signaling
+from twopoint.serialize import record_to_jsonable
+from conftest import random_graph
+from oracles import (
+    builtin_kcbs_rep,
+    kcbs_graph,
+    maximally_mixed,
+    pairwise_signaling,
+    per_context_counts,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -41,6 +49,17 @@ def random_unit(rng, d, complex_=True):
     if complex_:
         v = v + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+NOISY = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
+
+
+def _isolated_and_leaf_case():
+    # Vertex 5 is isolated; 1, 2 and 4 have one neighbour each.
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    rng = np.random.default_rng(3)
+    vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return g, OrthoRep(dimension=6, psi=random_unit(rng, 6, complex_=False), vectors=vecs.T.copy())
 
 
 class TestStates:
@@ -68,6 +87,11 @@ class TestStates:
             NoiseModel(depolarizing_p=1.5)
         with pytest.raises(ValueError):
             NoiseModel(outcome_flip_p=-0.1)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_noise_model_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="vector_misalignment_angle must be finite"):
+            NoiseModel(vector_misalignment_angle=angle)
 
 
 class TestBornRule:
@@ -290,6 +314,8 @@ class TestRunExperiment:
             run_experiment(rep, kcbs_graph(), shots=1, seed=0, scheme="teleport")
         with pytest.raises(ValueError, match="vertices"):
             run_experiment(rep, build_graph(3, [(0, 1)]), shots=1, seed=0)
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            run_experiment(rep, kcbs_graph(), shots=2**63, seed=0)
 
     def test_demolition_scheme_estimates_match_exact(self):
         rep = builtin_kcbs_rep()
@@ -357,18 +383,13 @@ class TestSignalingDiagnostics:
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_tables_equal_pairwise_oracle_on_noisy_records(self, petersen, scheme):
         rep = extract_ortho_rep(petersen, theta(petersen))
-        noise = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
-        record = run_experiment(rep, petersen, shots=20_000, seed=4, noise=noise, scheme=scheme)
+        record = run_experiment(rep, petersen, shots=20_000, seed=4, noise=NOISY, scheme=scheme)
         assert len(epsilon_signaling(record)) == 10 * 3 * 2
         assert epsilon_signaling(record) == pairwise_signaling(record, 1)
         assert epsilon_prime(record) == pairwise_signaling(record, 0)
 
     def test_tables_equal_pairwise_oracle_with_isolated_and_leaf_vertices(self):
-        # Vertex 5 is isolated; 1, 2 and 4 have one neighbour each.
-        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
-        rng = np.random.default_rng(3)
-        vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        rep = OrthoRep(dimension=6, psi=random_unit(rng, 6, complex_=False), vectors=vecs.T.copy())
+        g, rep = _isolated_and_leaf_case()
         noise = NoiseModel(outcome_flip_p=0.02)
         record = run_experiment(rep, g, shots=5_000, seed=2, noise=noise)
         shuffled = dataclasses.replace(
@@ -384,3 +405,70 @@ class TestSignalingDiagnostics:
         assert [(c.first, c.second) for c in ordered_contexts(g)][:3] == [
             (0, 1), (0, 4), (1, 0),
         ]
+
+
+class TestKernelAgainstPerContextOracle:
+    """run_experiment conditions once per first observable; the oracle calls the
+    public kernel once per ordered context.  The counts must be equal."""
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    @pytest.mark.parametrize("noise", [None, NOISY], ids=["noiseless", "noisy"])
+    def test_petersen(self, petersen, scheme, noise):
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        record = run_experiment(rep, petersen, shots=50_000, seed=5, noise=noise, scheme=scheme)
+        oracle = per_context_counts(rep, petersen, 50_000, 5, noise, scheme)
+        assert (record.single_counts, record.pair_counts) == oracle
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_isolated_and_leaf_vertices(self, scheme):
+        g, rep = _isolated_and_leaf_case()
+        record = run_experiment(rep, g, shots=7_000, seed=8, noise=NOISY, scheme=scheme)
+        oracle = per_context_counts(rep, g, 7_000, 8, NOISY, scheme)
+        assert (record.single_counts, record.pair_counts) == oracle
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_random_graph_complex_vectors(self, scheme):
+        rng = np.random.default_rng(12)
+        g = random_graph(rng, 12, 0.4)
+        vectors = np.array([random_unit(rng, 5) for _ in range(12)])
+        rep = OrthoRep(dimension=5, psi=random_unit(rng, 5), vectors=vectors)
+        for noise in (None, NOISY):
+            record = run_experiment(rep, g, shots=30_000, seed=6, noise=noise, scheme=scheme)
+            oracle = per_context_counts(rep, g, 30_000, 6, noise, scheme)
+            assert (record.single_counts, record.pair_counts) == oracle
+
+
+class TestRecordEstimates:
+    """record_to_jsonable computes p and stderr from count arrays; they must be
+    the doubles of single_estimate and pair_estimate, floors included."""
+
+    @staticmethod
+    def _assert_estimates_equal(record):
+        data = record_to_jsonable(record)
+        for v in range(record.graph.n):
+            entry = data["singles"][str(v)]
+            assert (entry["p1"], entry["stderr"]) == record.single_estimate(v)
+        for (first, second), counts in record.pair_counts.items():
+            entry = data["pairs"][f"{first},{second}"]
+            for (a, b), c in counts.items():
+                key = f"{a}{b}"
+                assert entry["counts"][key] == c
+                assert (entry["p"][key], entry["stderr"][key]) == record.pair_estimate(
+                    first, second, a, b
+                )
+        assert epsilon_signaling(record) == pairwise_signaling(record, 1)
+        assert epsilon_prime(record) == pairwise_signaling(record, 0)
+
+    def test_single_shot(self, petersen):
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        self._assert_estimates_equal(run_experiment(rep, petersen, shots=1, seed=2, noise=NOISY))
+
+    def test_exact_rep_edges_floor_one_one(self):
+        record = run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=20_000, seed=3)
+        assert all(c[(1, 1)] == 0 for c in record.pair_counts.values())
+        self._assert_estimates_equal(record)
+
+    @pytest.mark.parametrize("shots", [2**53 + 1, 2**63 - 1])
+    def test_shots_beyond_exact_doubles(self, shots):
+        g, rep = _isolated_and_leaf_case()
+        self._assert_estimates_equal(run_experiment(rep, g, shots=shots, seed=4, noise=NOISY))
