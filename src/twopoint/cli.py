@@ -24,7 +24,7 @@ from .certify import (
     emit_report,
 )
 from .graphs import Graph, build_two_point_graph
-from .orthorep import extract_ortho_rep, verify_ortho_rep
+from .orthorep import ExtractionError, extract_ortho_rep, verify_ortho_rep
 from .independence import independence_number
 from .serialize import (
     ParseError,
@@ -316,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError, ExtractionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,18 @@
 A representation assigns a unit vector to every vertex, with vectors of
 adjacent vertices orthogonal, together with a unit handle state psi whose
 squared overlaps with the vertex vectors sum to the Lovasz number.  The
-extractor factors the optimal primal matrix of the theta program; the
-verifier certifies the result numerically instead of trusting the
-construction.  It feeds the exact witness values and the simulation only.
+extractor reads it off `theta.primal_factor`, the factor X = F F^T of the
+optimal primal matrix that `theta.lift_primal` also lifts to G': psi is the
+normalised sum of F's rows f_i, and each vertex vector is f_i made
+orthogonal to its neighbours' vectors.  At an optimum vertex i then
+contributes theta * X_ii to the overlap sum.
+
+F is tried at two widths.  Its columns whose eigenvalue is above the
+tolerance give a low dimension (3 on the odd cycles) and usually suffice;
+when they do not, all columns with a positive eigenvalue reproduce X to
+round-off, at a dimension of about n.  The verifier certifies the result
+numerically instead of trusting the construction.  It feeds the exact
+witness values and the simulation only.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .theta import SdpSolution, SdpStatus
+from .theta import SdpSolution, SdpStatus, primal_factor
 
 
 class ExtractionError(RuntimeError):
@@ -105,74 +114,39 @@ def verify_ortho_rep(
     )
 
 
-_ASCENT_SWEEPS = 100
+def _place(g: Graph, F: np.ndarray) -> np.ndarray:
+    """Unit vectors from the rows f_i of F, orthogonal to round-off along every edge.
 
-
-def _ascend_overlap_sum(g: Graph, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating maximization of the handle overlap sum.
-
-    With the vectors fixed, the best handle is the dominant eigenvector of
-    B = sum_v |v><v| (the sum equals <psi|B|psi>); with the handle fixed,
-    the best vector at v is the normalized projection of psi onto the
-    orthogonal complement of v's neighbors.  Both steps keep edge
-    orthogonality exact and never decrease the sum, which repairs the
-    O(sqrt(gap)) vector errors that degenerate optimal faces leave in the
-    factorization.  Returns the polished vectors and the final handle.
+    Vertices are placed in order of decreasing |f_i|.  Each v_i is f_i
+    projected off the span of its already-placed neighbours' vectors (their
+    numerical rank read off an SVD), then normalised.  A row that vanishes,
+    to 1e-12 of the longest, gets a fresh axis appended after F's columns,
+    orthogonal to every other vector and to psi.
     """
-    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
-    best = -math.inf
-    for _ in range(_ASCENT_SWEEPS):
-        op = vectors.T @ vectors
-        vals, vecs = np.linalg.eigh(op)
-        psi = vecs[:, -1]
-        total = float(vals[-1])
-        if total <= best + 1e-14:
-            break
-        best = total
-        for v in range(g.n):
-            if nbrs[v]:
-                q = np.linalg.qr(vectors[nbrs[v]].T)[0]
-                proj = psi - q @ (q.T @ psi)
-            else:
-                proj = psi
-            gain = float(proj @ proj)
-            if gain > float(psi @ vectors[v]) ** 2 and gain > 1e-16:
-                vectors[v] = proj / math.sqrt(gain)
-    return vectors, psi
-
-
-def _complete_zero_columns(
-    g: Graph,
-    vectors: np.ndarray,
-    zero: list[int],
-    handle_dir: np.ndarray,
-    tolerance: float,
-) -> np.ndarray:
-    """Assign unit vectors to vertices whose factor column vanished.
-
-    Each such vertex gets a vector orthogonal to its neighbors' vectors and
-    to the handle direction (so the overlap sum is untouched); when no such
-    direction exists the ambient dimension grows by one.
-    """
-    for v in zero:
-        nbr = g.neighbors(v)
-        d = vectors.shape[1]
-        rows = [vectors[u] for u in nbr]
-        rows.append(np.pad(handle_dir, (0, d - handle_dir.shape[0])))
-        basis = np.vstack(rows)
-        found = None
-        if basis.shape[0] < d:
-            # Right-singular vectors with vanishing singular value span the
-            # orthogonal complement of the constraint rows.
-            s, vt = np.linalg.svd(basis)[1:]
-            if int(np.sum(s > math.sqrt(tolerance))) < d:
-                found = vt[-1]
-        if found is None:
-            vectors = np.hstack([vectors, np.zeros((vectors.shape[0], 1))])
-            found = np.zeros(vectors.shape[1])
-            found[-1] = 1.0
-        vectors[v] = found / np.linalg.norm(found)
-    return vectors
+    sq = np.einsum("ij,ij->i", F, F)
+    vectors = np.zeros_like(F)
+    placed = np.zeros(g.n, dtype=bool)
+    fresh = []
+    for i in np.argsort(-sq, kind="stable"):
+        v = F[i]
+        nbrs = [j for j in g.neighbors(i) if placed[j]]
+        if nbrs:
+            B = vectors[nbrs].T
+            u, s = np.linalg.svd(B, full_matrices=False)[:2]
+            u = u[:, s > s[0] * max(B.shape) * np.finfo(float).eps]
+            # A second pass removes what cancellation leaves of the first
+            # when f_i lies nearly in that span.
+            v = v - u @ (u.T @ v)
+            v = v - u @ (u.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm <= 1e-12 * math.sqrt(sq.max()):
+            fresh.append(i)
+        else:
+            vectors[i] = v / norm
+        placed[i] = True
+    axes = np.zeros((g.n, len(fresh)))
+    axes[fresh, range(len(fresh))] = 1.0
+    return np.hstack([vectors, axes])
 
 
 def extract_ortho_rep(
@@ -180,52 +154,31 @@ def extract_ortho_rep(
 ) -> OrthoRep:
     """Build the representation realizing the quantum maximum from the SDP optimum.
 
-    Factors X = W^T W through an eigendecomposition (eigenvalues below
-    ``tolerance`` truncated); normalized columns are the vertex vectors.
-    The handle is the dominant eigenvector of B = sum_v |v><v|: the overlap
-    sum equals <psi|B|psi>, so this choice maximizes it and, unlike the
-    column-sum direction, stays accurate when the optimal face is
-    degenerate and the per-vertex complementarity residuals dwarf the
-    duality gap.  The output is verified at 100 x tolerance; failure raises
-    ExtractionError rather than returning a silently bad representation.
+    Reads F and psi off the optimal X = F F^T with `primal_factor`, the
+    factor `lift_primal` lifts to G', and places the vertex vectors with
+    `_place`.  The first try keeps only F's columns whose eigenvalue is above
+    ``tolerance`` and is returned when it passes `verify_ortho_rep` at
+    ``tolerance``.  Otherwise the construction reruns on every column with a
+    positive eigenvalue, which reproduces X to round-off; that result must
+    pass at 100 x tolerance, or ExtractionError is raised rather than a
+    silently bad representation returned.
     """
     if sol.status is not SdpStatus.CONVERGED:
         raise ValueError(f"need a converged SDP solution, got status {sol.status.value}")
     X = np.asarray(sol.X, dtype=float)
     if X.shape != (g.n, g.n):
         raise ValueError(f"solution shape {X.shape} does not match n={g.n}")
-    eigvals, eigvecs = np.linalg.eigh((X + X.T) / 2)
-    keep = eigvals > tolerance
-    if not np.any(keep):
-        raise ExtractionError("primal matrix has no eigenvalue above tolerance")
-    W = np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].T  # columns w_v
-    columns = W.T.copy()  # row v = w_v
-    norms_sq = np.sum(columns**2, axis=1)
-    zero = [v for v in range(g.n) if norms_sq[v] <= 100 * tolerance]
-    live = [v for v in range(g.n) if v not in set(zero)]
-    if not live:
-        raise ExtractionError("every factor column is (numerically) zero")
-    vectors = columns.copy()
-    for v in live:
-        vectors[v] = columns[v] / math.sqrt(norms_sq[v])
-    overlap_op = vectors[live].T @ vectors[live]
-    handle = np.linalg.eigh(overlap_op)[1][:, -1]
-    # orient along the column sum so the handle is reproducible
-    if float(handle @ columns[live].sum(axis=0)) < 0:
-        handle = -handle
-    vectors = _complete_zero_columns(g, vectors, zero, handle, tolerance)
-    vectors, handle = _ascend_overlap_sum(g, vectors)
-    reference = np.zeros(vectors.shape[1])
-    reference[: columns.shape[1]] = columns[live].sum(axis=0)
-    if float(handle @ reference) < 0:
-        handle = -handle
-    rep = OrthoRep(dimension=vectors.shape[1], psi=handle, vectors=vectors)
-    report = verify_ortho_rep(g, rep, 100 * tolerance, theta_target=sol.primal_value)
-    if not report.passed:
-        raise ExtractionError(
-            "extracted representation failed verification: "
-            f"edge overlap {report.max_edge_overlap:.3e}, "
-            f"norm error {report.max_norm_error:.3e}, "
-            f"overlap-sum error {report.overlap_error:.3e}"
-        )
-    return rep
+    for floor, gate in ((tolerance, tolerance), (0.0, 100 * tolerance)):
+        F, psi = primal_factor(X, floor)
+        vectors = _place(g, F)
+        psi = np.pad(psi, (0, vectors.shape[1] - len(psi)))
+        rep = OrthoRep(dimension=vectors.shape[1], psi=psi, vectors=vectors)
+        report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
+        if report.passed:
+            return rep
+    raise ExtractionError(
+        "extracted representation failed verification: "
+        f"edge overlap {report.max_edge_overlap:.3e}, "
+        f"norm error {report.max_norm_error:.3e}, "
+        f"overlap-sum error {report.overlap_error:.3e}"
+    )

@@ -214,21 +214,33 @@ def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
     return Yp
 
 
-def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
-    """Primal point X' for G' from a primal point X of G.
+def primal_factor(X: np.ndarray, floor: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """A factor X = F F^T and the state psi = sum_k f_k / |sum_k f_k| read off it.
 
-    Rows of W are the paper's event vectors read off X = F F^T (eigh, negative
-    eigenvalues clipped, an f_i no longer than 1e-12 of the longest zeroed as
-    round-off) with psi = sum_k f_k / |sum_k f_k|: psi projected onto span(f_i)
-    for outcome 1 on observable i, off span(f_i, f_j) by least squares for
-    (i, j, 0, 0).  X' is W W^T over its trace, and <J, X'> >= <J, X> + |E| by
-    Cauchy-Schwarz when X vanishes on G's edges, with equality at an optimum."""
+    One eigh of X; the columns whose eigenvalue is not above ``floor`` are
+    dropped, negative eigenvalues are clipped to 0, and a row f_i no longer
+    than 1e-12 of the longest is zeroed as round-off.  `lift_primal` and the
+    orthogonal-representation extractor both read their vectors off this F."""
     vals, vecs = np.linalg.eigh((X + X.T) / 2)
-    F = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    k = int(np.searchsorted(vals, floor, side="right"))  # eigh sorts ascending
+    F = vecs[:, k:] * np.sqrt(np.clip(vals[k:], 0.0, None))
     sq = np.einsum("ij,ij->i", F, F)
     F[sq <= 1e-24 * sq.max()] = 0.0
     psi = F.sum(axis=0)
     psi /= np.linalg.norm(psi)
+    return F, psi
+
+
+def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
+    """Primal point X' for G' from a primal point X of G.
+
+    Rows of W are the paper's event vectors read off the `primal_factor` F of
+    X and its psi: psi projected onto span(f_i) for outcome 1 on observable i,
+    off span(f_i, f_j) by least squares for (i, j, 0, 0).  X' is W W^T over
+    its trace, and <J, X'> >= <J, X> + |E| by Cauchy-Schwarz when X vanishes
+    on G's edges, with equality at an optimum."""
+    F, psi = primal_factor(X)
+    sq = np.einsum("ij,ij->i", F, F)
     P = F * np.divide(F @ psi, sq, out=np.zeros(len(F)), where=F.any(axis=1))[:, None]
     W = np.empty((eg.n, F.shape[1]))
     for k, label in enumerate(eg.labels):
@@ -398,8 +410,10 @@ def theta(
     y[0] = n + 1.0
     Z = build_Z(y)
 
-    # Aim well below the certified tolerance: downstream consumers (the
-    # representation extraction in particular) amplify the remaining gap.
+    # Aim well below the certified tolerance: the lifted bound for G' and
+    # the realisation are both read off this X's factor and inherit its
+    # remaining gap, and the realisation's truncated first try must match
+    # the primal value to within the tolerance itself.
     target_gap = max(0.01 * tolerance, 2e-10)
     tau = 0.98
     best_gap = math.inf

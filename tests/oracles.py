@@ -325,6 +325,28 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[Signalin
     return out
 
 
+def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:
+    """Outcome-flip noise on a joint table, written out term by term.
+
+    Each flipped P(a, b) adds P(a0, b0) q(a, a0) q(b, b0) from left to right
+    over (a0, b0) = (1, 1), (1, 0), (0, 1), (0, 0), the order in which the
+    exact kernel conditions on the first outcome, so on the kernel's own
+    table the result equals ``_flip_joint``'s to the last bit."""
+    def q(x: int, x0: int) -> float:
+        return 1.0 - f if x == x0 else f
+
+    out = {}
+    for a in (0, 1):
+        for b in (0, 1):
+            out[(a, b)] = (
+                probs[(1, 1)] * q(a, 1) * q(b, 1)
+                + probs[(1, 0)] * q(a, 1) * q(b, 0)
+                + probs[(0, 1)] * q(a, 0) * q(b, 1)
+                + probs[(0, 0)] * q(a, 0) * q(b, 0)
+            )
+    return out
+
+
 def per_context_counts(
     rep: OrthoRep,
     g: Graph,

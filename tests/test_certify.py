@@ -27,6 +27,8 @@ from twopoint import (
 )
 from twopoint.cli import main
 
+cli_mod = importlib.import_module("twopoint.cli")
+
 # The package re-exports the function `certify` under the module's name.
 certify_mod = importlib.import_module("twopoint.certify")
 
@@ -449,6 +451,17 @@ class TestCli:
         assert data["complete"] is False
         assert data["error"]["stage"] == "alpha_gprime"
         assert "alpha_gprime" in captured.err
+
+    @pytest.mark.parametrize("command", ["orthorep", "simulate"])
+    def test_extraction_failure_is_an_error_line(self, monkeypatch, capsys, command):
+        def failing(g, sol, tolerance):
+            raise ExtractionError("injected")
+
+        monkeypatch.setattr(cli_mod, "extract_ortho_rep", failing)
+        assert main([command, "c5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: injected\n"
 
     def test_graph_file_input(self, tmp_path, capsys):
         path = tmp_path / "graph.json"

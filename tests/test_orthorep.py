@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twopoint import (
+    ExtractionError,
     OrthoRep,
     SdpStatus,
     build_graph,
+    cycle_graph,
     extract_ortho_rep,
     theta,
     verify_ortho_rep,
@@ -63,6 +66,60 @@ class TestVerifier:
             verify_ortho_rep(build_graph(4, []), rep, 1e-6)
 
 
+# Random graphs on which extraction once failed its own verification.  The
+# first is slot 4 of the benchmark's simulate_random workload at seed 44; the
+# other two are draws 40 and 261 of a stream with n in [12, 40] and |E| in
+# [2n, 3n].  On all three the truncated factor misses and the full one passes.
+_SIMULATE_RANDOM_44_4 = (
+    40,
+    [
+        (0, 4), (0, 7), (0, 26), (0, 30), (0, 37), (1, 5), (1, 12), (1, 16), (1, 23), (1, 29),
+        (1, 37), (1, 39), (2, 7), (2, 14), (2, 16), (2, 17), (2, 30), (3, 5), (3, 25), (3, 26),
+        (3, 29), (3, 31), (3, 32), (3, 36), (4, 11), (4, 14), (4, 21), (4, 23), (4, 24),
+        (5, 7), (5, 9), (5, 20), (5, 23), (5, 24), (5, 26), (5, 29), (6, 8), (6, 14), (6, 22),
+        (6, 36), (6, 37), (7, 12), (7, 14), (7, 19), (7, 24), (7, 25), (7, 27), (7, 30),
+        (7, 31), (8, 12), (8, 13), (8, 20), (8, 25), (8, 27), (8, 29), (8, 33), (8, 35),
+        (9, 19), (9, 21), (9, 24), (9, 25), (10, 12), (10, 15), (10, 29), (10, 35), (10, 38),
+        (11, 17), (11, 22), (11, 29), (11, 36), (12, 38), (13, 16), (13, 21), (13, 23),
+        (13, 26), (13, 33), (14, 23), (14, 33), (14, 37), (14, 38), (15, 21), (15, 26),
+        (15, 29), (15, 34), (16, 20), (16, 28), (17, 20), (17, 21), (17, 27), (17, 31),
+        (17, 35), (19, 25), (20, 28), (20, 35), (20, 39), (22, 25), (23, 31), (23, 33),
+        (24, 29), (24, 32), (25, 30), (25, 33), (25, 37), (25, 38), (25, 39), (27, 29),
+        (27, 31), (27, 33), (28, 29), (28, 31), (28, 34), (28, 35), (29, 39), (30, 38),
+        (31, 32), (31, 34), (32, 38), (33, 38), (34, 36), (34, 38),
+    ],
+)
+
+_SWEEP_DRAW_40 = (
+    29,
+    [
+        (0, 4), (0, 5), (0, 12), (0, 13), (0, 15), (0, 25), (1, 8), (1, 12), (1, 21), (1, 23),
+        (2, 5), (2, 10), (2, 12), (2, 18), (3, 11), (3, 13), (3, 14), (3, 22), (3, 28), (4, 9),
+        (4, 22), (4, 23), (4, 25), (4, 26), (5, 7), (5, 9), (5, 15), (5, 22), (5, 24), (5, 27),
+        (6, 13), (6, 17), (6, 21), (6, 23), (6, 27), (7, 20), (7, 24), (7, 28), (8, 9),
+        (8, 10), (8, 12), (8, 14), (8, 17), (8, 20), (8, 23), (8, 24), (8, 27), (9, 12),
+        (9, 19), (9, 22), (9, 24), (10, 14), (11, 13), (11, 20), (11, 21), (11, 28), (12, 18),
+        (12, 23), (12, 26), (13, 20), (13, 27), (14, 16), (14, 23), (14, 28), (15, 17),
+        (15, 22), (15, 28), (16, 21), (17, 22), (18, 19), (18, 24), (18, 27), (19, 27),
+        (19, 28), (20, 21), (20, 25), (21, 22), (21, 25), (21, 27), (24, 28), (25, 27),
+    ],
+)
+
+_SWEEP_DRAW_261 = (
+    23,
+    [
+        (0, 4), (0, 10), (0, 15), (0, 16), (0, 17), (1, 6), (1, 9), (2, 3), (2, 5), (2, 8),
+        (2, 11), (2, 18), (3, 5), (3, 7), (3, 8), (3, 14), (3, 19), (3, 21), (4, 6), (4, 7),
+        (4, 13), (5, 13), (6, 10), (6, 12), (6, 17), (6, 19), (6, 20), (7, 10), (7, 14),
+        (7, 15), (7, 19), (7, 21), (8, 9), (8, 10), (8, 16), (8, 17), (8, 18), (8, 19),
+        (9, 10), (9, 11), (9, 17), (9, 18), (9, 20), (10, 13), (10, 19), (10, 21), (11, 13),
+        (11, 19), (11, 20), (12, 14), (12, 15), (12, 21), (12, 22), (13, 17), (14, 17),
+        (14, 19), (15, 19), (15, 21), (16, 17), (16, 18), (16, 19), (17, 19), (18, 19),
+        (20, 22),
+    ],
+)
+
+
 class TestExtraction:
     def test_c5_gives_three_dimensional_representation(self, c5):
         sol = theta(c5)
@@ -102,10 +159,9 @@ class TestExtraction:
 
     def test_degenerate_face_instance(self):
         # On this graph the optimal face is degenerate: the primal matrix
-        # keeps eigenvalues around 3e-6 and per-vertex complementarity
-        # residuals far above the duality gap, so the raw factorization is
-        # ~2e-5 off in the overlap sum and only the ascent polish brings
-        # the representation inside the verification tolerance.
+        # keeps two eigenvalues near 2e-6 and eight near 1e-11, and the
+        # factor's columns above the tolerance leave the overlap sum 7e-6
+        # short.  The full factor reproduces X to round-off and passes.
         g = build_graph(
             13,
             [
@@ -115,6 +171,18 @@ class TestExtraction:
                 (6, 8), (8, 9), (8, 10), (8, 11), (9, 10),
             ],
         )
+        sol = theta(g)
+        rep = extract_ortho_rep(g, sol)
+        report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
+        assert report.passed, report
+
+    @pytest.mark.parametrize(
+        "case",
+        [_SIMULATE_RANDOM_44_4, _SWEEP_DRAW_40, _SWEEP_DRAW_261],
+        ids=["simulate-random-44-4", "sweep-draw-40", "sweep-draw-261"],
+    )
+    def test_random_graph_regression(self, case):
+        g = build_graph(*case)
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
         report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
@@ -139,6 +207,11 @@ class TestExtraction:
             report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
             assert report.passed, (g, report)
 
+    def test_value_the_factor_cannot_reach_raises(self, c5):
+        sol = dataclasses.replace(theta(c5), primal_value=SQRT5 + 1e-3)
+        with pytest.raises(ExtractionError, match="overlap-sum error 1.000e-03"):
+            extract_ortho_rep(c5, sol)
+
     def test_requires_converged_solution(self, c5):
         sol = theta(c5, max_iterations=1)
         assert sol.status is not SdpStatus.CONVERGED
@@ -146,10 +219,12 @@ class TestExtraction:
             extract_ortho_rep(c5, sol)
 
     def test_edge_pair_probability_vanishes(self, c5):
-        # Orthogonality on edges forces P(1,1) = 0 for the handle state.
-        sol = theta(c5)
-        rep = extract_ortho_rep(c5, sol)
-        state = pure_state(rep.psi)
-        for (i, j) in c5.edges:
-            probs = joint_probs_projective(state, TwoPointContext(i, j), rep)
-            assert probs[(1, 1)] <= 1e-9
+        # Orthogonality on edges forces P(1,1) = 0 for the handle state.  The
+        # vectors are orthogonal to round-off, on c21 too.
+        for g in (c5, cycle_graph(21)):
+            rep = extract_ortho_rep(g, theta(g))
+            assert verify_ortho_rep(g, rep, 1e-15).max_edge_overlap <= 1e-15
+            state = pure_state(rep.psi)
+            for (i, j) in g.edges:
+                probs = joint_probs_projective(state, TwoPointContext(i, j), rep)
+                assert probs[(1, 1)] <= 1e-9

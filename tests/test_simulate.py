@@ -24,11 +24,12 @@ from twopoint import (
     run_experiment,
     theta,
 )
-from twopoint.simulate import TwoPointContext
+from twopoint.simulate import TwoPointContext, _flip_joint
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
     builtin_kcbs_rep,
+    flip_joint_terms,
     kcbs_graph,
     maximally_mixed,
     pairwise_signaling,
@@ -436,6 +437,21 @@ class TestKernelAgainstPerContextOracle:
             record = run_experiment(rep, g, shots=30_000, seed=6, noise=noise, scheme=scheme)
             oracle = per_context_counts(rep, g, 30_000, 6, noise, scheme)
             assert (record.single_counts, record.pair_counts) == oracle
+
+
+class TestExactKernelArithmetic:
+    """Sampled counts do not move when a probability changes in its last bit,
+    so the flipped tables the sampler draws from are compared exactly."""
+
+    @pytest.mark.parametrize("kernel", [joint_probs_projective, joint_probs_demolition])
+    def test_flipped_tables_sum_one_outcome_first(self, petersen, kernel):
+        rng = np.random.default_rng(21)
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        for state in (pure_state(rep.psi), random_mixed_state(rng, rep.dimension)):
+            for ctx in ordered_contexts(petersen):
+                probs = kernel(state, ctx, rep)
+                for f in (0.01, 0.3):
+                    assert _flip_joint(probs, f) == flip_joint_terms(probs, f)
 
 
 class TestRecordEstimates:
