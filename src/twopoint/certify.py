@@ -1,8 +1,8 @@
 """End-to-end certification pipeline.
 
 For an input graph G the pipeline computes alpha(G) and theta(G), compiles
-the two-point event graph G', computes alpha(G'), certifies theta(G') from
-G's SDP solution, checks the identities alpha(G') = alpha(G) + |E| and
+the two-point event graph G', certifies alpha(G') and theta(G') from G's
+certificates, checks the identities alpha(G') = alpha(G) + |E| and
 theta(G') = theta(G) + |E|, then extracts an optimal orthogonal representation
 of G for the exact witness values and an optional simulated experiment.
 
@@ -12,6 +12,10 @@ vectors, read off X = F F^T; the upper bound is lambda_max(J - Y') for Y
 scaled by Lovasz's direct sum over the single events and the |E| pair-event
 triangles.  Each is checked on the edges of G' by code that did not build it,
 and weak duality pins theta(G') between them, even if extraction then fails.
+
+alpha(G') needs no search: G's witness lifted to the events that occur when it
+reads 1 and every other vertex 0, and the cover of G' by G and |E| cliques,
+both checked on the edges of G', pin alpha(G') to alpha(G) + |E|.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .graphs import Graph, build_two_point_graph, expand_weighted
-from .independence import IndependenceResult, SizeLimitError, independence_number
+from .graphs import EventGraph, Graph, build_two_point_graph, expand_weighted
+from .independence import IndependenceResult, SizeLimitError, independence_number, is_independent
 from .orthorep import extract_ortho_rep, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
@@ -47,7 +51,7 @@ from .theta import (
     verify_feasibility,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXACT_CONSISTENCY_TOL = 1e-10
 
 
@@ -128,6 +132,25 @@ def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dic
 
 def _alpha_section(res: IndependenceResult) -> dict[str, Any]:
     return {"alpha": res.alpha, "witness": list(res.witness), "node_count": res.node_count}
+
+
+def _alpha_gprime_section(eg: EventGraph, gp: Graph, alpha_g: dict[str, Any]) -> dict[str, Any]:
+    """alpha(G') from G's witness lifted to G' and the cover bound alpha(G) + |E|."""
+    reads = set(alpha_g["witness"])
+    lifted = [k for k, label in enumerate(eg.labels)
+              if all((o in reads) == out for o, out in label.assignments().items())]
+    singles, triples = eg.blocks()
+    pairs = [(singles[i], singles[j]) for i, j in eg.source.edges]
+    pairs += [(a, b) for tri in triples for a in tri for b in tri if a < b]
+    partition = sorted(singles + [k for tri in triples for k in tri]) == list(range(gp.n))
+    return {
+        "alpha": len(lifted),
+        "witness": lifted,
+        "upper_bound": alpha_g["alpha"] + len(eg.source.edges),
+        "method": "constructive",
+        "witness_independent": is_independent(gp, lifted),
+        "cover_verified": partition and all((min(p), max(p)) in gp.edge_set for p in pairs),
+    }
 
 
 def _max_significance(entries: list[dict[str, Any]]) -> float:
@@ -211,7 +234,9 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         data["event_graph"] = {"n": eg.n, "edge_count": len(eg.edges)}
 
     with stage("alpha_gprime"):
-        data["alpha_gprime"] = _alpha_section(independence_number(gp, limit=opts.alpha_limit))
+        section = data["alpha_gprime"] = _alpha_gprime_section(eg, gp, data["alpha_g"])
+        checks.append(["alpha_gprime_witness_independent", section["witness_independent"]])
+        checks.append(["alpha_gprime_cover_verified", section["cover_verified"]])
 
     with stage("theta_gprime"):
         X_gp = lift_primal(eg, sol_g.X)
@@ -325,7 +350,12 @@ def render_text(report: CertifyReport) -> str:
         egs = d["event_graph"]
         lines.append(f"G': {egs['n']} vertices, {egs['edge_count']} edges")
     if "alpha_gprime" in d:
-        lines.append(f"α(G') = {d['alpha_gprime']['alpha']}")
+        a = d["alpha_gprime"]
+        lines.append(
+            f"α(G') = {a['alpha']} (upper bound {a['upper_bound']}, {a['method']}, witness "
+            f"independent {'PASS' if a['witness_independent'] else 'FAIL'}, cover verified "
+            f"{'PASS' if a['cover_verified'] else 'FAIL'})"
+        )
     if "theta_gprime" in d:
         lines.append(f"ϑ(G') = {_theta_line(d['theta_gprime'])}")
     if "identities" in d:

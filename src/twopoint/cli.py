@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", choices=("projective", "demolition"), default="projective")
     p.add_argument("--skip-montecarlo", action="store_true")
-    p.add_argument("--alpha-limit", type=int, default=64)
+    p.add_argument("--alpha-limit", type=int, default=64,
+                   help="vertex limit for branch and bound on G; alpha(G') needs no search")
     p.add_argument("--dump-sdp", action="store_true")
     _add_noise_args(p)
 

@@ -203,6 +203,18 @@ class EventGraph:
         """The event graph as a plain unweighted graph."""
         return Graph(n=self.n, edges=self.edges, weights=None)
 
+    def blocks(self) -> tuple[list[int], list[list[int]]]:
+        """The block partition of G', read off the labels: each source vertex's
+        single event in vertex order, then each source edge's three pair events."""
+        singles = [-1] * self.source.n
+        triples: dict[Edge, list[int]] = {e: [] for e in self.source.edges}
+        for k, label in enumerate(self.labels):
+            if isinstance(label, PairEvent):
+                triples[(label.obs_a, label.obs_b)].append(k)
+            else:
+                singles[label.obs] = k
+        return singles, list(triples.values())
+
 
 def build_two_point_graph(g: Graph) -> EventGraph:
     """Compile G into its two-point event graph G'.

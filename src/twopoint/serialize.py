@@ -96,6 +96,11 @@ def graph_from_jsonable(data: Any) -> Graph:
             weights = {int(v): int(w) for v, w in raw_weights.items()}
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"bad graph JSON: {err}") from err
+    return _parsed_graph(n, edges, weights)
+
+
+def _parsed_graph(n: int, edges: list[tuple[int, int]], weights: Optional[dict]) -> Graph:
+    """`build_graph` on parsed input: a repeated edge warns, an error is a ParseError."""
     seen = set()
     for (i, j) in edges:
         key = (min(i, j), max(i, j))
@@ -120,7 +125,6 @@ def graph_from_dimacs(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
     weights: dict[int, int] = {}
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -133,36 +137,29 @@ def graph_from_dimacs(text: str) -> Graph:
                 n = int(parts[2])
             except ValueError as err:
                 raise ParseError(f"bad vertex count in {line!r}", lineno) from err
-        elif parts[0] == "e":
+        elif parts[0] in ("e", "n"):
+            kind = "edge" if parts[0] == "e" else "weight"
             if n is None:
-                raise ParseError("edge line before problem line", lineno)
+                raise ParseError(f"{kind} line before problem line", lineno)
             try:
                 i, j = int(parts[1]), int(parts[2])
             except (IndexError, ValueError) as err:
-                raise ParseError(f"malformed edge line {line!r}", lineno) from err
-            if not (1 <= i <= n and 1 <= j <= n):
+                raise ParseError(f"malformed {kind} line {line!r}", lineno) from err
+            if kind == "weight":
+                if not 1 <= i <= n:
+                    raise ParseError(f"weight for vertex {i} out of range for n={n}", lineno)
+                weights[i - 1] = j
+            elif not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"edge ({i},{j}) out of range for n={n}", lineno)
-            if i == j:
+            elif i == j:
                 raise ParseError(f"self-loop at vertex {i}", lineno)
-            key = (min(i, j) - 1, max(i, j) - 1)
-            if key in seen:
-                warnings.warn(f"duplicate edge {key} in input; deduplicated")
-            seen.add(key)
-            edges.append(key)
-        elif parts[0] == "n":
-            try:
-                v, w = int(parts[1]), int(parts[2])
-            except (IndexError, ValueError) as err:
-                raise ParseError(f"malformed weight line {line!r}", lineno) from err
-            weights[v - 1] = w
+            else:
+                edges.append((i - 1, j - 1))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
     if n is None:
         raise ParseError("missing problem line")
-    try:
-        return build_graph(n, edges, weights or None)
-    except ValueError as err:
-        raise ParseError(str(err)) from err
+    return _parsed_graph(n, edges, weights)
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:

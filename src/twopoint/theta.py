@@ -46,6 +46,7 @@ from .graphs import EventGraph, Graph, PairEvent
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
+MEMORY_LIMIT_BYTES = 2 * 2**30
 
 
 class SdpStatus(enum.Enum):
@@ -195,21 +196,14 @@ def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
     and get (t / bound) Y, with t = bound + |E|; each edge's three pair
     events form a triangle and get t (J_3 - I_3).  Cauchy-Schwarz over the
     1 + |E| blocks, weighted bound : 1 : ... : 1, gives
-    lambda_max(J' - Y') <= t.  The blocks are read from ``eg.labels``,
-    so the result does not depend on the vertex order of G'.
+    lambda_max(J' - Y') <= t.  The blocks are `EventGraph.blocks`, so the
+    result does not depend on the vertex order of G'.
     """
-    source = eg.source
-    t = bound + len(source.edges)
-    singles = np.empty(source.n, dtype=int)
-    triangles: dict[tuple[int, int], list[int]] = {e: [] for e in source.edges}
-    for k, label in enumerate(eg.labels):
-        if isinstance(label, PairEvent):
-            triangles[(label.obs_a, label.obs_b)].append(k)
-        else:
-            singles[label.obs] = k
+    t = bound + len(eg.source.edges)
+    singles, triangles = eg.blocks()
     Yp = np.zeros((eg.n, eg.n))
     Yp[np.ix_(singles, singles)] = (t / bound) * np.asarray(Y, dtype=float)
-    for tri in triangles.values():
+    for tri in triangles:
         Yp[np.ix_(tri, tri)] = t * (1.0 - np.eye(len(tri)))
     return Yp
 
@@ -357,12 +351,20 @@ def theta(
     CONVERGED iff the gap is within tolerance and X passes
     `verify_feasibility` at tolerance; otherwise it is MAX_ITERATIONS,
     carrying the best iterate found, never silently.  `termination` names
-    the exit.
+    the exit.  A graph whose SDP would need more than `MEMORY_LIMIT_BYTES`
+    is refused with ValueError before anything is allocated.
     """
     _check_graph(g)
     if not (1e-10 <= tolerance <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
-    if g.n == 1:
+    # Bytes live at the peak: four m x m Schur buffers, the four m x n row gathers
+    # of `assemble`, and 16 n x n iterates, directions, factors and temporaries.
+    n, m = g.n, 1 + len(g.edges)
+    need = 8 * (4 * m * m + 4 * m * n + 16 * n * n)
+    if need > MEMORY_LIMIT_BYTES:
+        raise ValueError(f"theta of n={n}, |E|={m - 1} needs about {need / 2**30:.1f} GiB, "
+                         f"above the limit of {MEMORY_LIMIT_BYTES / 2**30:g} GiB")
+    if n == 1:
         return SdpSolution(
             X=np.ones((1, 1)),
             y=np.ones(1),
@@ -374,9 +376,7 @@ def theta(
             termination=SdpTermination.GAP_TARGET,
         )
 
-    n = g.n
-    me = len(g.edges)
-    m = 1 + me
+    me = m - 1
     ei, ej = _edge_index(g)
     J = np.ones((n, n))
     eye_n = np.eye(n)

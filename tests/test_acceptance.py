@@ -47,13 +47,15 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_theorem_identities_on_random_graphs():
     # The full-theorem regression suite runs through the certify pipeline,
-    # with the source-graph alpha cross-checked against brute force and the
+    # with the source-graph alpha cross-checked against brute force, the
+    # constructive alpha(G') against branch and bound on G', and the
     # constructive theta(G') against the direct SDP on G'.
     rng = np.random.default_rng(20260809)
     opts = CertifyOptions(skip_montecarlo=True, alpha_limit=128, tolerance=SDP_TOL)
     alpha_ok = True
     pipeline_ok = True
     sandwich_ok = True
+    alpha_gprime_mismatches = 0
     worst_theta_dev = 0.0
     worst_sdp_dev = 0.0
     count = 0
@@ -69,28 +71,34 @@ def test_criterion_1_theorem_identities_on_random_graphs():
                 alpha_ok = False
             if d["identities"]["alpha_difference"] != 0:
                 alpha_ok = False
+            gp = build_two_point_graph(g).as_graph()
+            if d["alpha_gprime"]["alpha"] != independence_number(gp, limit=gp.n).alpha:
+                alpha_gprime_mismatches += 1
             worst_theta_dev = max(
                 worst_theta_dev, abs(d["identities"]["theta_difference"])
             )
-            sdp = theta(build_two_point_graph(g).as_graph(), tolerance=SDP_TOL)
+            sdp = theta(gp, tolerance=SDP_TOL)
             tp = d["theta_gprime"]
             if tp["value"] > sdp.dual_value + SDP_TOL or sdp.primal_value > tp["dual"] + SDP_TOL:
                 sandwich_ok = False
             worst_sdp_dev = max(worst_sdp_dev, abs(tp["value"] - sdp.primal_value))
     ok = (
-        alpha_ok and pipeline_ok and sandwich_ok and worst_theta_dev <= 1e-5
+        alpha_ok and pipeline_ok and sandwich_ok and alpha_gprime_mismatches == 0
+        and worst_theta_dev <= 1e-5
         and worst_sdp_dev <= 1e-6 and count >= 200
     )
     _report(
         1,
         "theorem identities on random graphs",
         ok,
-        f"{count} graphs via certify, worst theta deviation {worst_theta_dev:.2e}, "
+        f"{count} graphs via certify, {alpha_gprime_mismatches} constructive-vs-branch-and-bound "
+        f"alpha(G') mismatches, worst theta deviation {worst_theta_dev:.2e}, "
         f"worst constructive-vs-SDP theta(G') {worst_sdp_dev:.2e}",
     )
     assert alpha_ok, "alpha identity violated"
     assert pipeline_ok, "a certify check failed"
     assert sandwich_ok, "constructive and SDP bounds on theta(G') do not interleave"
+    assert alpha_gprime_mismatches == 0, "constructive alpha(G') differs from branch and bound"
     assert worst_theta_dev <= 1e-5
     assert worst_sdp_dev <= 1e-6
     assert count >= 200

@@ -9,8 +9,10 @@ import pytest
 
 from twopoint import (
     CertifyOptions,
+    EventGraph,
     ExtractionError,
     PairEvent,
+    SingleEvent,
     SizeLimitError,
     StageError,
     build_graph,
@@ -20,6 +22,8 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     emit_report,
+    expand_weighted,
+    independence_number,
     lift_primal,
     multiplier_matrix,
     theta,
@@ -134,17 +138,22 @@ class TestCertifyPipeline:
         assert abs(mc["s_estimate"] - SQRT5) <= 6 * mc["s_stderr"]
         assert len(mc["record"]["epsilon"]) == 10
 
-    def test_stage_error_carries_partial_report(self):
-        # K7 compiles to 70 event vertices, beyond the default alpha limit.
+    def test_stage_error_carries_partial_report(self, monkeypatch):
+        def failing(g):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(certify_mod, "build_two_point_graph", failing)
         with pytest.raises(StageError) as excinfo:
             certify(complete_graph(7), FAST)
         err = excinfo.value
-        assert err.stage == "alpha_gprime"
+        assert err.stage == "compile"
         partial = err.report
         assert not partial.complete
-        assert partial.data["error"]["stage"] == "alpha_gprime"
+        assert partial.data["error"] == {"stage": "compile", "message": "injected"}
         assert "alpha_g" in partial.data and "theta_g" in partial.data
+        assert "event_graph" not in partial.data and "alpha_gprime" not in partial.data
         text = emit_report(partial, "text")
+        assert "error at stage compile: injected" in text
         assert "complete: NO" in text
 
     def test_extraction_failure_keeps_theta_gprime(self, monkeypatch):
@@ -163,7 +172,12 @@ class TestCertifyPipeline:
         assert "orthorep" not in d and "exact" not in d
 
     def test_raised_alpha_limit_unblocks(self):
-        report = certify(complete_graph(7), CertifyOptions(skip_montecarlo=True, alpha_limit=80))
+        # alpha_limit gates G only: K7 stops at alpha_g below 7 and passes at the default.
+        with pytest.raises(StageError) as excinfo:
+            certify(complete_graph(7), CertifyOptions(skip_montecarlo=True, alpha_limit=6))
+        assert excinfo.value.stage == "alpha_g"
+        assert "limit of 6" in str(excinfo.value.cause)
+        report = certify(complete_graph(7), FAST)
         assert report.all_passed
         assert report.data["alpha_gprime"]["alpha"] == 1 + 21
 
@@ -186,6 +200,18 @@ def _sweep_graph(index: int, stream: str = "probe-sweep"):
         m = rng.randint(2 * n, 3 * n)
         edges = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], m)
     return build_graph(n, sorted(edges))
+
+
+def _certify_c5_tampered(monkeypatch, add=(), drop=()):
+    """certify(c5) on a G' whose edge list gains ``add`` and loses ``drop``."""
+
+    def compile_tampered(g):
+        eg = build_two_point_graph(g)
+        edges = tuple(sorted((set(eg.edges) | set(add)) - set(drop)))
+        return dataclasses.replace(eg, edges=edges)
+
+    monkeypatch.setattr(certify_mod, "build_two_point_graph", compile_tampered)
+    return certify(cycle_graph(5), FAST)
 
 
 class TestConstructiveThetaGprime:
@@ -288,22 +314,12 @@ class TestConstructiveThetaGprime:
         assert np.all(X[on_2] == 0.0)
         assert np.allclose(X, lift_primal(eg, exact @ exact.T), rtol=0.0, atol=1e-15)
 
-    @staticmethod
-    def _tampered(monkeypatch, add=(), drop=()):
-        def compile_tampered(g):
-            eg = build_two_point_graph(g)
-            edges = tuple(sorted((set(eg.edges) | set(add)) - set(drop)))
-            return dataclasses.replace(eg, edges=edges)
-
-        monkeypatch.setattr(certify_mod, "build_two_point_graph", compile_tampered)
-        return dict(certify(cycle_graph(5), FAST).checks())
-
     def test_added_edge_fails_primal_feasibility(self, monkeypatch):
         # Single events 0 and 2 of c5 are not exclusive; their lifted
         # vectors overlap and both overlap the handle.
         eg = build_two_point_graph(cycle_graph(5))
         assert (0, 2) not in eg.edges
-        checks = self._tampered(monkeypatch, add=[(0, 2)])
+        checks = dict(_certify_c5_tampered(monkeypatch, add=[(0, 2)]).checks())
         assert checks["theta_gprime_feasible"] is False
         assert checks["theta_gprime_dual_verified"] is True
 
@@ -311,13 +327,13 @@ class TestConstructiveThetaGprime:
         # Vertices 5 and 6 are the (0,0) and (0,1) events of edge (0, 1).
         eg = build_two_point_graph(cycle_graph(5))
         assert (5, 6) in eg.edges
-        checks = self._tampered(monkeypatch, drop=[(5, 6)])
+        checks = dict(_certify_c5_tampered(monkeypatch, drop=[(5, 6)]).checks())
         assert checks["theta_gprime_dual_verified"] is False
         assert checks["theta_gprime_feasible"] is True
 
     def test_report_fields(self):
         d = certify(cycle_graph(5), FAST).data
-        assert d["schema"] == 2
+        assert d["schema"] == 3
         t = d["theta_gprime"]
         assert t["status"] == "converged" and t["feasible"] and t["dual_verified"]
         assert abs(t["gap"]) <= 1e-7
@@ -336,6 +352,102 @@ class TestConstructiveThetaGprime:
         assert sum(map(sum, X)) == pytest.approx(t["value"], abs=1e-12)
 
 
+class TestConstructiveAlphaGprime:
+    """alpha(G') is read off G's witness and the blocks of G'; branch and bound runs on G only."""
+
+    def test_branch_and_bound_runs_once_on_the_work_graph(self, monkeypatch):
+        calls = []
+
+        def counting(g, **kwargs):
+            calls.append(g)
+            return independence_number(g, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "independence_number", counting)
+        g = catalog("petersen")
+        assert certify(g, FAST).all_passed
+        assert calls == [g]
+        weighted = build_graph(5, cycle_graph(5).edges, weights={0: 2})
+        calls.clear()
+        assert certify(weighted, FAST).all_passed
+        assert calls == [expand_weighted(weighted)[0]]
+
+    @pytest.mark.parametrize("name", ["c21", "c41", "k7"])
+    def test_default_options_certify(self, name, capsys):
+        # alpha(G') once ran branch and bound on G' (n' = 84, 164 and 70),
+        # which the default alpha_limit of 64 refused.
+        g = catalog(name)
+        report = certify(g)
+        assert report.all_passed, [c for c, ok in report.checks() if not ok]
+        a = report.data["alpha_gprime"]
+        reference = independence_number(build_two_point_graph(g).as_graph(), limit=10**4)
+        assert a["alpha"] == a["upper_bound"] == reference.alpha
+        assert main(["certify", name, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["complete"] and all(ok for _, ok in data["checks"])
+        assert data["alpha_gprime"] == a
+
+    def test_report_fields(self):
+        report = certify(cycle_graph(5), FAST)
+        d = report.data
+        a = d["alpha_gprime"]
+        assert set(a) == {
+            "alpha", "witness", "upper_bound", "method", "witness_independent", "cover_verified"
+        }
+        assert (a["alpha"], a["upper_bound"], a["method"]) == (7, 7, "constructive")
+        assert a["witness_independent"] is True and a["cover_verified"] is True
+        # The witness {0, 2} of c5 reads 1 on observables 0 and 2: single events
+        # 0 and 2, and on each edge the pair event of the outcomes it reads.
+        assert d["alpha_g"]["witness"] == [0, 2]
+        reads = [1, 0, 1, 0, 0]
+        eg = build_two_point_graph(cycle_graph(5))
+        assert a["witness"] == [
+            k for k, lab in enumerate(eg.labels)
+            if all(reads[o] == out for o, out in lab.assignments().items())
+        ]
+        names = [name for name, _ in d["checks"]]
+        assert {"alpha_gprime_witness_independent", "alpha_gprime_cover_verified"} <= set(names)
+        text = emit_report(report, "text")
+        assert (
+            "α(G') = 7 (upper bound 7, constructive, witness independent PASS, "
+            "cover verified PASS)" in text
+        )
+
+    @pytest.mark.parametrize(
+        "drop",
+        [(5, 6), (0, 1)],
+        ids=["triangle-edge", "single-event-edge"],
+    )
+    def test_deleted_edge_fails_cover(self, monkeypatch, drop):
+        # 5 and 6 are the (0,0) and (0,1) events of c5's edge (0, 1); 0 and 1
+        # are its single events.  Either deletion lets an independent set of
+        # G' exceed alpha(G) + |E|.
+        report = _certify_c5_tampered(monkeypatch, drop=[drop])
+        checks = dict(report.checks())
+        assert checks["alpha_gprime_cover_verified"] is False
+        assert checks["alpha_gprime_witness_independent"] is True
+        assert not report.all_passed
+        text = emit_report(report, "text")
+        assert "cover verified FAIL" in text and "overall: FAIL" in text
+
+    def test_blocks_must_partition_gprime(self):
+        # A second single event of vertex 0 is left out of every block, so the
+        # cover bound alpha(G) + |E| = 1 would miss it: alpha of this G' is 2.
+        g = build_graph(1, [])
+        eg = EventGraph(source=g, labels=(SingleEvent(0, 1), SingleEvent(0, 1)), edges=())
+        section = certify_mod._alpha_gprime_section(eg, eg.as_graph(), {"alpha": 1, "witness": [0]})
+        assert section["cover_verified"] is False
+        assert (section["alpha"], section["upper_bound"]) == (2, 1)
+
+    def test_joined_witness_events_fail_independence(self, monkeypatch):
+        # The lifted witness holds single events 0 and 2; joining them leaves
+        # the cover intact but the lifted set no longer independent.
+        report = _certify_c5_tampered(monkeypatch, add=[(0, 2)])
+        checks = dict(report.checks())
+        assert checks["alpha_gprime_witness_independent"] is False
+        assert checks["alpha_gprime_cover_verified"] is True
+        assert not report.all_passed
+
+
 class TestReportEmission:
     def test_byte_identical_reruns(self):
         a = emit_report(certify(cycle_graph(5), CertifyOptions(shots=2000, seed=3)), "json")
@@ -345,7 +457,7 @@ class TestReportEmission:
     def test_json_is_parseable_and_versioned(self):
         report = certify(complete_graph(2), FAST)
         data = json.loads(emit_report(report, "json"))
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["complete"] is True
 
     def test_text_has_identity_lines(self):
@@ -445,12 +557,13 @@ class TestCli:
         assert info.value.report.data["error"]["stage"] == "montecarlo"
 
     def test_certify_stage_failure_emits_partial_report(self, capsys):
-        assert main(["certify", "k7", "--skip-montecarlo", "--format", "json"]) == 1
+        assert main(["certify", "k7", "--shots", str(10**19), "--format", "json"]) == 1
         captured = capsys.readouterr()
         data = json.loads(captured.out)
         assert data["complete"] is False
-        assert data["error"]["stage"] == "alpha_gprime"
-        assert "alpha_gprime" in captured.err
+        assert data["error"]["stage"] == "montecarlo"
+        assert "alpha_gprime" in data and "exact" in data and "montecarlo" not in data
+        assert "montecarlo" in captured.err
 
     @pytest.mark.parametrize("command", ["orthorep", "simulate"])
     def test_extraction_failure_is_an_error_line(self, monkeypatch, capsys, command):

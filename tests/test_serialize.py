@@ -186,6 +186,17 @@ class TestGraphFormats:
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("e 1 2\n", "dimacs")
 
+    def test_dimacs_weight_before_problem_line_refused(self):
+        with pytest.raises(ParseError, match="^line 2: weight line before problem line$"):
+            parse_graph("c weights first\nn 1 2\np edge 3 1\ne 1 2\n", "dimacs")
+
+    @pytest.mark.parametrize("vertex", [0, 4])
+    def test_dimacs_weight_vertex_out_of_range(self, vertex):
+        with pytest.raises(
+            ParseError, match=f"^line 3: weight for vertex {vertex} out of range for n=3$"
+        ):
+            parse_graph(f"p edge 3 1\ne 1 2\nn {vertex} 5\n", "dimacs")
+
     def test_invalid_json_reported(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_graph("{oops", "json")

@@ -19,6 +19,7 @@ from twopoint import (
     verify_dual,
     verify_feasibility,
 )
+from twopoint.cli import main
 from twopoint.theta import _Schur
 from conftest import random_graph
 from oracles import odd_cycle_theta, theta_sandwich
@@ -319,6 +320,41 @@ class TestValidation:
         g = build_graph(2, [(0, 1)], weights={0: 2})
         with pytest.raises(ValueError, match="expand"):
             theta(g)
+
+
+class _SchurBuilt(Exception):
+    pass
+
+
+class TestMemoryRefusal:
+    """A graph whose SDP working set exceeds 2 GiB is refused before any allocation."""
+
+    @pytest.fixture(autouse=True)
+    def no_schur(self, monkeypatch):
+        # A missing guard fails here instead of allocating the m x m buffers.
+        def built(*args):
+            raise _SchurBuilt
+
+        monkeypatch.setattr(theta_mod, "_Schur", built)
+
+    def test_k200_refused(self):
+        # |E| = 19,900: the four m x m float64 Schur buffers alone need 11.8 GiB.
+        with pytest.raises(ValueError, match=r"n=200, \|E\|=19900 needs about 11\.9 GiB"):
+            theta(complete_graph(200))
+
+    def test_cli_exits_1_on_k200(self, capsys):
+        assert main(["theta", "k200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: theta of n=200, |E|=19900 needs about")
+        assert "above the limit of 2 GiB" in captured.err
+
+    def test_k9_gprime_is_accepted(self):
+        # K9's G' (m' = 3,565, about 0.4 GiB) reaches the solver.
+        gp = build_two_point_graph(complete_graph(9)).as_graph()
+        assert 1 + len(gp.edges) == 3565
+        with pytest.raises(_SchurBuilt):
+            theta(gp)
 
 
 class TestStructuralProperties:
