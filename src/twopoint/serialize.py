@@ -76,6 +76,13 @@ def graph_to_jsonable(g: Graph) -> dict:
     return out
 
 
+def _json_int(x: Any, field: str) -> int:
+    """``x`` if it is a JSON integer; ``int()`` would read 3.9, true and "2" as one."""
+    if type(x) is not int:
+        raise TypeError(f"{field} must be an integer, got {x!r}")
+    return x
+
+
 def graph_from_jsonable(data: Any) -> Graph:
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
@@ -89,12 +96,13 @@ def graph_from_jsonable(data: Any) -> Graph:
     if raw_weights is not None and not isinstance(raw_weights, dict):
         raise ParseError("graph JSON 'weights' must be an object")
     try:
-        n = int(data["n"])
-        edges = [(int(i), int(j)) for i, j in raw_edges]
+        n = _json_int(data["n"], "'n'")
+        edges = [tuple(_json_int(x, f"endpoint of edge {e}") for x in e) for e in raw_edges]
         weights = None
         if raw_weights is not None:
-            weights = {int(v): int(w) for v, w in raw_weights.items()}
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+            items = raw_weights.items()
+            weights = {int(v): _json_int(w, f"'weights' value of vertex {v}") for v, w in items}
+    except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"bad graph JSON: {err}") from err
     return _parsed_graph(n, edges, weights)
 
@@ -148,6 +156,8 @@ def graph_from_dimacs(text: str) -> Graph:
             if kind == "weight":
                 if not 1 <= i <= n:
                     raise ParseError(f"weight for vertex {i} out of range for n={n}", lineno)
+                if j < 1:
+                    raise ParseError(f"weight of vertex {i} must be >= 1, got {j}", lineno)
                 weights[i - 1] = j
             elif not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"edge ({i},{j}) out of range for n={n}", lineno)
@@ -266,24 +276,23 @@ _OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
 
 
 def record_to_jsonable(record: ExperimentRecord) -> dict:
-    """The record with every count's estimate and standard error, as
-    ``single_estimate`` and ``pair_estimate`` give them, and both ε tables."""
-    n = record.graph.n
-    n1 = np.array([record.single_counts[v][1] for v in range(n)], dtype=np.int64)
-    p, se = binomial_estimates(n1, record.shots)
+    """The record with every count's estimate and standard error, from
+    :func:`binomial_estimates`, the witness estimate, and both ε tables."""
+    p, se = binomial_estimates(record.single_counts, record.shots)
     singles = {
-        str(v): {"n0": record.single_counts[v][0], "n1": c, "p1": pv, "stderr": sv}
-        for v, c, pv, sv in zip(range(n), n1.tolist(), p.tolist(), se.tolist())
+        str(v): {"n0": record.shots - c, "n1": c, "p1": pv, "stderr": sv}
+        for v, (c, pv, sv) in enumerate(zip(record.single_counts, p.tolist(), se.tolist()))
     }
-    keys, counts = record.pair_count_table()
+    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
     p, se = binomial_estimates(counts, record.shots)
+    rows = zip(record.contexts, record.pair_counts, p.tolist(), se.tolist())
     pairs = {
         f"{first},{second}": {
             "counts": dict(zip(_OUTCOME_KEYS, c)),
             "p": dict(zip(_OUTCOME_KEYS, pv)),
             "stderr": dict(zip(_OUTCOME_KEYS, sv)),
         }
-        for (first, second), c, pv, sv in zip(keys, counts.tolist(), p.tolist(), se.tolist())
+        for (first, second), c, pv, sv in rows
     }
     s_value, s_err = record.s_estimate()
     return {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -258,21 +258,20 @@ def evaluate_s_prime(
     return total
 
 
-def binomial_stderr(p: float, shots: int) -> float:
-    """Binomial standard error with a continuity floor at degenerate estimates."""
-    if p <= 0.0 or p >= 1.0:
-        return math.sqrt(0.25 / shots)
-    return math.sqrt(p * (1.0 - p) / shots)
-
-
-def binomial_estimates(counts: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise ``c / shots`` and its :func:`binomial_stderr`, the same doubles
-    as the scalar arithmetic."""
-    if shots <= 2**53:  # int64 counts and shots convert to doubles exactly
-        p = counts / shots
-    else:
-        p = np.array([c / shots for c in counts.ravel().tolist()]).reshape(counts.shape)
-    floor = binomial_stderr(0.0, shots)
+def binomial_estimates(
+    counts: np.ndarray | Sequence[int], shots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise estimate p = c / shots of outcome counts and its binomial
+    standard error sqrt(p (1 - p) / shots), floored at sqrt(0.25 / shots) where
+    p is 0 or 1.  ``counts`` is an int64 array, or a sequence of Python ints
+    where they may pass int64 (pooled counts reach 2 shots - 2).  Every p is
+    the correctly rounded quotient, as Python's ``c / shots`` gives it."""
+    if shots <= 2**53:  # counts and shots convert to doubles exactly
+        p = np.asarray(counts, dtype=np.int64) / shots
+    else:  # exact Python ints, as pooled counts may pass int64
+        exact = np.array(counts, dtype=object)
+        p = np.array([c / shots for c in exact.ravel().tolist()]).reshape(exact.shape)
+    floor = math.sqrt(0.25 / shots)
     return p, np.where((p <= 0.0) | (p >= 1.0), floor, np.sqrt(p * (1.0 - p) / shots))
 
 
@@ -339,50 +338,37 @@ class SignalingEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """Counts and derived statistics of one simulated experiment."""
+    """The counts one simulated experiment drew, as the sampler draws them.
+
+    ``contexts`` holds the ordered contexts (first, second), sorted;
+    ``single_counts[v]`` is vertex v's count of outcome 1 (of 0, ``shots``
+    minus it); ``pair_counts[k]`` is ``contexts[k]``'s counts in ``OUTCOMES``
+    order.  Tuples keep the record comparable with ``==`` and hashable.
+    """
 
     graph: Graph
     scheme: str
     seed: int
     shots: int
     noise: NoiseModel
-    single_counts: dict[int, tuple[int, int]]  # vertex -> (count of 0, count of 1)
-    pair_counts: dict[tuple[int, int], dict[tuple[int, int], int]]
-
-    def single_estimate(self, v: int) -> tuple[float, float]:
-        n0, n1 = self.single_counts[v]
-        p = n1 / self.shots
-        return p, binomial_stderr(p, self.shots)
-
-    def pair_estimate(self, first: int, second: int, a: int, b: int) -> tuple[float, float]:
-        c = self.pair_counts[(first, second)][(a, b)]
-        p = c / self.shots
-        return p, binomial_stderr(p, self.shots)
-
-    def pooled_pair11(self, i: int, j: int) -> tuple[float, float]:
-        """P(1,1) estimate pooled over the two measurement orders of an edge."""
-        c = self.pair_counts[(i, j)][(1, 1)] + self.pair_counts[(j, i)][(1, 1)]
-        n = 2 * self.shots
-        p = c / n
-        return p, binomial_stderr(p, n)
-
-    def pair_count_table(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """The ordered contexts sorted by (first, second), and their counts as a
-        contexts x 4 int64 array with columns in ``OUTCOMES`` order."""
-        keys = sorted(self.pair_counts)
-        rows = [[self.pair_counts[k][o] for o in OUTCOMES] for k in keys]
-        return keys, np.array(rows, dtype=np.int64).reshape(-1, 4)
+    contexts: tuple[tuple[int, int], ...]
+    single_counts: tuple[int, ...]
+    pair_counts: tuple[tuple[int, int, int, int], ...]
 
     def s_estimate(self) -> tuple[float, float]:
-        """Witness estimate with combined binomial standard error."""
+        """Witness estimate with combined binomial standard error: each vertex's
+        P(1) less each edge's P(1,1), pooled over its two orders."""
+        n11 = {c: row[3] for c, row in zip(self.contexts, self.pair_counts)}  # OUTCOMES[3] = (1, 1)
+        pooled = [n11[(i, j)] + n11[(j, i)] for (i, j) in self.graph.edges]  # may pass int64
+        p1, se1 = binomial_estimates(self.single_counts, self.shots)
+        p11, se11 = binomial_estimates(pooled, 2 * self.shots)
         value = 0.0
         var = 0.0
-        for v in range(self.graph.n):
-            p, se = self.single_estimate(v)
+        # plain loops, not sum(), which compensates from Python 3.12 on
+        for p, se in zip(p1.tolist(), se1.tolist()):
             value += p
             var += se * se
-        for (i, j) in self.graph.edges:
-            p, se = self.pooled_pair11(i, j)
+        for p, se in zip(p11.tolist(), se11.tolist()):
             value -= p
             var += se * se
         return value, math.sqrt(var)
@@ -439,15 +425,14 @@ def run_experiment(
         )
     vectors = np.asarray(vectors, dtype=complex)
 
-    single_counts: dict[int, tuple[int, int]] = {}
+    single_counts = []
     for v in range(g.n):
         p1 = _flip_single(born_single(state, vectors[v]), flip)
         rng = np.random.default_rng(streams[1 + v])
-        n1 = int(rng.binomial(shots, min(1.0, max(0.0, p1))))
-        single_counts[v] = (shots - n1, n1)
+        single_counts.append(int(rng.binomial(shots, min(1.0, max(0.0, p1)))))
 
     demolition = scheme == "demolition"
-    pair_counts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    pair_counts = []
     first = None
     for k, ctx in enumerate(contexts):
         if ctx.first != first:
@@ -457,8 +442,7 @@ def run_experiment(
         vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
         vec = vec / vec.sum()
         rng = np.random.default_rng(streams[1 + g.n + k])
-        counts = rng.multinomial(shots, vec)
-        pair_counts[(ctx.first, ctx.second)] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
+        pair_counts.append(tuple(rng.multinomial(shots, vec).tolist()))
 
     return ExperimentRecord(
         graph=g,
@@ -466,8 +450,9 @@ def run_experiment(
         seed=seed,
         shots=shots,
         noise=noise,
-        single_counts=single_counts,
-        pair_counts=pair_counts,
+        contexts=tuple((c.first, c.second) for c in contexts),
+        single_counts=tuple(single_counts),
+        pair_counts=tuple(pair_counts),
     )
 
 
@@ -475,19 +460,19 @@ def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
     """Compare the marginal at ``position`` of every observable across the settings
     measured with it in the other position.
 
-    The tables come from count arrays: the counts are read once into a
+    The tables come from count arrays: the count rows are read once into a
     contexts x 4 array, each context's two marginal counts, estimates and
     standard errors are computed once, and a fixed observable's comparisons
     are index pairs into them, in (fixed, varied_a, varied_b, outcome) order.
     """
     other = 1 - position
-    keys, counts = record.pair_count_table()
-    ctx = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
+    ctx = np.array(record.contexts, dtype=np.int64).reshape(-1, 2)
     # counts[k, a, b]: summing out the other position leaves the marginal of ``position``
     p, se = binomial_estimates(counts.reshape(-1, 2, 2).sum(axis=2 - position), record.shots)
     groups: dict[int, list[int]] = {}
     for k in np.lexsort((ctx[:, other], ctx[:, position])).tolist():
-        groups.setdefault(keys[k][position], []).append(k)
+        groups.setdefault(record.contexts[k][position], []).append(k)
     pairs = [(x, y) for rows in groups.values() for i, x in enumerate(rows) for y in rows[i + 1:]]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     columns = (  # one row per pair and outcome, outcome fastest

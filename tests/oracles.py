@@ -35,7 +35,6 @@ from twopoint.simulate import (
     _flip_joint,
     _flip_single,
     _misaligned_vectors,
-    binomial_stderr,
 )
 from twopoint.theta import DEFAULT_TOLERANCE
 
@@ -288,12 +287,60 @@ def recursive_canonical_json(obj: Any) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def binomial_stderr(p: float, shots: int) -> float:
+    """Binomial standard error with a continuity floor at degenerate estimates:
+    the scalar reference for ``binomial_estimates``."""
+    if p <= 0.0 or p >= 1.0:
+        return math.sqrt(0.25 / shots)
+    return math.sqrt(p * (1.0 - p) / shots)
+
+
+def pair_row(record: ExperimentRecord, first: int, second: int) -> dict[tuple[int, int], int]:
+    """The counts of the ordered context (first, second), keyed by outcome pair."""
+    return dict(zip(OUTCOMES, record.pair_counts[record.contexts.index((first, second))]))
+
+
+def single_estimate(record: ExperimentRecord, v: int) -> tuple[float, float]:
+    p = record.single_counts[v] / record.shots
+    return p, binomial_stderr(p, record.shots)
+
+
+def pair_estimate(
+    record: ExperimentRecord, first: int, second: int, a: int, b: int
+) -> tuple[float, float]:
+    p = pair_row(record, first, second)[(a, b)] / record.shots
+    return p, binomial_stderr(p, record.shots)
+
+
+def pooled_pair11(record: ExperimentRecord, i: int, j: int) -> tuple[float, float]:
+    """P(1,1) estimate pooled over the two measurement orders of an edge."""
+    c = pair_row(record, i, j)[(1, 1)] + pair_row(record, j, i)[(1, 1)]
+    n = 2 * record.shots
+    p = c / n
+    return p, binomial_stderr(p, n)
+
+
+def scalar_s_estimate(record: ExperimentRecord) -> tuple[float, float]:
+    """``ExperimentRecord.s_estimate`` one scalar estimate at a time."""
+    value = 0.0
+    var = 0.0
+    for v in range(record.graph.n):
+        p, se = single_estimate(record, v)
+        value += p
+        var += se * se
+    for (i, j) in record.graph.edges:
+        p, se = pooled_pair11(record, i, j)
+        value -= p
+        var += se * se
+    return value, math.sqrt(var)
+
+
 def record_marginal(
     record: ExperimentRecord, ctx: tuple[int, int], position: int, outcome: int
 ) -> tuple[float, float]:
     """Marginal estimate of the first (position 0) or second (position 1)
     measurement of the ordered pair ``ctx = (first, second)``, from its counts."""
-    c = sum(n for ab, n in record.pair_counts[ctx].items() if ab[position] == outcome)
+    c = sum(n for ab, n in pair_row(record, *ctx).items() if ab[position] == outcome)
     p = c / record.shots
     return p, binomial_stderr(p, record.shots)
 
@@ -304,7 +351,7 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[Signalin
     out: list[SignalingEntry] = []
     for fixed in range(record.graph.n):
         ctxs = sorted(
-            (c for c in record.pair_counts if c[position] == fixed),
+            (c for c in record.contexts if c[position] == fixed),
             key=lambda c: c[1 - position],
         )
         for x in range(len(ctxs)):
@@ -354,10 +401,12 @@ def per_context_counts(
     seed: int,
     noise: Optional[NoiseModel] = None,
     scheme: str = "projective",
-) -> tuple[dict, dict]:
-    """``run_experiment``'s single and pair counts, sampled the way it did before
-    it conditioned once per first observable: the public ``joint_probs_*``
-    kernel is called once per ordered context, on the same RNG streams."""
+) -> tuple[tuple, tuple, tuple]:
+    """``run_experiment``'s contexts, single counts and pair counts, sampled the
+    way it did before it conditioned once per first observable: the public
+    ``joint_probs_*`` kernel is called once per ordered context, on the same
+    RNG streams, and each count is stored in a dict keyed by vertex, context
+    and outcome pair before it is read out in the record's order."""
     noise = noise or NoiseModel()
     joint_fn = joint_probs_projective if scheme == "projective" else joint_probs_demolition
     contexts = ordered_contexts(g)
@@ -388,4 +437,9 @@ def per_context_counts(
         rng = np.random.default_rng(streams[1 + g.n + k])
         counts = rng.multinomial(shots, vec)
         pair_counts[(ctx.first, ctx.second)] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
-    return single_counts, pair_counts
+    keys = sorted(pair_counts)
+    return (
+        tuple(keys),
+        tuple(single_counts[v][1] for v in range(g.n)),
+        tuple(tuple(pair_counts[k][o] for o in OUTCOMES) for k in keys),
+    )

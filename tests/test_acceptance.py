@@ -32,7 +32,13 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.simulate import TwoPointContext
 from conftest import random_graph
-from oracles import brute_force_alpha, max_assignment_value, odd_cycle_theta
+from oracles import (
+    brute_force_alpha,
+    max_assignment_value,
+    odd_cycle_theta,
+    pair_estimate,
+    single_estimate,
+)
 
 SQRT5 = math.sqrt(5.0)
 SDP_TOL = 1e-7
@@ -204,13 +210,13 @@ def test_criterion_7_monte_carlo_statistics():
     state = pure_state(rep.psi)
     probs_ok = True
     for v in range(g.n):
-        p_hat, p_se = record.single_estimate(v)
+        p_hat, p_se = single_estimate(record, v)
         if abs(p_hat - born_single(state, rep.vectors[v])) > 5 * max(p_se, 1e-9):
             probs_ok = False
-    for (first, second) in record.pair_counts:
+    for (first, second) in record.contexts:
         exact = joint_probs_projective(state, TwoPointContext(first, second), rep)
         for (a, b), p_exact in exact.items():
-            p_hat, p_se = record.pair_estimate(first, second, a, b)
+            p_hat, p_se = pair_estimate(record, first, second, a, b)
             if abs(p_hat - p_exact) > 5 * max(p_se, 1e-9):
                 probs_ok = False
 

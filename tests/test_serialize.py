@@ -18,6 +18,7 @@ from twopoint import (
 )
 from twopoint import cli
 from twopoint import serialize
+from twopoint.simulate import OUTCOMES
 from twopoint.serialize import (
     dumps_canonical,
     event_graph_from_jsonable,
@@ -197,6 +198,31 @@ class TestGraphFormats:
         ):
             parse_graph(f"p edge 3 1\ne 1 2\nn {vertex} 5\n", "dimacs")
 
+    @pytest.mark.parametrize("weight", [0, -4])
+    def test_dimacs_weight_below_one_refused(self, weight):
+        with pytest.raises(
+            ParseError, match=f"^line 2: weight of vertex 1 must be >= 1, got {weight}$"
+        ):
+            parse_graph(f"p edge 3 0\nn 1 {weight}\n", "dimacs")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 3.9, "edges": []}', "'n' must be an integer, got 3.9$"),
+            ('{"n": 3, "edges": [[0, 1.7]]}', r"endpoint of edge \[0, 1.7\] must be an integer"),
+            ('{"n": true, "edges": []}', "'n' must be an integer, got True$"),
+            ('{"n": 3, "edges": [[0, "2"]]}', r"endpoint of edge \[0, '2'\] .* got '2'$"),
+            (
+                '{"n": 3, "edges": [], "weights": {"0": 2.5}}',
+                "'weights' value of vertex 0 must be an integer, got 2.5$",
+            ),
+        ],
+        ids=["float-n", "float-endpoint", "bool-n", "string-endpoint", "float-weight"],
+    )
+    def test_json_non_integer_refused(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text, "json")
+
     def test_invalid_json_reported(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_graph("{oops", "json")
@@ -241,8 +267,12 @@ class TestRecordSerialization:
         assert data["shots"] == 300
         assert data["seed"] == 21
         assert len(data["pairs"]) == 10
-        for entry in data["pairs"].values():
-            assert sum(entry["counts"].values()) == 300
+        for (first, second), row in zip(record.contexts, record.pair_counts):
+            counts = data["pairs"][f"{first},{second}"]["counts"]
+            assert [counts[f"{a}{b}"] for a, b in OUTCOMES] == list(row)
+            assert sum(row) == 300
+        for v, n1 in enumerate(record.single_counts):
+            assert (data["singles"][str(v)]["n0"], data["singles"][str(v)]["n1"]) == (300 - n1, n1)
         assert len(data["epsilon"]) == 10
         assert len(data["epsilon_prime"]) == 10
-        assert data["s_estimate"] == pytest.approx(record.s_estimate()[0])
+        assert (data["s_estimate"], data["s_stderr"]) == record.s_estimate()

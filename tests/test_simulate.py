@@ -24,7 +24,7 @@ from twopoint import (
     run_experiment,
     theta,
 )
-from twopoint.simulate import TwoPointContext, _flip_joint
+from twopoint.simulate import OUTCOMES, TwoPointContext, _flip_joint
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
@@ -32,8 +32,12 @@ from oracles import (
     flip_joint_terms,
     kcbs_graph,
     maximally_mixed,
+    pair_estimate,
+    pair_row,
     pairwise_signaling,
     per_context_counts,
+    scalar_s_estimate,
+    single_estimate,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -280,6 +284,7 @@ class TestRunExperiment:
         a = run_experiment(rep, kcbs_graph(), shots=500, seed=11)
         b = run_experiment(rep, kcbs_graph(), shots=500, seed=11)
         assert a == b
+        assert hash(a) == hash(b)
 
     def test_different_seeds_differ(self):
         rep = builtin_kcbs_rep()
@@ -290,16 +295,16 @@ class TestRunExperiment:
     def test_single_shot_counts(self):
         rep = builtin_kcbs_rep()
         record = run_experiment(rep, kcbs_graph(), shots=1, seed=3)
-        for counts in record.pair_counts.values():
-            assert sum(counts.values()) == 1
-        for (n0, n1) in record.single_counts.values():
-            assert n0 + n1 == 1
+        for counts in record.pair_counts:
+            assert sum(counts) == 1
+        assert all(n1 in (0, 1) for n1 in record.single_counts)
 
     def test_counts_sum_to_shots(self):
         rep = builtin_kcbs_rep()
         record = run_experiment(rep, kcbs_graph(), shots=250, seed=4)
-        assert all(sum(c.values()) == 250 for c in record.pair_counts.values())
+        assert all(sum(c) == 250 for c in record.pair_counts)
         assert len(record.pair_counts) == 2 * len(kcbs_graph().edges)
+        assert list(record.contexts) == [(c.first, c.second) for c in ordered_contexts(kcbs_graph())]
 
     def test_noiseless_estimate_converges(self):
         rep = builtin_kcbs_rep()
@@ -358,7 +363,7 @@ class TestSignalingDiagnostics:
         record = run_experiment(rep, kcbs_graph(), shots=150_000, seed=13, noise=noise)
         expected = 0.9 / 3 + 0.1 * 2 / 3
         for v in range(5):
-            p, se = record.single_estimate(v)
+            p, se = single_estimate(record, v)
             assert abs(p - expected) <= 5 * se
 
     def test_no_shared_second_means_empty_table(self, k2):
@@ -393,8 +398,11 @@ class TestSignalingDiagnostics:
         g, rep = _isolated_and_leaf_case()
         noise = NoiseModel(outcome_flip_p=0.02)
         record = run_experiment(rep, g, shots=5_000, seed=2, noise=noise)
+        order = np.random.default_rng(0).permutation(len(record.contexts)).tolist()
         shuffled = dataclasses.replace(
-            record, pair_counts=dict(reversed(record.pair_counts.items()))
+            record,
+            contexts=tuple(record.contexts[k] for k in order),
+            pair_counts=tuple(record.pair_counts[k] for k in order),
         )
         for rec in (record, shuffled):
             assert epsilon_signaling(rec) == pairwise_signaling(rec, 1)
@@ -418,14 +426,14 @@ class TestKernelAgainstPerContextOracle:
         rep = extract_ortho_rep(petersen, theta(petersen))
         record = run_experiment(rep, petersen, shots=50_000, seed=5, noise=noise, scheme=scheme)
         oracle = per_context_counts(rep, petersen, 50_000, 5, noise, scheme)
-        assert (record.single_counts, record.pair_counts) == oracle
+        assert (record.contexts, record.single_counts, record.pair_counts) == oracle
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_isolated_and_leaf_vertices(self, scheme):
         g, rep = _isolated_and_leaf_case()
         record = run_experiment(rep, g, shots=7_000, seed=8, noise=NOISY, scheme=scheme)
         oracle = per_context_counts(rep, g, 7_000, 8, NOISY, scheme)
-        assert (record.single_counts, record.pair_counts) == oracle
+        assert (record.contexts, record.single_counts, record.pair_counts) == oracle
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_random_graph_complex_vectors(self, scheme):
@@ -436,7 +444,7 @@ class TestKernelAgainstPerContextOracle:
         for noise in (None, NOISY):
             record = run_experiment(rep, g, shots=30_000, seed=6, noise=noise, scheme=scheme)
             oracle = per_context_counts(rep, g, 30_000, 6, noise, scheme)
-            assert (record.single_counts, record.pair_counts) == oracle
+            assert (record.contexts, record.single_counts, record.pair_counts) == oracle
 
 
 class TestExactKernelArithmetic:
@@ -455,23 +463,27 @@ class TestExactKernelArithmetic:
 
 
 class TestRecordEstimates:
-    """record_to_jsonable computes p and stderr from count arrays; they must be
-    the doubles of single_estimate and pair_estimate, floors included."""
+    """record_to_jsonable and s_estimate compute p and stderr with
+    binomial_estimates; they must be the doubles of the scalar oracle,
+    floors and exact-division branches included."""
 
     @staticmethod
     def _assert_estimates_equal(record):
         data = record_to_jsonable(record)
         for v in range(record.graph.n):
             entry = data["singles"][str(v)]
-            assert (entry["p1"], entry["stderr"]) == record.single_estimate(v)
-        for (first, second), counts in record.pair_counts.items():
+            assert (entry["p1"], entry["stderr"]) == single_estimate(record, v)
+            assert entry["n0"] + entry["n1"] == record.shots
+        for (first, second) in record.contexts:
             entry = data["pairs"][f"{first},{second}"]
-            for (a, b), c in counts.items():
+            for (a, b), c in pair_row(record, first, second).items():
                 key = f"{a}{b}"
                 assert entry["counts"][key] == c
-                assert (entry["p"][key], entry["stderr"][key]) == record.pair_estimate(
-                    first, second, a, b
+                assert (entry["p"][key], entry["stderr"][key]) == pair_estimate(
+                    record, first, second, a, b
                 )
+        assert record.s_estimate() == scalar_s_estimate(record)
+        assert (data["s_estimate"], data["s_stderr"]) == record.s_estimate()
         assert epsilon_signaling(record) == pairwise_signaling(record, 1)
         assert epsilon_prime(record) == pairwise_signaling(record, 0)
 
@@ -479,12 +491,30 @@ class TestRecordEstimates:
         rep = extract_ortho_rep(petersen, theta(petersen))
         self._assert_estimates_equal(run_experiment(rep, petersen, shots=1, seed=2, noise=NOISY))
 
-    def test_exact_rep_edges_floor_one_one(self):
-        record = run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=20_000, seed=3)
-        assert all(c[(1, 1)] == 0 for c in record.pair_counts.values())
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_noisy_petersen(self, petersen, scheme):
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        record = run_experiment(rep, petersen, shots=30_000, seed=9, noise=NOISY, scheme=scheme)
         self._assert_estimates_equal(record)
 
-    @pytest.mark.parametrize("shots", [2**53 + 1, 2**63 - 1])
+    def test_exact_rep_edges_floor_one_one(self):
+        record = run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=20_000, seed=3)
+        assert all(c[OUTCOMES.index((1, 1))] == 0 for c in record.pair_counts)
+        self._assert_estimates_equal(record)
+
+    @pytest.mark.parametrize("shots", [2**52 + 1, 2**53 + 1, 2**63 - 1])
     def test_shots_beyond_exact_doubles(self, shots):
+        # 2**52 + 1: only the pooled (1,1) counts, over 2 shots > 2**53, divide exactly
         g, rep = _isolated_and_leaf_case()
         self._assert_estimates_equal(run_experiment(rep, g, shots=shots, seed=4, noise=NOISY))
+
+    def test_pooled_counts_beyond_int64(self, k2):
+        # Every bit flips, so each (1,1) count is shots and the pooled count
+        # 2**64 - 2 does not fit in int64.
+        rep = OrthoRep(dimension=3, psi=np.eye(3)[2], vectors=np.eye(3)[:2].copy())
+        record = run_experiment(
+            rep, k2, shots=2**63 - 1, seed=0, noise=NoiseModel(outcome_flip_p=1.0)
+        )
+        assert record.pair_counts == ((0, 0, 0, 2**63 - 1),) * 2
+        assert record.s_estimate() == (1.0, 2.6031257322754127e-10)
+        self._assert_estimates_equal(record)
