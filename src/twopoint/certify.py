@@ -23,13 +23,16 @@ from __future__ import annotations
 import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .graphs import EventGraph, Graph, build_two_point_graph, expand_weighted
-from .independence import IndependenceResult, SizeLimitError, independence_number, is_independent
-from .orthorep import extract_ortho_rep, verify_ortho_rep
+from .independence import (
+    ALPHA_LIMIT, IndependenceResult, SizeLimitError, independence_number, is_independent
+)
+from .orthorep import extract_ortho_rep, realisation_gate, verify_ortho_rep
 from .serialize import dumps_canonical, format_float, record_to_jsonable
 from .simulate import (
+    SCHEMES,
     ExperimentRecord,
     NoiseModel,
     TwoPointContext,
@@ -42,6 +45,7 @@ from .simulate import (
 # Unused since record_to_jsonable builds the ε tables; the benchmark tracer patches these names.
 from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 from .theta import (
+    DEFAULT_TOLERANCE,
     DualReport,
     lift_dual,
     lift_primal,
@@ -57,19 +61,44 @@ EXACT_CONSISTENCY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    tolerance: float = 1e-7
+    tolerance: float = DEFAULT_TOLERANCE
     shots: int = 100_000
     seed: int = 0
     noise: NoiseModel = field(default_factory=NoiseModel)
     scheme: str = "projective"
     skip_montecarlo: bool = False
-    alpha_limit: int = 64
+    alpha_limit: int = ALPHA_LIMIT
     include_sdp_matrices: bool = False
+
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+
+
+# The checks in report order: (name, report section, predicate on the section's stored
+# numbers, flags and tolerances).  `certify` stores their values; `CertifyReport` re-evaluates.
+CHECKS: tuple[tuple[str, str, Callable[[dict[str, Any]], Any]], ...] = (
+    ("theta_g_converged", "theta_g", lambda t: t["status"] == "converged"),
+    ("theta_g_feasible", "theta_g", lambda t: t["feasible"]),
+    ("theta_g_dual_verified", "theta_g", lambda t: t["dual_verified"]),
+    ("alpha_gprime_witness_independent", "alpha_gprime", lambda a: a["witness_independent"]),
+    ("alpha_gprime_cover_verified", "alpha_gprime", lambda a: a["cover_verified"]),
+    ("theta_gprime_converged", "theta_gprime", lambda t: t["status"] == "converged"),
+    ("theta_gprime_feasible", "theta_gprime", lambda t: t["feasible"]),
+    ("theta_gprime_dual_verified", "theta_gprime", lambda t: t["dual_verified"]),
+    ("alpha_identity", "identities", lambda i: i["alpha_difference"] == 0),
+    ("theta_identity", "identities", lambda i: abs(i["theta_difference"]) <= i["theta_tolerance"]),
+    ("orthorep_verified", "orthorep", lambda o: all(
+        o[k] <= o["tolerance"] for k in ("max_edge_overlap", "max_norm_error", "overlap_error")
+    )),
+    ("s_prime_consistent", "exact", lambda e: e["consistency_error"] <= EXACT_CONSISTENCY_TOL),
+    ("s_matches_theta", "exact", lambda e: e["s_vs_theta_error"] <= e["s_tolerance"]),
+)
 
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Pipeline results as a JSON-ready tree plus derived pass/fail checks."""
+    """Pipeline results as a JSON-ready tree; its checks are the rules of CHECKS."""
 
     data: dict[str, Any]
 
@@ -77,12 +106,15 @@ class CertifyReport:
     def complete(self) -> bool:
         return bool(self.data.get("complete"))
 
-    def checks(self) -> list[tuple[str, bool]]:
-        return [(name, bool(ok)) for name, ok in self.data.get("checks", [])]
+    def checks(self) -> list[list[Any]]:
+        """``[name, passed]`` for each rule of CHECKS whose section the report holds."""
+        return [[name, bool(ok(self.data[s]))] for name, s, ok in CHECKS if s in self.data]
 
     @property
     def all_passed(self) -> bool:
-        return self.complete and all(ok for _, ok in self.checks())
+        """Complete, every check passes, and the stored "checks" are these checks."""
+        checks = self.checks()
+        return self.complete and self.data.get("checks") == checks and all(ok for _, ok in checks)
 
     def to_jsonable(self) -> dict[str, Any]:
         return self.data
@@ -173,24 +205,16 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     """Run the full pipeline; stage failures raise StageError with a partial report.
 
     All pass/fail flags in the report are functions of the numbers stored
-    next to them, never of solver-internal state.
+    next to them, never of solver-internal state; the checks are CHECKS's rules.
     """
     opts = options or CertifyOptions()
     data: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "complete": False,
-        "options": {
-            "tolerance": opts.tolerance,
-            "shots": opts.shots,
-            "seed": opts.seed,
-            "scheme": opts.scheme,
-            "skip_montecarlo": opts.skip_montecarlo,
-            "noise": dataclasses.asdict(opts.noise),
-        },
+        "options": {k: v for k, v in dataclasses.asdict(opts).items()
+                    if k not in ("alpha_limit", "include_sdp_matrices")},
         "input": {"n": g.n, "edge_count": len(g.edges), "weighted": g.is_weighted},
     }
-    checks: list[list[Any]] = []
-    data["checks"] = checks
 
     @contextmanager
     def stage(name: str):
@@ -198,7 +222,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             yield
         except Exception as err:
             data["error"] = {"stage": name, "message": str(err)}
-            raise StageError(name, err, CertifyReport(data=data)) from err
+            data["checks"] = CertifyReport(data).checks()
+            raise StageError(name, err, CertifyReport(data)) from err
 
     with stage("expand"):
         if g.is_weighted:
@@ -224,9 +249,6 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     with stage("theta_g"):
         sol_g = theta(work, tolerance=opts.tolerance)
         data["theta_g"] = _theta_section(work, sol_g, opts.tolerance, opts.include_sdp_matrices)
-        checks.append(["theta_g_converged", data["theta_g"]["status"] == "converged"])
-        checks.append(["theta_g_feasible", data["theta_g"]["feasible"]])
-        checks.append(["theta_g_dual_verified", data["theta_g"]["dual_verified"]])
 
     with stage("compile"):
         eg = build_two_point_graph(work)
@@ -234,9 +256,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         data["event_graph"] = {"n": eg.n, "edge_count": len(eg.edges)}
 
     with stage("alpha_gprime"):
-        section = data["alpha_gprime"] = _alpha_gprime_section(eg, gp, data["alpha_g"])
-        checks.append(["alpha_gprime_witness_independent", section["witness_independent"]])
-        checks.append(["alpha_gprime_cover_verified", section["cover_verified"]])
+        data["alpha_gprime"] = _alpha_gprime_section(eg, gp, data["alpha_g"])
 
     with stage("theta_gprime"):
         X_gp = lift_primal(eg, sol_g.X)
@@ -248,37 +268,20 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         section["method"] = "constructive"
         section["status"] = "converged" if converged else "not_converged"
         data["theta_gprime"] = section
-        checks.append(["theta_gprime_converged", converged])
-        checks.append(["theta_gprime_feasible", section["feasible"]])
-        checks.append(["theta_gprime_dual_verified", section["dual_verified"]])
 
     edge_count = len(work.edges)
-    alpha_diff = data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count
-    theta_diff = data["theta_gprime"]["value"] - data["theta_g"]["value"] - edge_count
-    theta_tol = 10 * opts.tolerance
     data["identities"] = {
         "edge_count": edge_count,
-        "alpha_difference": alpha_diff,
-        "theta_difference": theta_diff,
-        "theta_tolerance": theta_tol,
+        "alpha_difference": data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count,
+        "theta_difference": data["theta_gprime"]["value"] - data["theta_g"]["value"] - edge_count,
+        "theta_tolerance": 10 * opts.tolerance,
     }
-    checks.append(["alpha_identity", alpha_diff == 0])
-    checks.append(["theta_identity", abs(theta_diff) <= theta_tol])
+    gate = realisation_gate(opts.tolerance)
 
     with stage("orthorep"):
         rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
-        rep_report = verify_ortho_rep(
-            work, rep, 100 * opts.tolerance, theta_target=data["theta_g"]["value"]
-        )
-        data["orthorep"] = {
-            "dimension": rep.dimension,
-            "max_edge_overlap": rep_report.max_edge_overlap,
-            "max_norm_error": rep_report.max_norm_error,
-            "overlap_sum": rep_report.overlap_sum,
-            "overlap_error": rep_report.overlap_error,
-            "tolerance": 100 * opts.tolerance,
-        }
-        checks.append(["orthorep_verified", rep_report.passed])
+        rep_report = verify_ortho_rep(work, rep, gate, theta_target=data["theta_g"]["value"])
+        data["orthorep"] = {"dimension": rep.dimension, **rep_report.measures(), "tolerance": gate}
 
     with stage("exact"):
         state = pure_state(rep.psi)
@@ -286,19 +289,14 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         tables = {e: joint_probs_projective(state, TwoPointContext(*e), rep) for e in work.edges}
         s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(work, singles, tables)
-        consistency = abs(s_prime - edge_count - s_exact)
         data["exact"] = {
             "s": s_exact,
             "s_prime": s_prime,
             "s_prime_minus_edges": s_prime - edge_count,
-            "consistency_error": consistency,
+            "consistency_error": abs(s_prime - edge_count - s_exact),
             "s_vs_theta_error": abs(s_exact - data["theta_g"]["value"]),
-            "s_tolerance": 100 * opts.tolerance,
+            "s_tolerance": gate,
         }
-        checks.append(["s_prime_consistent", consistency <= EXACT_CONSISTENCY_TOL])
-        checks.append(
-            ["s_matches_theta", data["exact"]["s_vs_theta_error"] <= 100 * opts.tolerance]
-        )
 
     if not opts.skip_montecarlo:
         with stage("montecarlo"):
@@ -312,6 +310,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
             )
             data["montecarlo"] = _montecarlo_section(record)
 
+    data["checks"] = CertifyReport(data).checks()
     data["complete"] = True
     return CertifyReport(data=data)
 
@@ -320,78 +319,63 @@ def _fmt(x: Any) -> str:
     return format_float(float(x))
 
 
-def _theta_line(t: dict[str, Any]) -> str:
+def _theta_line(t: dict[str, Any], verdict: dict[str, str], section: str) -> str:
     method = f"{t['method']}, " if "method" in t else ""
     return (
         f"{_fmt(t['value'])} (dual {_fmt(t['dual'])}, gap {_fmt(t['gap'])}, {method}"
-        f"{t['status']}, feasible {'PASS' if t['feasible'] else 'FAIL'}, "
-        f"dual verified {'PASS' if t['dual_verified'] else 'FAIL'})"
+        f"{t['status']}, feasible {verdict[section + '_feasible']}, "
+        f"dual verified {verdict[section + '_dual_verified']})"
     )
 
 
 def render_text(report: CertifyReport) -> str:
-    """Human-readable rendering; recomputes every PASS/FAIL from report numbers."""
+    """Human-readable rendering; every PASS/FAIL, overall included, comes from `report.checks`."""
     d = report.data
+    verdict = {name: "PASS" if ok else "FAIL" for name, ok in report.checks()}
     lines = [f"two-point certification report (schema {d['schema']})"]
     inp = d["input"]
     lines.append(
         f"input: n={inp['n']}, |E|={inp['edge_count']}, weighted={'yes' if inp['weighted'] else 'no'}"
     )
-    if "expanded" in d:
-        ex = d["expanded"]
+    if ex := d.get("expanded"):
         lines.append(f"expanded: n={ex['n']}, |E|={ex['edge_count']}")
-    if "alpha_g" in d:
-        a = d["alpha_g"]
+    if a := d.get("alpha_g"):
         lines.append(f"α(G) = {a['alpha']} (witness {a['witness']}, nodes {a['node_count']})")
     if "theta_g" in d:
-        t = d["theta_g"]
-        lines.append(f"ϑ(G) = {_theta_line(t)}")
-    if "event_graph" in d:
-        egs = d["event_graph"]
+        lines.append(f"ϑ(G) = {_theta_line(d['theta_g'], verdict, 'theta_g')}")
+    if egs := d.get("event_graph"):
         lines.append(f"G': {egs['n']} vertices, {egs['edge_count']} edges")
-    if "alpha_gprime" in d:
-        a = d["alpha_gprime"]
+    if a := d.get("alpha_gprime"):
         lines.append(
             f"α(G') = {a['alpha']} (upper bound {a['upper_bound']}, {a['method']}, witness "
-            f"independent {'PASS' if a['witness_independent'] else 'FAIL'}, cover verified "
-            f"{'PASS' if a['cover_verified'] else 'FAIL'})"
+            f"independent {verdict['alpha_gprime_witness_independent']}, cover verified "
+            f"{verdict['alpha_gprime_cover_verified']})"
         )
     if "theta_gprime" in d:
-        lines.append(f"ϑ(G') = {_theta_line(d['theta_gprime'])}")
-    if "identities" in d:
-        ident = d["identities"]
-        ok_a = ident["alpha_difference"] == 0
+        lines.append(f"ϑ(G') = {_theta_line(d['theta_gprime'], verdict, 'theta_gprime')}")
+    if ident := d.get("identities"):
         lines.append(
             f"identity α(G') − α(G) − |E| = {ident['alpha_difference']}: "
-            f"{'PASS' if ok_a else 'FAIL'}"
+            f"{verdict['alpha_identity']}"
         )
-        ok_t = abs(ident["theta_difference"]) <= ident["theta_tolerance"]
         lines.append(
             f"identity |ϑ(G') − ϑ(G) − |E|| = {_fmt(abs(ident['theta_difference']))} "
-            f"≤ {_fmt(ident['theta_tolerance'])}: {'PASS' if ok_t else 'FAIL'}"
+            f"≤ {_fmt(ident['theta_tolerance'])}: {verdict['theta_identity']}"
         )
-    if "orthorep" in d:
-        o = d["orthorep"]
-        ok = (
-            o["max_edge_overlap"] <= o["tolerance"]
-            and o["max_norm_error"] <= o["tolerance"]
-            and (o["overlap_error"] is None or o["overlap_error"] <= o["tolerance"])
-        )
-        err_txt = "n/a" if o["overlap_error"] is None else _fmt(o["overlap_error"])
+    if o := d.get("orthorep"):
         lines.append(
             f"orthorep: d={o['dimension']}, max edge overlap {_fmt(o['max_edge_overlap'])}, "
-            f"overlap sum {_fmt(o['overlap_sum'])} (err {err_txt}): "
-            f"{'PASS' if ok else 'FAIL'}"
+            f"overlap sum {_fmt(o['overlap_sum'])} (err {_fmt(o['overlap_error'])}): "
+            f"{verdict['orthorep_verified']}"
         )
-    if "exact" in d:
-        e = d["exact"]
-        ok = e["consistency_error"] <= EXACT_CONSISTENCY_TOL
+    if e := d.get("exact"):
         lines.append(
             f"exact: S = {_fmt(e['s'])}, S' = {_fmt(e['s_prime'])}, "
-            f"S' − |E| − S = {_fmt(e['consistency_error'])}: {'PASS' if ok else 'FAIL'}"
+            f"S' − |E| − S = {_fmt(e['consistency_error'])}: {verdict['s_prime_consistent']}, "
+            f"|S − ϑ(G)| = {_fmt(e['s_vs_theta_error'])} ≤ {_fmt(e['s_tolerance'])}: "
+            f"{verdict['s_matches_theta']}"
         )
-    if "montecarlo" in d:
-        mc = d["montecarlo"]
+    if mc := d.get("montecarlo"):
         lines.append(
             f"montecarlo: Ŝ = {_fmt(mc['s_estimate'])} ± {_fmt(mc['s_stderr'])}, "
             f"max ε significance {_fmt(mc['max_epsilon_significance'])}, "
@@ -399,6 +383,8 @@ def render_text(report: CertifyReport) -> str:
         )
     if "error" in d:
         lines.append(f"error at stage {d['error']['stage']}: {d['error']['message']}")
+    if d.get("checks") != report.checks():
+        lines.append("stored checks: differ from the rules evaluated on this report")
     lines.append(f"complete: {'yes' if d.get('complete') else 'NO'}")
     lines.append(f"overall: {'PASS' if report.all_passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

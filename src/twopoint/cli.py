@@ -24,8 +24,8 @@ from .certify import (
     emit_report,
 )
 from .graphs import Graph, build_two_point_graph
-from .orthorep import ExtractionError, extract_ortho_rep, verify_ortho_rep
-from .independence import independence_number
+from .orthorep import ExtractionError, extract_ortho_rep, realisation_gate, verify_ortho_rep
+from .independence import ALPHA_LIMIT, independence_number
 from .serialize import (
     ParseError,
     dumps_canonical,
@@ -35,8 +35,8 @@ from .serialize import (
     orthorep_to_jsonable,
     parse_graph,
 )
-from .simulate import NoiseModel, run_experiment
-from .theta import theta
+from .simulate import SCHEMES, NoiseModel, run_experiment
+from .theta import DEFAULT_TOLERANCE, theta
 
 # Unused since certify._montecarlo_section builds the record; the benchmark tracer patches them.
 from .serialize import record_to_jsonable  # noqa: F401
@@ -86,9 +86,11 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_noise_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--noise-depol", type=float, default=0.0, metavar="P")
-    p.add_argument("--noise-angle", type=float, default=0.0, metavar="RAD")
-    p.add_argument("--noise-flip", type=float, default=0.0, metavar="P")
+    p.add_argument("--noise-depol", type=float, default=NoiseModel.depolarizing_p, metavar="P")
+    p.add_argument(
+        "--noise-angle", type=float, default=NoiseModel.vector_misalignment_angle, metavar="RAD"
+    )
+    p.add_argument("--noise-flip", type=float, default=NoiseModel.outcome_flip_p, metavar="P")
 
 
 def _noise(args) -> NoiseModel:
@@ -109,12 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="exact independence number")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--limit", type=int, default=64, help="vertex limit for the exact solver")
+    p.add_argument("--limit", type=int, default=ALPHA_LIMIT,
+                   help="vertex limit for the exact solver")
 
     p = sub.add_parser("theta", help="Lovasz number with certificates")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=1e-7)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--dump-sdp", action="store_true", help="include the primal matrix in JSON output")
 
     p = sub.add_parser("transform", help="compile the two-point event graph")
@@ -124,26 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthorep", help="extract the optimal orthogonal representation")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=1e-7)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("simulate", help="simulate the two-point experiment")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=1e-7)
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", choices=("projective", "demolition"), default="projective")
+    p.add_argument("--tolerance", type=float, default=CertifyOptions.tolerance)
+    p.add_argument("--shots", type=int, default=CertifyOptions.shots)
+    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
+    p.add_argument("--scheme", choices=SCHEMES, default=CertifyOptions.scheme)
     _add_noise_args(p)
 
     p = sub.add_parser("certify", help="full pipeline with identity checks")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=1e-7)
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", choices=("projective", "demolition"), default="projective")
+    p.add_argument("--tolerance", type=float, default=CertifyOptions.tolerance)
+    p.add_argument("--shots", type=int, default=CertifyOptions.shots)
+    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
+    p.add_argument("--scheme", choices=SCHEMES, default=CertifyOptions.scheme)
     p.add_argument("--skip-montecarlo", action="store_true")
-    p.add_argument("--alpha-limit", type=int, default=64,
+    p.add_argument("--alpha-limit", type=int, default=CertifyOptions.alpha_limit,
                    help="vertex limit for branch and bound on G; alpha(G') needs no search")
     p.add_argument("--dump-sdp", action="store_true")
     _add_noise_args(p)
@@ -218,16 +221,11 @@ def _cmd_orthorep(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
-    report = verify_ortho_rep(g, rep, 100 * args.tolerance, theta_target=sol.primal_value)
+    gate = realisation_gate(args.tolerance)
+    report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
     if args.format == "json":
         payload = orthorep_to_jsonable(rep)
-        payload["verification"] = {
-            "max_edge_overlap": report.max_edge_overlap,
-            "max_norm_error": report.max_norm_error,
-            "overlap_sum": report.overlap_sum,
-            "overlap_error": report.overlap_error,
-            "passed": report.passed,
-        }
+        payload["verification"] = {**report.measures(), "passed": report.passed}
         out = dumps_canonical(payload) + "\n"
     else:
         out = (

@@ -7,6 +7,8 @@ from typing import Iterable
 
 from .graphs import Graph
 
+ALPHA_LIMIT = 64  # default vertex limit of the exact solver
+
 
 class SizeLimitError(ValueError):
     """Graph exceeds the vertex limit of an exact algorithm."""
@@ -45,7 +47,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def independence_number(g: Graph, limit: int = 64) -> IndependenceResult:
+def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResult:
     """Exact maximum independent set by branch and bound.
 
     Branches on a maximum-degree vertex of the remaining subgraph (lowest id

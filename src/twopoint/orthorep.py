@@ -26,7 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .theta import SdpSolution, SdpStatus, primal_factor
+from .theta import DEFAULT_TOLERANCE, SdpSolution, SdpStatus, primal_factor
+
+
+def realisation_gate(tolerance: float) -> float:
+    """100 x the SDP tolerance: the gate of extraction's fallback and of reported realisations."""
+    return 100 * tolerance
 
 
 class ExtractionError(RuntimeError):
@@ -78,6 +83,11 @@ class OrthoRepReport:
     @property
     def passed(self) -> bool:
         return self.orthogonality_ok and self.norms_ok and self.overlap_ok
+
+    def measures(self) -> dict[str, Optional[float]]:
+        """The four verified numbers, as `certify` and `twopoint orthorep` report them."""
+        keys = ("max_edge_overlap", "max_norm_error", "overlap_sum", "overlap_error")
+        return {k: getattr(self, k) for k in keys}
 
 
 def verify_ortho_rep(
@@ -150,7 +160,7 @@ def _place(g: Graph, F: np.ndarray) -> np.ndarray:
 
 
 def extract_ortho_rep(
-    g: Graph, sol: SdpSolution, tolerance: float = 1e-7
+    g: Graph, sol: SdpSolution, tolerance: float = DEFAULT_TOLERANCE
 ) -> OrthoRep:
     """Build the representation realizing the quantum maximum from the SDP optimum.
 
@@ -160,7 +170,7 @@ def extract_ortho_rep(
     ``tolerance`` and is returned when it passes `verify_ortho_rep` at
     ``tolerance``.  Otherwise the construction reruns on every column with a
     positive eigenvalue, which reproduces X to round-off; that result must
-    pass at 100 x tolerance, or ExtractionError is raised rather than a
+    pass at `realisation_gate`, or ExtractionError is raised rather than a
     silently bad representation returned.
     """
     if sol.status is not SdpStatus.CONVERGED:
@@ -168,7 +178,7 @@ def extract_ortho_rep(
     X = np.asarray(sol.X, dtype=float)
     if X.shape != (g.n, g.n):
         raise ValueError(f"solution shape {X.shape} does not match n={g.n}")
-    for floor, gate in ((tolerance, tolerance), (0.0, 100 * tolerance)):
+    for floor, gate in ((tolerance, tolerance), (0.0, realisation_gate(tolerance))):
         F, psi = primal_factor(X, floor)
         vectors = _place(g, F)
         psi = np.pad(psi, (0, vectors.shape[1] - len(psi)))

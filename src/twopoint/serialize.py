@@ -83,6 +83,13 @@ def _json_int(x: Any, field: str) -> int:
     return x
 
 
+def _json_vertex(key: str) -> int:
+    """A weight key as `graph_to_jsonable` writes it; ``int()`` reads "1_0", " 3 " and "03"."""
+    if key.isascii() and key.isdigit() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"'weights' key {key!r} is not a canonical vertex number")
+
+
 def graph_from_jsonable(data: Any) -> Graph:
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
@@ -100,8 +107,8 @@ def graph_from_jsonable(data: Any) -> Graph:
         edges = [tuple(_json_int(x, f"endpoint of edge {e}") for x in e) for e in raw_edges]
         weights = None
         if raw_weights is not None:
-            items = raw_weights.items()
-            weights = {int(v): _json_int(w, f"'weights' value of vertex {v}") for v, w in items}
+            weights = {_json_vertex(v): _json_int(w, f"'weights' value of vertex {v}")
+                       for v, w in raw_weights.items()}
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"bad graph JSON: {err}") from err
     return _parsed_graph(n, edges, weights)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import json
@@ -477,6 +478,132 @@ class TestReportEmission:
         with_dump = certify(complete_graph(2), opts)
         X = with_dump.data["theta_g"]["X"]
         assert len(X) == 2 and len(X[0]) == 2
+
+
+CHECK_NAMES = [
+    "theta_g_converged", "theta_g_feasible", "theta_g_dual_verified",
+    "alpha_gprime_witness_independent", "alpha_gprime_cover_verified",
+    "theta_gprime_converged", "theta_gprime_feasible", "theta_gprime_dual_verified",
+    "alpha_identity", "theta_identity", "orthorep_verified", "s_prime_consistent",
+    "s_matches_theta",
+]
+
+# check -> (section, key, value past the check's gate, text line prefix, verdict on that line)
+TAMPER = {
+    "theta_g_converged": ("theta_g", "status", "not_converged", "ϑ(G) =", "not_converged"),
+    "theta_g_feasible": ("theta_g", "feasible", False, "ϑ(G) =", "feasible FAIL"),
+    "theta_g_dual_verified": ("theta_g", "dual_verified", False, "ϑ(G) =", "verified FAIL"),
+    "alpha_gprime_witness_independent":
+        ("alpha_gprime", "witness_independent", False, "α(G') =", "independent FAIL"),
+    "alpha_gprime_cover_verified":
+        ("alpha_gprime", "cover_verified", False, "α(G') =", "cover verified FAIL"),
+    "theta_gprime_converged":
+        ("theta_gprime", "status", "not_converged", "ϑ(G') =", "not_converged"),
+    "theta_gprime_feasible": ("theta_gprime", "feasible", False, "ϑ(G') =", "feasible FAIL"),
+    "theta_gprime_dual_verified":
+        ("theta_gprime", "dual_verified", False, "ϑ(G') =", "verified FAIL"),
+    "alpha_identity": ("identities", "alpha_difference", 1, "identity α(G')", ": FAIL"),
+    "theta_identity": ("identities", "theta_difference", -1e-3, "identity |ϑ(G')", ": FAIL"),
+    # Its text line once read FAIL while overall read PASS off the stored checks.
+    "orthorep_verified": ("orthorep", "max_edge_overlap", 1.0, "orthorep:", ": FAIL"),
+    "s_prime_consistent": ("exact", "consistency_error", 1e-9, "exact:", "S = 1e-09: FAIL"),
+    "s_matches_theta":
+        ("exact", "s_vs_theta_error", 1e-3, "exact:", "0.001 ≤ 9.999999999999999e-06: FAIL"),
+}
+
+# Every line that carries a check, by its prefix.
+CHECK_LINES = sorted({line for *_, line, _ in TAMPER.values()})
+
+
+def _line(text: str, prefix: str) -> str:
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix + " ")]
+    return line
+
+
+@pytest.fixture(scope="module")
+def c5_report():
+    return certify(cycle_graph(5), FAST)
+
+
+class TestCheckRules:
+    """Every check is one rule of certify.CHECKS, evaluated on the report's own data."""
+
+    def test_table_names_and_order(self, c5_report):
+        assert [name for name, _, _ in certify_mod.CHECKS] == CHECK_NAMES
+        assert c5_report.data["checks"] == [[name, True] for name in CHECK_NAMES]
+        assert set(TAMPER) == set(CHECK_NAMES)
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_tampered_section_fails_its_check_line_and_overall(self, c5_report, name):
+        section, key, value, prefix, verdict = TAMPER[name]
+        data = copy.deepcopy(c5_report.data)
+        data[section][key] = value
+        report = certify_mod.CertifyReport(data=data)
+        assert report.checks() == [[c, c != name] for c in CHECK_NAMES]
+        assert not report.all_passed
+        text = emit_report(report, "text")
+        assert verdict in _line(text, prefix)
+        for other in CHECK_LINES:
+            line = _line(text, other)
+            assert other == prefix or ("FAIL" not in line and "not_converged" not in line)
+        # The stored checks predate the tampering, and the text says so.
+        assert "stored checks: differ from the rules evaluated on this report" in text
+        assert text.endswith("overall: FAIL\n")
+
+    @pytest.mark.parametrize("key", ["max_edge_overlap", "max_norm_error", "overlap_error"])
+    def test_each_orthorep_number_is_gated(self, c5_report, key):
+        data = copy.deepcopy(c5_report.data)
+        data["orthorep"][key] = 2 * data["orthorep"]["tolerance"]
+        assert dict(certify_mod.CertifyReport(data).checks())["orthorep_verified"] is False
+
+    def test_s_off_theta_fails_on_the_exact_line(self, monkeypatch):
+        # S and S' both 1e-3 high keep S' - |E| - S consistent but miss theta(G).
+        # That check once had no text line, so every line read PASS and overall FAIL.
+        for name in ("evaluate_s", "evaluate_s_prime"):
+            exact = getattr(certify_mod, name)
+            monkeypatch.setattr(certify_mod, name, lambda *a, f=exact: f(*a) + 1e-3)
+        report = certify(cycle_graph(5), FAST)
+        assert [name for name, ok in report.checks() if not ok] == ["s_matches_theta"]
+        assert report.data["checks"] == report.checks()
+        text = emit_report(report, "text")
+        assert _line(text, "exact:").endswith(": FAIL")
+        assert text.count("FAIL") == 2 and text.endswith("overall: FAIL\n")
+
+    @pytest.mark.parametrize(
+        "name", ["c5", "c7", "petersen", "chsh-circulant", "fig2-k2", "k4", "empty6"]
+    )
+    def test_stored_checks_are_the_rules_on_catalog_graphs(self, name):
+        report = certify(catalog(name), FAST)
+        assert report.data["checks"] == report.checks()
+        assert [c for c, _ in report.checks()] == CHECK_NAMES and report.all_passed
+
+    def test_stored_checks_are_the_rules_in_partial_reports(self, monkeypatch, capsys):
+        assert main(["certify", "k7", "--shots", str(10**19), "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["checks"] == certify_mod.CertifyReport(data).checks()
+        assert [c for c, _ in data["checks"]] == CHECK_NAMES
+
+        def failing(g):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(certify_mod, "build_two_point_graph", failing)
+        with pytest.raises(StageError) as excinfo:
+            certify(complete_graph(7), FAST)
+        data = excinfo.value.report.data
+        assert data["checks"] == certify_mod.CertifyReport(data).checks()
+        assert [c for c, _ in data["checks"]] == CHECK_NAMES[:3]
+
+    def test_stale_stored_checks_fail_overall(self, c5_report):
+        data = copy.deepcopy(c5_report.data)
+        data["checks"][0][1] = False
+        report = certify_mod.CertifyReport(data=data)
+        assert all(ok for _, ok in report.checks()) and not report.all_passed
+        text = emit_report(report, "text")
+        assert "stored checks: differ" in text and "overall: FAIL" in text
+
+    def test_unknown_scheme_refused_up_front(self):
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            CertifyOptions(scheme="bogus", skip_montecarlo=True)
 
 
 class TestCli:

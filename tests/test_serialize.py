@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,34 @@ class TestGraphFormats:
     def test_json_non_integer_refused(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_graph(text, "json")
+
+    @pytest.mark.parametrize(
+        "weights, key",
+        [
+            ({"1_0": 2, " 3 ": 4}, "1_0"),
+            ({"0": 2, " 3 ": 4}, " 3 "),
+            ({"+3": 2}, "+3"),
+            ({"3": 2, "03": 5}, "03"),
+            ({"\u0663": 2}, "\u0663"),
+            ({"\u00b2": 2}, "\u00b2"),
+            ({"": 2}, ""),
+            ({"-1": 2}, "-1"),
+            ({"3.0": 2}, "3.0"),
+        ],
+        ids=["underscore", "spaces", "plus", "leading-zero", "arabic-indic", "superscript",
+             "empty", "minus", "decimal-point"],
+    )
+    def test_json_weight_key_not_canonical_refused(self, weights, key):
+        # int() reads the first five as vertices 10, 3, 3, 3 and 3.
+        text = json.dumps({"n": 12, "edges": [], "weights": weights})
+        message = f"'weights' key {re.escape(repr(key))} is not a canonical vertex number$"
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text, "json")
+
+    def test_json_canonical_weight_keys_read(self):
+        g = parse_graph('{"n": 12, "edges": [], "weights": {"0": 2, "3": 4, "10": 5}}', "json")
+        assert g.weights == (2, 1, 1, 4, 1, 1, 1, 1, 1, 1, 5, 1)
+        assert parse_graph(json.dumps(serialize.graph_to_jsonable(g)), "json") == g
 
     def test_invalid_json_reported(self):
         with pytest.raises(ParseError, match="invalid JSON"):
