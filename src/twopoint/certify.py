@@ -35,7 +35,6 @@ from .simulate import (
     SCHEMES,
     ExperimentRecord,
     NoiseModel,
-    TwoPointContext,
     evaluate_s,
     evaluate_s_prime,
     joint_probs_projective,
@@ -286,7 +285,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     with stage("exact"):
         state = pure_state(rep.psi)
         singles = {v: rep.overlap(v) for v in range(work.n)}
-        tables = {e: joint_probs_projective(state, TwoPointContext(*e), rep) for e in work.edges}
+        tables = {e: joint_probs_projective(state, e, rep) for e in work.edges}
         s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(work, singles, tables)
         data["exact"] = {

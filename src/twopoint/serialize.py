@@ -146,6 +146,8 @@ def graph_from_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise ParseError(f"second problem line {line!r}", lineno)
             if len(parts) < 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", lineno)
             try:
@@ -179,6 +181,16 @@ def graph_from_dimacs(text: str) -> Graph:
     return _parsed_graph(n, edges, weights)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object whose keys all differ; ``json.loads`` alone keeps the last of two."""
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key {key!r} in JSON object")
+        out[key] = value
+    return out
+
+
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
     """Parse a graph from JSON or DIMACS text; ``auto`` sniffs the format."""
     if fmt == "auto":
@@ -186,7 +198,7 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
         fmt = "json" if stripped.startswith("{") else "dimacs"
     if fmt == "json":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err.msg}", err.lineno) from err
         return graph_from_jsonable(data)
@@ -272,13 +284,6 @@ def orthorep_from_jsonable(data: dict) -> OrthoRep:
 
 # -- experiment records -------------------------------------------------
 
-def _signaling_to_jsonable(entries) -> list:
-    return [
-        {"fixed": f, "varied_a": a, "varied_b": b, "outcome": o, "difference": d, "stderr": se}
-        for f, a, b, o, d, se in entries
-    ]
-
-
 _OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
 
 
@@ -312,6 +317,6 @@ def record_to_jsonable(record: ExperimentRecord) -> dict:
         "pairs": pairs,
         "s_estimate": s_value,
         "s_stderr": s_err,
-        "epsilon": _signaling_to_jsonable(epsilon_signaling(record)),
-        "epsilon_prime": _signaling_to_jsonable(epsilon_prime(record)),
+        "epsilon": epsilon_signaling(record),
+        "epsilon_prime": epsilon_prime(record),
     }

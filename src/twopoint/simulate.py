@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, Graph
+from .graphs import PAIR_OUTCOMES, Edge, Graph
 from .orthorep import OrthoRep
 
 PROB_ATOL = 1e-12
@@ -83,30 +83,9 @@ class NoiseModel:
             raise ValueError("vector_misalignment_angle must be finite")
 
 
-@dataclass(frozen=True)
-class TwoPointContext:
-    """An ordered pair of adjacent observables measured in sequence."""
-
-    first: int
-    second: int
-
-
-def context(g: Graph, first: int, second: int) -> TwoPointContext:
-    """Validated context constructor: (first, second) must be an edge of g."""
-    if first == second:
-        raise ValueError("a context needs two distinct observables")
-    if (min(first, second), max(first, second)) not in g.edge_set:
-        raise ValueError(f"({first},{second}) is not an edge; observables are not compatible")
-    return TwoPointContext(first=first, second=second)
-
-
-def ordered_contexts(g: Graph) -> list[TwoPointContext]:
-    """Both orders of every edge, sorted by (first, second)."""
-    out = []
-    for (i, j) in g.edges:
-        out.append(TwoPointContext(i, j))
-        out.append(TwoPointContext(j, i))
-    return sorted(out, key=lambda c: (c.first, c.second))
+def ordered_contexts(g: Graph) -> list[tuple[int, int]]:
+    """The contexts (first, second): both orders of every edge, sorted."""
+    return sorted([*g.edges, *((j, i) for (i, j) in g.edges)])
 
 
 def born_single(state: QState, v: np.ndarray) -> float:
@@ -186,22 +165,21 @@ def _second_probs(
 
 
 def _joint_probs(
-    state: QState, ctx: TwoPointContext, rep: OrthoRep, demolition: bool
+    state: QState, ctx: tuple[int, int], rep: OrthoRep, demolition: bool
 ) -> dict[tuple[int, int], float]:
-    v1 = np.asarray(rep.vectors[ctx.first], dtype=complex)
-    v2 = np.asarray(rep.vectors[ctx.second], dtype=complex)
+    v1, v2 = (np.asarray(rep.vectors[v], dtype=complex) for v in ctx)
     return _second_probs(_conditionals(state, v1, demolition), v2)
 
 
 def joint_probs_projective(
-    state: QState, ctx: TwoPointContext, rep: OrthoRep
+    state: QState, ctx: tuple[int, int], rep: OrthoRep
 ) -> dict[tuple[int, int], float]:
     """Joint outcome probabilities from sequential projective measurements."""
     return _joint_probs(state, ctx, rep, demolition=False)
 
 
 def joint_probs_demolition(
-    state: QState, ctx: TwoPointContext, rep: OrthoRep
+    state: QState, ctx: tuple[int, int], rep: OrthoRep
 ) -> dict[tuple[int, int], float]:
     """Joint probabilities from a demolition measurement plus repreparation.
 
@@ -237,7 +215,8 @@ def evaluate_s_prime(
     singles: Mapping[int, float],
     pair_tables: Mapping[Edge, Mapping[tuple[int, int], float]],
 ) -> float:
-    """The compiled witness: singles plus, per edge, P(0,0) + P(0,1) + P(1,0).
+    """The compiled witness: singles plus, per edge, its pair events in G',
+    P(0,0) + P(0,1) + P(1,0).
 
     On probability tables consistent with a single joint distribution this
     exceeds :func:`evaluate_s` by exactly the number of edges.
@@ -251,7 +230,7 @@ def evaluate_s_prime(
         table = pair_tables.get(e, pair_tables.get((e[1], e[0])))
         if table is None:
             raise ValueError(f"missing pair table for edge {e}")
-        for outcomes in ((0, 0), (0, 1), (1, 0)):
+        for outcomes in PAIR_OUTCOMES:
             if outcomes not in table:
                 raise ValueError(f"pair table for edge {e} missing outcome {outcomes}")
             total += table[outcomes]
@@ -319,28 +298,11 @@ def _misaligned_vectors(rep: OrthoRep, angle: float, rng: np.random.Generator) -
     return vecs
 
 
-class SignalingEntry(NamedTuple):
-    """One marginal-consistency comparison.
-
-    ``fixed`` is the observable whose marginal is compared while the
-    co-measured setting changes between ``varied_a`` and ``varied_b``;
-    ``difference`` is the absolute difference of the two marginal estimates
-    for ``outcome`` and ``stderr`` its propagated standard error.
-    """
-
-    fixed: int
-    varied_a: int
-    varied_b: int
-    outcome: int
-    difference: float
-    stderr: float
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     """The counts one simulated experiment drew, as the sampler draws them.
 
-    ``contexts`` holds the ordered contexts (first, second), sorted;
+    ``contexts`` holds the (first, second) pairs of :func:`ordered_contexts`;
     ``single_counts[v]`` is vertex v's count of outcome 1 (of 0, ``shots``
     minus it); ``pair_counts[k]`` is ``contexts[k]``'s counts in ``OUTCOMES``
     order.  Tuples keep the record comparable with ``==`` and hashable.
@@ -434,11 +396,11 @@ def run_experiment(
     demolition = scheme == "demolition"
     pair_counts = []
     first = None
-    for k, ctx in enumerate(contexts):
-        if ctx.first != first:
-            first = ctx.first
-            conditionals = _conditionals(state, vectors[first], demolition)
-        probs = _flip_joint(_second_probs(conditionals, vectors[ctx.second]), flip)
+    for k, (i, j) in enumerate(contexts):
+        if i != first:
+            first = i
+            conditionals = _conditionals(state, vectors[i], demolition)
+        probs = _flip_joint(_second_probs(conditionals, vectors[j]), flip)
         vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
         vec = vec / vec.sum()
         rng = np.random.default_rng(streams[1 + g.n + k])
@@ -450,15 +412,21 @@ def run_experiment(
         seed=seed,
         shots=shots,
         noise=noise,
-        contexts=tuple((c.first, c.second) for c in contexts),
+        contexts=tuple(contexts),
         single_counts=tuple(single_counts),
         pair_counts=tuple(pair_counts),
     )
 
 
-def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
+def _signaling(record: ExperimentRecord, position: int) -> list[dict[str, Any]]:
     """Compare the marginal at ``position`` of every observable across the settings
     measured with it in the other position.
+
+    One row per comparison, as the JSON record stores it: ``fixed`` is the
+    observable whose marginal is compared while the co-measured setting changes
+    between ``varied_a`` and ``varied_b``; ``difference`` is the absolute
+    difference of the two marginal estimates for ``outcome`` and ``stderr``
+    its propagated standard error.
 
     The tables come from count arrays: the count rows are read once into a
     contexts x 4 array, each context's two marginal counts, estimates and
@@ -475,7 +443,7 @@ def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
         groups.setdefault(record.contexts[k][position], []).append(k)
     pairs = [(x, y) for rows in groups.values() for i, x in enumerate(rows) for y in rows[i + 1:]]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    columns = (  # one row per pair and outcome, outcome fastest
+    columns = zip(  # one row per pair and outcome, outcome fastest
         ctx[a, position].repeat(2).tolist(),
         ctx[a, other].repeat(2).tolist(),
         ctx[b, other].repeat(2).tolist(),
@@ -483,10 +451,13 @@ def _signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
         np.abs(p[a] - p[b]).ravel().tolist(),
         np.sqrt(se[a] * se[a] + se[b] * se[b]).ravel().tolist(),
     )
-    return list(map(SignalingEntry._make, zip(*columns)))
+    return [
+        {"fixed": f, "varied_a": va, "varied_b": vb, "outcome": o, "difference": d, "stderr": e}
+        for f, va, vb, o, d, e in columns
+    ]
 
 
-def epsilon_signaling(record: ExperimentRecord) -> list[SignalingEntry]:
+def epsilon_signaling(record: ExperimentRecord) -> list[dict[str, Any]]:
     """Influence of the first setting on the second measurement's marginal.
 
     For every observable B and every pair of first settings A, A' measured
@@ -497,7 +468,7 @@ def epsilon_signaling(record: ExperimentRecord) -> list[SignalingEntry]:
     return _signaling(record, 1)
 
 
-def epsilon_prime(record: ExperimentRecord) -> list[SignalingEntry]:
+def epsilon_prime(record: ExperimentRecord) -> list[dict[str, Any]]:
     """Influence of the later setting on the first measurement's marginal.
 
     Zero by causality in any sampling scheme; its empirical spread is the

@@ -19,7 +19,6 @@ from twopoint import (
     NoiseModel,
     OrthoRep,
     QState,
-    SignalingEntry,
     SizeLimitError,
     born_single,
     cycle_graph,
@@ -345,10 +344,10 @@ def record_marginal(
     return p, binomial_stderr(p, record.shots)
 
 
-def pairwise_signaling(record: ExperimentRecord, position: int) -> list[SignalingEntry]:
+def pairwise_signaling(record: ExperimentRecord, position: int) -> list[dict]:
     """The epsilon (position 1) or epsilon-prime (position 0) table, with both
     marginals recomputed from the counts for every comparison."""
-    out: list[SignalingEntry] = []
+    out: list[dict] = []
     for fixed in range(record.graph.n):
         ctxs = sorted(
             (c for c in record.contexts if c[position] == fixed),
@@ -360,14 +359,14 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[Signalin
                     p1, se1 = record_marginal(record, ctxs[x], position, outcome)
                     p2, se2 = record_marginal(record, ctxs[y], position, outcome)
                     out.append(
-                        SignalingEntry(
-                            fixed=fixed,
-                            varied_a=ctxs[x][1 - position],
-                            varied_b=ctxs[y][1 - position],
-                            outcome=outcome,
-                            difference=abs(p1 - p2),
-                            stderr=math.sqrt(se1 * se1 + se2 * se2),
-                        )
+                        {
+                            "fixed": fixed,
+                            "varied_a": ctxs[x][1 - position],
+                            "varied_b": ctxs[y][1 - position],
+                            "outcome": outcome,
+                            "difference": abs(p1 - p2),
+                            "stderr": math.sqrt(se1 * se1 + se2 * se2),
+                        }
                     )
     return out
 
@@ -436,7 +435,7 @@ def per_context_counts(
         vec = vec / vec.sum()
         rng = np.random.default_rng(streams[1 + g.n + k])
         counts = rng.multinomial(shots, vec)
-        pair_counts[(ctx.first, ctx.second)] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
+        pair_counts[ctx] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
     keys = sorted(pair_counts)
     return (
         tuple(keys),

@@ -30,7 +30,6 @@ from twopoint import (
     theta,
 )
 from twopoint.cli import main
-from twopoint.simulate import TwoPointContext
 from conftest import random_graph
 from oracles import (
     brute_force_alpha,
@@ -187,7 +186,7 @@ def test_criterion_6_scheme_equivalence():
             state = QState(rho / np.trace(rho).real)
         else:
             state = pure_state(psi)
-        ctx = TwoPointContext(0, 1)
+        ctx = (0, 1)
         pp = joint_probs_projective(state, ctx, rep)
         pd = joint_probs_demolition(state, ctx, rep)
         worst = max(worst, max(abs(pp[k] - pd[k]) for k in pp))
@@ -214,7 +213,7 @@ def test_criterion_7_monte_carlo_statistics():
         if abs(p_hat - born_single(state, rep.vectors[v])) > 5 * max(p_se, 1e-9):
             probs_ok = False
     for (first, second) in record.contexts:
-        exact = joint_probs_projective(state, TwoPointContext(first, second), rep)
+        exact = joint_probs_projective(state, (first, second), rep)
         for (a, b), p_exact in exact.items():
             p_hat, p_se = pair_estimate(record, first, second, a, b)
             if abs(p_hat - p_exact) > 5 * max(p_se, 1e-9):
@@ -222,10 +221,10 @@ def test_criterion_7_monte_carlo_statistics():
 
     eps = epsilon_signaling(record)
     eps_p = epsilon_prime(record)
-    eps_ok = all(e.difference <= 5 * e.stderr for e in eps)
-    eps_p_ok = all(e.difference <= 5 * e.stderr for e in eps_p)
-    scale_eps = math.sqrt(sum(e.difference**2 for e in eps) / len(eps))
-    scale_eps_p = math.sqrt(sum(e.difference**2 for e in eps_p) / len(eps_p))
+    eps_ok = all(e["difference"] <= 5 * e["stderr"] for e in eps)
+    eps_p_ok = all(e["difference"] <= 5 * e["stderr"] for e in eps_p)
+    scale_eps = math.sqrt(sum(e["difference"]**2 for e in eps) / len(eps))
+    scale_eps_p = math.sqrt(sum(e["difference"]**2 for e in eps_p) / len(eps_p))
     ratio = scale_eps / scale_eps_p if scale_eps_p > 0 else math.inf
     scale_ok = 0.5 <= ratio <= 2.0
     ok = s_ok and probs_ok and eps_ok and eps_p_ok and scale_ok

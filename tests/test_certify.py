@@ -751,6 +751,25 @@ class TestCli:
         assert main(["certify", "fig2-k2", "--skip-montecarlo"]) == 2
         assert "overall: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, flag, line",
+        [
+            ("verify_dual", "support_ok", "dual verification = FAIL"),
+            ("verify_feasibility", "edges_ok", "feasibility = FAIL"),
+        ],
+    )
+    def test_theta_failed_verification_exits_2(self, capsys, monkeypatch, name, flag, line):
+        real = getattr(certify_mod, name)
+
+        def failing(*args):
+            return dataclasses.replace(real(*args), **{flag: False})
+
+        monkeypatch.setattr(certify_mod, name, failing)
+        assert main(["theta", "c5"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert line in out
+        assert sum(x.endswith("= FAIL") for x in out) == 1
+
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_stalled_sweep_graph_now_certifies(self, tmp_path, capsys, scheme):
         # Its theta(G') once stalled just above tolerance and failed

@@ -14,7 +14,7 @@ from twopoint import (
     theta,
     verify_ortho_rep,
 )
-from twopoint.simulate import TwoPointContext, joint_probs_projective, pure_state
+from twopoint.simulate import joint_probs_projective, pure_state
 from conftest import random_graph
 from oracles import builtin_kcbs_rep, kcbs_graph
 
@@ -226,5 +226,5 @@ class TestExtraction:
             assert verify_ortho_rep(g, rep, 1e-15).max_edge_overlap <= 1e-15
             state = pure_state(rep.psi)
             for (i, j) in g.edges:
-                probs = joint_probs_projective(state, TwoPointContext(i, j), rep)
+                probs = joint_probs_projective(state, (i, j), rep)
                 assert probs[(1, 1)] <= 1e-9

@@ -24,7 +24,6 @@ from twopoint import (
     pure_state,
 )
 from twopoint.cli import main
-from twopoint.simulate import TwoPointContext
 
 
 class TestTinyFirstOutcome:
@@ -40,7 +39,7 @@ class TestTinyFirstOutcome:
             psi = q @ np.array([np.sqrt(1 - self.EPS), np.sqrt(self.EPS), 0.0, 0.0])
             vectors = np.array([q[:, 0], q @ np.array([0.0, 0.6, 0.8, 0.0])])
             rep = OrthoRep(dimension=4, psi=psi, vectors=vectors)
-            probs = kernel(pure_state(psi), TwoPointContext(0, 1), rep)
+            probs = kernel(pure_state(psi), (0, 1), rep)
             assert probs[(0, 1)] == pytest.approx(0.36 * self.EPS, rel=0, abs=1e-15)
 
 

@@ -188,6 +188,10 @@ class TestGraphFormats:
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("e 1 2\n", "dimacs")
 
+    def test_dimacs_second_problem_line_refused(self):
+        with pytest.raises(ParseError, match="^line 2: second problem line 'p edge 5 0'$"):
+            parse_graph("p edge 3 0\np edge 5 0\ne 1 5\n", "dimacs")
+
     def test_dimacs_weight_before_problem_line_refused(self):
         with pytest.raises(ParseError, match="^line 2: weight line before problem line$"):
             parse_graph("c weights first\nn 1 2\np edge 3 1\ne 1 2\n", "dimacs")
@@ -245,6 +249,19 @@ class TestGraphFormats:
         text = json.dumps({"n": 12, "edges": [], "weights": weights})
         message = f"'weights' key {re.escape(repr(key))} is not a canonical vertex number$"
         with pytest.raises(ParseError, match=message):
+            parse_graph(text, "json")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"n": 5, "n": 3, "edges": []}', "n"),
+            ('{"n": 5, "edges": [], "weights": {"3": 2, "3": 5}}', "3"),
+        ],
+        ids=["n", "weight"],
+    )
+    def test_json_repeated_key_refused(self, text, key):
+        # json.loads alone keeps the last value: n = 3, or weight 5 for vertex 3.
+        with pytest.raises(ParseError, match=f"^repeated key '{key}' in JSON object$"):
             parse_graph(text, "json")
 
     def test_json_canonical_weight_keys_read(self):

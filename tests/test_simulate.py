@@ -10,7 +10,6 @@ from twopoint import (
     QState,
     born_single,
     build_graph,
-    context,
     epsilon_prime,
     epsilon_signaling,
     evaluate_s,
@@ -24,7 +23,7 @@ from twopoint import (
     run_experiment,
     theta,
 )
-from twopoint.simulate import OUTCOMES, TwoPointContext, _flip_joint
+from twopoint.simulate import OUTCOMES, _flip_joint
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
@@ -147,7 +146,7 @@ class TestJointProbabilities:
         rep = builtin_kcbs_rep()
         st = pure_state(rep.psi)
         for (i, j) in kcbs_graph().edges:
-            probs = joint_probs_projective(st, TwoPointContext(i, j), rep)
+            probs = joint_probs_projective(st, (i, j), rep)
             assert probs[(1, 1)] == pytest.approx(0.0, abs=1e-12)
             assert probs[(1, 0)] == pytest.approx(1 / SQRT5, abs=1e-12)
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
@@ -156,7 +155,7 @@ class TestJointProbabilities:
         rep = builtin_kcbs_rep()
         (i, j) = kcbs_graph().edges[0]
         st = pure_state(rep.vectors[i])
-        probs = joint_probs_projective(st, TwoPointContext(i, j), rep)
+        probs = joint_probs_projective(st, (i, j), rep)
         assert probs[(1, 0)] == pytest.approx(1.0, abs=1e-12)
         assert probs[(0, 0)] == probs[(0, 1)] == probs[(1, 1)] == 0.0
 
@@ -170,7 +169,7 @@ class TestJointProbabilities:
             vecs = np.array([random_unit(rng, d), random_unit(rng, d)])
             rep = OrthoRep(dimension=d, psi=random_unit(rng, d), vectors=vecs)
             st = pure_state(rep.psi)
-            probs = joint_probs_demolition(st, TwoPointContext(0, 1), rep)
+            probs = joint_probs_demolition(st, (0, 1), rep)
             expected = born_single(st, vecs[0]) * born_single(pure_state(vecs[0]), vecs[1])
             assert probs[(1, 1)] == pytest.approx(expected, abs=1e-12)
 
@@ -186,7 +185,7 @@ class TestJointProbabilities:
                 if rng.random() < 0.5
                 else pure_state(random_unit(rng, d))
             )
-            ctx = TwoPointContext(0, 1)
+            ctx = (0, 1)
             pp = joint_probs_projective(st, ctx, rep)
             pd = joint_probs_demolition(st, ctx, rep)
             for key in pp:
@@ -198,18 +197,11 @@ class TestJointProbabilities:
         rep = builtin_kcbs_rep()
         st = pure_state(rep.psi)
         for (i, j) in kcbs_graph().edges:
-            fwd = joint_probs_projective(st, TwoPointContext(i, j), rep)
-            rev = joint_probs_projective(st, TwoPointContext(j, i), rep)
+            fwd = joint_probs_projective(st, (i, j), rep)
+            rev = joint_probs_projective(st, (j, i), rep)
             assert fwd[(1, 1)] == pytest.approx(0.0, abs=1e-12)
             assert rev[(1, 1)] == pytest.approx(0.0, abs=1e-12)
 
-    def test_context_factory_validates_edges(self, c5):
-        ctx = context(c5, 1, 0)
-        assert (ctx.first, ctx.second) == (1, 0)
-        with pytest.raises(ValueError, match="not an edge"):
-            context(c5, 0, 2)
-        with pytest.raises(ValueError, match="distinct"):
-            context(c5, 3, 3)
 
 
 class TestWitnessEvaluation:
@@ -219,7 +211,7 @@ class TestWitnessEvaluation:
         st = pure_state(rep.psi)
         singles = {v: rep.overlap(v) for v in range(5)}
         pairs = {
-            e: joint_probs_projective(st, TwoPointContext(*e), rep)[(1, 1)]
+            e: joint_probs_projective(st, e, rep)[(1, 1)]
             for e in g.edges
         }
         assert evaluate_s(g, singles, pairs) == pytest.approx(SQRT5, abs=1e-10)
@@ -236,7 +228,7 @@ class TestWitnessEvaluation:
         st = maximally_mixed(3)
         singles = {v: born_single(st, rep.vectors[v]) for v in range(5)}
         pairs = {
-            e: joint_probs_projective(st, TwoPointContext(*e), rep)[(1, 1)]
+            e: joint_probs_projective(st, e, rep)[(1, 1)]
             for e in g.edges
         }
         # Each single is 1/3; edge vectors are orthogonal so P(1,1) stays 0.
@@ -254,7 +246,7 @@ class TestWitnessEvaluation:
         st = pure_state(rep.psi)
         singles = {v: rep.overlap(v) for v in range(5)}
         tables = {
-            e: joint_probs_projective(st, TwoPointContext(*e), rep) for e in g.edges
+            e: joint_probs_projective(st, e, rep) for e in g.edges
         }
         s_prime = evaluate_s_prime(g, singles, tables)
         assert s_prime == pytest.approx(SQRT5 + 5, abs=1e-9)
@@ -304,7 +296,7 @@ class TestRunExperiment:
         record = run_experiment(rep, kcbs_graph(), shots=250, seed=4)
         assert all(sum(c) == 250 for c in record.pair_counts)
         assert len(record.pair_counts) == 2 * len(kcbs_graph().edges)
-        assert list(record.contexts) == [(c.first, c.second) for c in ordered_contexts(kcbs_graph())]
+        assert list(record.contexts) == ordered_contexts(kcbs_graph())
 
     def test_noiseless_estimate_converges(self):
         rep = builtin_kcbs_rep()
@@ -337,8 +329,8 @@ class TestSignalingDiagnostics:
         eps = epsilon_signaling(record)
         eps_p = epsilon_prime(record)
         assert len(eps) == 10 and len(eps_p) == 10
-        assert all(e.difference <= 5 * e.stderr for e in eps)
-        assert all(e.difference <= 5 * e.stderr for e in eps_p)
+        assert all(e["difference"] <= 5 * e["stderr"] for e in eps)
+        assert all(e["difference"] <= 5 * e["stderr"] for e in eps_p)
 
     def test_misalignment_shows_up_in_epsilon_only(self):
         rep = builtin_kcbs_rep()
@@ -346,14 +338,14 @@ class TestSignalingDiagnostics:
         record = run_experiment(rep, kcbs_graph(), shots=200_000, seed=8, noise=noise)
         eps = epsilon_signaling(record)
         eps_p = epsilon_prime(record)
-        assert max(e.difference / e.stderr for e in eps) > 5
-        assert all(e.difference <= 5 * e.stderr for e in eps_p)
+        assert max(e["difference"] / e["stderr"] for e in eps) > 5
+        assert all(e["difference"] <= 5 * e["stderr"] for e in eps_p)
 
     def test_outcome_flips_keep_epsilon_prime_null(self):
         rep = builtin_kcbs_rep()
         noise = NoiseModel(outcome_flip_p=0.05)
         record = run_experiment(rep, kcbs_graph(), shots=100_000, seed=9, noise=noise)
-        assert all(e.difference <= 5 * e.stderr for e in epsilon_prime(record))
+        assert all(e["difference"] <= 5 * e["stderr"] for e in epsilon_prime(record))
 
     def test_depolarizing_and_flip_compose(self):
         # fully depolarized state gives P(1|i) = 1/3, then the readout flip
@@ -407,11 +399,11 @@ class TestSignalingDiagnostics:
         for rec in (record, shuffled):
             assert epsilon_signaling(rec) == pairwise_signaling(rec, 1)
             assert epsilon_prime(rec) == pairwise_signaling(rec, 0)
-        assert {e.fixed for e in epsilon_signaling(record)} == {0, 3}
+        assert {e["fixed"] for e in epsilon_signaling(record)} == {0, 3}
 
     def test_context_order_within_experiment(self):
         g = kcbs_graph()
-        assert [(c.first, c.second) for c in ordered_contexts(g)][:3] == [
+        assert ordered_contexts(g)[:3] == [
             (0, 1), (0, 4), (1, 0),
         ]
 
@@ -496,6 +488,13 @@ class TestRecordEstimates:
         rep = extract_ortho_rep(petersen, theta(petersen))
         record = run_experiment(rep, petersen, shots=30_000, seed=9, noise=NOISY, scheme=scheme)
         self._assert_estimates_equal(record)
+
+    def test_record_embeds_the_epsilon_rows(self, petersen):
+        rep = extract_ortho_rep(petersen, theta(petersen))
+        record = run_experiment(rep, petersen, shots=30_000, seed=9, noise=NOISY)
+        data = record_to_jsonable(record)
+        assert data["epsilon"] == epsilon_signaling(record)
+        assert data["epsilon_prime"] == epsilon_prime(record)
 
     def test_exact_rep_edges_floor_one_one(self):
         record = run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=20_000, seed=3)
