@@ -23,6 +23,7 @@ from .graphs import (
     PairEvent,
     SingleEvent,
     build_graph,
+    build_two_point_graph,
 )
 from .orthorep import OrthoRep
 from .simulate import (
@@ -229,12 +230,12 @@ def _label_to_jsonable(label: EventLabel) -> dict:
 
 def _label_from_jsonable(data: dict) -> EventLabel:
     kind = data.get("kind")
-    obs = data.get("obs", [])
-    out = data.get("out", [])
+    obs = [_json_int(x, "label 'obs'") for x in data.get("obs", [])]
+    out = [_json_int(x, "label 'out'") for x in data.get("out", [])]
     if kind == "single":
-        return SingleEvent(int(obs[0]), int(out[0]))
+        return SingleEvent(obs[0], out[0])
     if kind == "pair":
-        return PairEvent(int(obs[0]), int(obs[1]), int(out[0]), int(out[1]))
+        return PairEvent(obs[0], obs[1], out[0], out[1])
     raise ParseError(f"unknown label kind {kind!r}")
 
 
@@ -248,10 +249,20 @@ def event_graph_to_jsonable(eg: EventGraph) -> dict:
 
 
 def event_graph_from_jsonable(data: dict) -> EventGraph:
+    """The event graph of ``event_graph_to_jsonable``; its labels and edges must
+    be those that ``build_two_point_graph`` compiles from its source."""
     source = graph_from_jsonable(data["source"])
-    labels = tuple(_label_from_jsonable(lab) for lab in data["labels"])
-    edges = tuple((int(i), int(j)) for i, j in data["edges"])
-    return EventGraph(source=source, labels=labels, edges=edges)
+    try:
+        labels = tuple(_label_from_jsonable(lab) for lab in data["labels"])
+        edges = tuple(tuple(_json_int(x, "edge endpoint") for x in e) for e in data["edges"])
+        compiled = build_two_point_graph(source)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as err:
+        raise ParseError(f"bad event graph JSON: {err}") from err
+    if labels != compiled.labels:
+        raise ParseError("event labels differ from the compilation of the source graph")
+    if edges != compiled.edges:
+        raise ParseError("event edges are not exactly the exclusive label pairs")
+    return compiled
 
 
 # -- representations ----------------------------------------------------

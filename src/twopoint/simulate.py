@@ -4,11 +4,15 @@ Exact joint probabilities are available through two schemes that must agree:
 a projective scheme (measure, update the state by Lueders's rule, measure
 again) and a demolition-and-repreparation scheme (measure destructively,
 then re-prepare the first observable's eigenstate on outcome 1 or the
-Lueders outcome-0 state on outcome 0).  Monte Carlo experiments sample every
-single-observable context and every ordered pair context with a fixed number
-of shots, under an optional noise model, and carry no-signaling diagnostics:
-epsilon compares the second measurement's marginal across first settings,
-epsilon-prime the first measurement's marginal across second settings.
+Lueders outcome-0 state on outcome 0).  Both are one-context views of one
+exact kernel that computes the joint tables of many contexts at once.  Monte
+Carlo experiments sample every single-observable context and every ordered
+pair context with a fixed number of shots, under an optional noise model,
+from one call of that kernel: seed stream 0 draws the vector misalignment,
+stream 1 every count, so a fixed seed gives a fixed record within a version
+of the package.  Records carry no-signaling diagnostics: epsilon compares the
+second measurement's marginal across first settings, epsilon-prime the first
+measurement's marginal across second settings.
 """
 
 from __future__ import annotations
@@ -93,82 +97,78 @@ def born_single(state: QState, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     if v.shape != (state.d,):
         raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    return _born(state.rho, v)
-
-
-def _born(rho: np.ndarray, v: np.ndarray) -> float:
-    p = float(np.real(np.vdot(v, rho @ v)))
+    p = float(np.real(np.vdot(v, state.rho @ v)))
     return min(1.0, max(0.0, p))
 
 
-def _luders_rho(rho: np.ndarray, v: np.ndarray, outcome: int) -> np.ndarray:
-    """Normalised Lueders post-measurement matrix; raises on a near-zero outcome."""
-    proj = np.outer(v, v.conj())
-    op = proj if outcome == 1 else np.eye(rho.shape[0]) - proj
-    unnorm = op @ rho @ op
-    p = float(np.real(np.trace(unnorm)))
-    if p <= PROB_ATOL:
-        raise ValueError(f"conditioning on outcome {outcome} with probability {p:.3e}")
-    rho = unnorm / p
-    return (rho + rho.conj().T) / 2
-
-
 def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
-    """Post-measurement state under Lueders's rule for the projector onto v."""
+    """Post-measurement state under Lueders's rule for the projector onto v;
+    raises on an outcome of near-zero probability."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be a bit")
     v = np.asarray(v, dtype=complex)
     if v.shape != (state.d,):
         raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    return QState(_luders_rho(state.rho, v, outcome))
+    proj = np.outer(v, v.conj())
+    op = proj if outcome == 1 else np.eye(state.d) - proj
+    unnorm = op @ state.rho @ op
+    p = float(np.real(np.trace(unnorm)))
+    if p <= PROB_ATOL:
+        raise ValueError(f"conditioning on outcome {outcome} with probability {p:.3e}")
+    rho = unnorm / p
+    return QState((rho + rho.conj().T) / 2)
 
 
 _BRANCH_ATOL = 10 * PROB_ATOL  # skip margin above the conditioning threshold
 
 
-def _conditionals(
-    state: QState, v1: np.ndarray, demolition: bool
-) -> list[tuple[int, float, Optional[np.ndarray]]]:
-    """The first measurement of ``v1``: for outcome a = 1, then a = 0, P(a) and
-    the matrix that the second measurement sees after it, or None when P(a)
-    is too small to condition on.  The schemes differ only in that matrix
-    after outcome 1.  It stays a plain matrix: a QState would reject the
-    roundoff that dividing by a tiny P(a) leaves in it, although the product
-    P(a) P(b|a) is sound."""
-    p_first1 = born_single(state, v1)
-    out = []
-    for a, pa in ((1, p_first1), (0, 1.0 - p_first1)):
-        if pa <= _BRANCH_ATOL:
-            out.append((a, pa, None))
-        elif demolition and a == 1:
-            u = v1 / np.linalg.norm(v1)
-            out.append((a, pa, np.outer(u, u.conj())))
-        else:
-            out.append((a, pa, _luders_rho(state.rho, v1, a)))
-    return out
+def _joint_table(
+    rho: np.ndarray, vectors: np.ndarray, contexts: np.ndarray, demolition: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact kernel: every vertex's Born probability P(1) and, for the
+    k x 2 array ``contexts`` of (first, second) rows, the k x 4 table of
+    P(a, b) in ``OUTCOMES`` order.
 
-
-def _second_probs(
-    conditionals: list[tuple[int, float, Optional[np.ndarray]]], v2: np.ndarray
-) -> dict[tuple[int, int], float]:
-    """P(a, b) = P(a) P(b|a) from the first measurement's :func:`_conditionals`."""
-    probs: dict[tuple[int, int], float] = {}
-    for a, pa, rho in conditionals:
-        if rho is None:
-            probs[(a, 0)] = 0.0
-            probs[(a, 1)] = 0.0
-            continue
-        pb1 = _born(rho, v2)
-        probs[(a, 1)] = pa * pb1
-        probs[(a, 0)] = pa * (1.0 - pb1)
-    return {k: min(1.0, max(0.0, p)) for k, p in probs.items()}
+    Built from n x n per-vertex matrices, the overlaps G = <v_i|v_j> and
+    R = <v_i|rho|v_j>.  Outcome a of the first measurement leaves the
+    unnormalised Lueders matrix Pi_a rho Pi_a, so Q_a = tr(Pi_b Pi_a rho Pi_a)
+    is |G_ij|^2 P(1) for a = 1 and R_jj - 2 Re(conj(G_ij) R_ij) + |G_ij|^2 R_ii
+    for a = 0.  The demolition scheme re-prepares the normalised eigenstate on
+    a = 1, dividing |G_ij|^2 by G_ii; its a = 0 branch is Lueders's.  Each row
+    is P(a, 0) = P(a) - Q_a clamped to [0, P(a)] and P(a, 1) = P(a) - P(a, 0),
+    so a conditional below double resolution reads as 0, and a first outcome
+    with P(a) <= 10 PROB_ATOL gives exact zeros.
+    """
+    if vectors.shape[1] != rho.shape[0]:
+        raise ValueError(
+            f"vector dimension {vectors.shape[1:]} does not match state dimension {rho.shape[0]}"
+        )
+    bra = vectors.conj()
+    gram = bra @ vectors.T
+    sandwich = (bra @ rho) @ vectors.T
+    diag = sandwich.diagonal().real
+    born = np.clip(diag, 0.0, 1.0)
+    first, second = contexts[:, 0], contexts[:, 1]
+    g = gram[first, second]
+    g2 = g.real * g.real + g.imag * g.imag
+    p1 = born[first]
+    p0 = 1.0 - p1
+    q1 = p1 * (g2 / gram.diagonal().real[first] if demolition else g2)
+    q0 = diag[second] - 2.0 * (g.conj() * sandwich[first, second]).real + g2 * diag[first]
+    table = np.empty((len(first), 4))
+    for col, pa, qa in ((0, p0, q0), (2, p1, q1)):
+        table[:, col] = np.minimum(np.maximum(pa - qa, 0.0), pa)
+        table[:, col + 1] = pa - table[:, col]
+        table[pa <= _BRANCH_ATOL, col:col + 2] = 0.0
+    return born, table
 
 
 def _joint_probs(
     state: QState, ctx: tuple[int, int], rep: OrthoRep, demolition: bool
 ) -> dict[tuple[int, int], float]:
-    v1, v2 = (np.asarray(rep.vectors[v], dtype=complex) for v in ctx)
-    return _second_probs(_conditionals(state, v1, demolition), v2)
+    vectors = np.asarray(rep.vectors[list(ctx)], dtype=complex)
+    _, table = _joint_table(state.rho, vectors, np.array([[0, 1]]), demolition)
+    return dict(zip(OUTCOMES, table[0].tolist()))
 
 
 def joint_probs_projective(
@@ -254,24 +254,17 @@ def binomial_estimates(
     return p, np.where((p <= 0.0) | (p >= 1.0), floor, np.sqrt(p * (1.0 - p) / shots))
 
 
-def _flip_single(p1: float, f: float) -> float:
-    return (1.0 - f) * p1 + f * (1.0 - p1)
-
-
-def _flip_joint(
-    probs: dict[tuple[int, int], float], f: float
-) -> dict[tuple[int, int], float]:
-    if f == 0.0:
-        return probs
-    out: dict[tuple[int, int], float] = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            total = 0.0
-            for (a0, b0), p in probs.items():
-                qa = 1.0 - f if a == a0 else f
-                qb = 1.0 - f if b == b0 else f
-                total += p * qa * qb
-            out[(a, b)] = total
+def _flip_table(table: np.ndarray, f: float) -> np.ndarray:
+    """Independent readout flips with probability f on both bits of every
+    row of a k x 4 ``OUTCOMES`` table: each flipped column adds the terms
+    P(a0, b0) q(a, a0) q(b, b0) elementwise, from left to right over
+    (a0, b0) = (1, 1), (1, 0), (0, 1), (0, 0)."""
+    q = ((1.0 - f, f), (f, 1.0 - f))  # q[x][x0]
+    out = np.zeros_like(table)
+    for col, (a, b) in enumerate(OUTCOMES):
+        for k in (3, 2, 1, 0):
+            a0, b0 = OUTCOMES[k]
+            out[:, col] += table[:, k] * q[a][a0] * q[b][b0]
     return out
 
 
@@ -347,19 +340,15 @@ def run_experiment(
     """Simulate the full two-point experiment with finite statistics.
 
     Every vertex is measured alone and every edge in both orders, each for
-    ``shots`` trials.  Outcomes are drawn from the exact per-context
-    distribution of the chosen scheme under the noise model, using one
-    independent RNG stream per context spawned from the master seed (stream
-    k of SeedSequence(seed): k=0 drives vector misalignment, then singles in
-    vertex order, then ordered pair contexts sorted by (first, second)), so
-    results do not depend on sampling order.  Fixed seed, fixed record.
-
-    Conditioning happens once per first observable: P(first = 1) and the
-    matrices the second measurement sees (Lueders, or the re-prepared
-    eigenstate) are computed when the sorted contexts reach a new first
-    observable, and each context adds one Born probability per first
-    outcome.  The probabilities are those of ``joint_probs_projective`` and
-    ``joint_probs_demolition``, bit for bit.
+    ``shots`` trials.  One call of the exact kernel gives every vertex's
+    P(1) and the P(a, b) table of every ordered context under the chosen
+    scheme (the probabilities of ``joint_probs_projective`` and
+    ``joint_probs_demolition``); the readout flips act on the whole table.
+    The master seed is split into two streams of SeedSequence(seed): stream
+    0 draws the vector misalignment, stream 1 every count, the singles as
+    one binomial draw in vertex order and then the pairs as one multinomial
+    draw over the contexts sorted by (first, second).  A fixed seed gives a
+    fixed record within a version of the package.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -373,7 +362,7 @@ def run_experiment(
     flip = noise.outcome_flip_p
 
     contexts = ordered_contexts(g)
-    streams = np.random.SeedSequence(seed).spawn(1 + g.n + len(contexts))
+    misalign_stream, count_stream = np.random.SeedSequence(seed).spawn(2)
 
     state = pure_state(rep.psi)
     if noise.depolarizing_p > 0.0:
@@ -383,28 +372,22 @@ def run_experiment(
     vectors = rep.vectors
     if noise.vector_misalignment_angle != 0.0:
         vectors = _misaligned_vectors(
-            rep, noise.vector_misalignment_angle, np.random.default_rng(streams[0])
+            rep, noise.vector_misalignment_angle, np.random.default_rng(misalign_stream)
         )
     vectors = np.asarray(vectors, dtype=complex)
 
-    single_counts = []
-    for v in range(g.n):
-        p1 = _flip_single(born_single(state, vectors[v]), flip)
-        rng = np.random.default_rng(streams[1 + v])
-        single_counts.append(int(rng.binomial(shots, min(1.0, max(0.0, p1)))))
-
-    demolition = scheme == "demolition"
-    pair_counts = []
-    first = None
-    for k, (i, j) in enumerate(contexts):
-        if i != first:
-            first = i
-            conditionals = _conditionals(state, vectors[i], demolition)
-        probs = _flip_joint(_second_probs(conditionals, vectors[j]), flip)
-        vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
-        vec = vec / vec.sum()
-        rng = np.random.default_rng(streams[1 + g.n + k])
-        pair_counts.append(tuple(rng.multinomial(shots, vec).tolist()))
+    born, table = _joint_table(
+        state.rho,
+        vectors,
+        np.array(contexts, dtype=np.intp).reshape(-1, 2),
+        demolition=scheme == "demolition",
+    )
+    p1 = np.clip((1.0 - flip) * born + flip * (1.0 - born), 0.0, 1.0)
+    table = np.maximum(_flip_table(table, flip), 0.0)
+    table /= table.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(count_stream)
+    single_counts = rng.binomial(shots, p1)
+    pair_counts = rng.multinomial(shots, table)
 
     return ExperimentRecord(
         graph=g,
@@ -413,8 +396,8 @@ def run_experiment(
         shots=shots,
         noise=noise,
         contexts=tuple(contexts),
-        single_counts=tuple(single_counts),
-        pair_counts=tuple(pair_counts),
+        single_counts=tuple(single_counts.tolist()),
+        pair_counts=tuple(map(tuple, pair_counts.tolist())),
     )
 
 

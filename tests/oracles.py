@@ -25,16 +25,12 @@ from twopoint import (
     independence_number,
     joint_probs_demolition,
     joint_probs_projective,
+    luders_update,
     ordered_contexts,
     pure_state,
     theta,
 )
-from twopoint.simulate import (
-    OUTCOMES,
-    _flip_joint,
-    _flip_single,
-    _misaligned_vectors,
-)
+from twopoint.simulate import OUTCOMES, _misaligned_vectors
 from twopoint.theta import DEFAULT_TOLERANCE
 
 
@@ -377,7 +373,7 @@ def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:
     Each flipped P(a, b) adds P(a0, b0) q(a, a0) q(b, b0) from left to right
     over (a0, b0) = (1, 1), (1, 0), (0, 1), (0, 0), the order in which the
     exact kernel conditions on the first outcome, so on the kernel's own
-    table the result equals ``_flip_joint``'s to the last bit."""
+    table the result equals each row of ``_flip_table``'s to the last bit."""
     def q(x: int, x0: int) -> float:
         return 1.0 - f if x == x0 else f
 
@@ -393,6 +389,30 @@ def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:
     return out
 
 
+def luders_joint_table(
+    state: QState, vectors: np.ndarray, contexts, scheme: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex's P(1) and the k x 4 ``OUTCOMES`` table of the contexts,
+    from full density matrices: P(a) by the Born rule, the state after the
+    first measurement by ``luders_update`` (or, for the demolition scheme
+    after outcome 1, the pure eigenstate), and P(a, b) = P(a) P(b | a)."""
+    singles = np.array([born_single(state, v) for v in vectors])
+    rows = []
+    for (i, j) in contexts:
+        row = {}
+        for a in (0, 1):
+            pa = singles[i] if a == 1 else 1.0 - singles[i]
+            if a == 1 and scheme == "demolition":
+                after = pure_state(vectors[i])
+            else:
+                after = luders_update(state, vectors[i], a)
+            pb1 = born_single(after, vectors[j])
+            row[(a, 0)] = pa * (1.0 - pb1)
+            row[(a, 1)] = pa * pb1
+        rows.append([row[o] for o in OUTCOMES])
+    return singles, np.array(rows).reshape(-1, 4)
+
+
 def per_context_counts(
     rep: OrthoRep,
     g: Graph,
@@ -401,15 +421,18 @@ def per_context_counts(
     noise: Optional[NoiseModel] = None,
     scheme: str = "projective",
 ) -> tuple[tuple, tuple, tuple]:
-    """``run_experiment``'s contexts, single counts and pair counts, sampled the
-    way it did before it conditioned once per first observable: the public
-    ``joint_probs_*`` kernel is called once per ordered context, on the same
-    RNG streams, and each count is stored in a dict keyed by vertex, context
-    and outcome pair before it is read out in the record's order."""
+    """``run_experiment``'s contexts, single counts and pair counts, drawn one
+    context at a time: on the same count stream (stream 1 of
+    SeedSequence(seed)), one scalar binomial per vertex, then, over the
+    sorted contexts, one public ``joint_probs_*`` call, the term-by-term flip
+    and one scalar multinomial each.  Each count is stored in a dict keyed by
+    vertex, context and outcome pair before it is read out in the record's
+    order."""
     noise = noise or NoiseModel()
+    flip = noise.outcome_flip_p
     joint_fn = joint_probs_projective if scheme == "projective" else joint_probs_demolition
     contexts = ordered_contexts(g)
-    streams = np.random.SeedSequence(seed).spawn(1 + g.n + len(contexts))
+    misalign_stream, count_stream = np.random.SeedSequence(seed).spawn(2)
     state = pure_state(rep.psi)
     if noise.depolarizing_p > 0.0:
         d = state.d
@@ -418,22 +441,22 @@ def per_context_counts(
     vectors = rep.vectors
     if noise.vector_misalignment_angle != 0.0:
         vectors = _misaligned_vectors(
-            rep, noise.vector_misalignment_angle, np.random.default_rng(streams[0])
+            rep, noise.vector_misalignment_angle, np.random.default_rng(misalign_stream)
         )
     noisy_rep = OrthoRep(dimension=vectors.shape[1], psi=rep.psi, vectors=vectors)
 
+    rng = np.random.default_rng(count_stream)
     single_counts = {}
     for v in range(g.n):
-        p1 = _flip_single(born_single(state, vectors[v]), noise.outcome_flip_p)
-        rng = np.random.default_rng(streams[1 + v])
+        p1 = born_single(state, vectors[v])
+        p1 = (1.0 - flip) * p1 + flip * (1.0 - p1)
         n1 = int(rng.binomial(shots, min(1.0, max(0.0, p1))))
         single_counts[v] = (shots - n1, n1)
     pair_counts = {}
-    for k, ctx in enumerate(contexts):
-        probs = _flip_joint(joint_fn(state, ctx, noisy_rep), noise.outcome_flip_p)
+    for ctx in contexts:
+        probs = flip_joint_terms(joint_fn(state, ctx, noisy_rep), flip)
         vec = np.array([max(0.0, probs[o]) for o in OUTCOMES])
         vec = vec / vec.sum()
-        rng = np.random.default_rng(streams[1 + g.n + k])
         counts = rng.multinomial(shots, vec)
         pair_counts[ctx] = {o: int(c) for o, c in zip(OUTCOMES, counts)}
     keys = sorted(pair_counts)

@@ -287,6 +287,38 @@ class TestEventGraphSerialization:
         assert data["labels"][3] == {"kind": "pair", "obs": [0, 1], "out": [0, 1]}
         assert event_graph_from_jsonable(json.loads(dumps_canonical(data))) == eg
 
+    def test_transform_output_reads_back(self, tmp_path, capsys):
+        path = tmp_path / "c5.json"
+        path.write_text(emit_graph(cycle_graph(5)))
+        assert cli.main(["transform", str(path), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert event_graph_from_jsonable(data) == build_two_point_graph(cycle_graph(5))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("obs", [0.9]), ("out", [True]), ("obs", ["1"])],
+        ids=["float-obs", "bool-out", "string-obs"],
+    )
+    def test_label_numbers_must_be_integers(self, k2, field, value):
+        data = event_graph_to_jsonable(build_two_point_graph(k2))
+        data["labels"][0][field] = value
+        with pytest.raises(ParseError, match="must be an integer"):
+            event_graph_from_jsonable(data)
+
+    def test_edge_between_non_exclusive_singles_refused(self):
+        # On the path 0-1-2 the single events of 0 and 2 are not exclusive.
+        data = event_graph_to_jsonable(build_two_point_graph(build_graph(3, [(0, 1), (1, 2)])))
+        assert [0, 2] not in data["edges"]
+        data["edges"] = sorted(data["edges"] + [[0, 2]])
+        with pytest.raises(ParseError, match="exclusive label pairs"):
+            event_graph_from_jsonable(data)
+
+    def test_missing_edge_refused(self, k2):
+        data = event_graph_to_jsonable(build_two_point_graph(k2))
+        del data["edges"][0]
+        with pytest.raises(ParseError, match="exclusive label pairs"):
+            event_graph_from_jsonable(data)
+
 
 class TestOrthoRepSerialization:
     def test_real_round_trip(self):

@@ -23,13 +23,14 @@ from twopoint import (
     run_experiment,
     theta,
 )
-from twopoint.simulate import OUTCOMES, _flip_joint
+from twopoint.simulate import OUTCOMES, _flip_table, _joint_table
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
     builtin_kcbs_rep,
     flip_joint_terms,
     kcbs_graph,
+    luders_joint_table,
     maximally_mixed,
     pair_estimate,
     pair_row,
@@ -408,9 +409,50 @@ class TestSignalingDiagnostics:
         ]
 
 
+class TestBatchedTableAgainstLuders:
+    """The batched kernel works from n x n overlaps; the oracle conditions full
+    density matrices with luders_update, one context at a time."""
+
+    @staticmethod
+    def _assert_matches(state, vectors, g, scheme):
+        contexts = ordered_contexts(g)
+        born, table = _joint_table(
+            state.rho,
+            np.asarray(vectors, dtype=complex),
+            np.array(contexts).reshape(-1, 2),
+            demolition=scheme == "demolition",
+        )
+        ref_born, ref_table = luders_joint_table(state, vectors, contexts, scheme)
+        np.testing.assert_allclose(born, ref_born, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table, ref_table, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _states(rng, psi):
+        pure = pure_state(psi)
+        d = pure.d
+        depolarised = QState(0.95 * pure.rho + 0.05 * np.eye(d) / d)
+        return (pure, random_mixed_state(rng, d), depolarised)
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_random_graph(self, scheme, complex_):
+        rng = np.random.default_rng(16)
+        g = random_graph(rng, 12, 0.4)
+        vectors = np.array([random_unit(rng, 5, complex_) for _ in range(12)])
+        for state in self._states(rng, random_unit(rng, 5)):
+            self._assert_matches(state, vectors, g, scheme)
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_isolated_and_leaf_vertices(self, scheme):
+        g, rep = _isolated_and_leaf_case()
+        for state in self._states(np.random.default_rng(17), rep.psi):
+            self._assert_matches(state, rep.vectors, g, scheme)
+
+
 class TestKernelAgainstPerContextOracle:
-    """run_experiment conditions once per first observable; the oracle calls the
-    public kernel once per ordered context.  The counts must be equal."""
+    """run_experiment draws every count from one batched table; the oracle
+    calls the public kernel and draws once per ordered context, on the same
+    stream.  The counts must be equal."""
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     @pytest.mark.parametrize("noise", [None, NOISY], ids=["noiseless", "noisy"])
@@ -450,8 +492,10 @@ class TestExactKernelArithmetic:
         for state in (pure_state(rep.psi), random_mixed_state(rng, rep.dimension)):
             for ctx in ordered_contexts(petersen):
                 probs = kernel(state, ctx, rep)
+                row = np.array([[probs[o] for o in OUTCOMES]])
                 for f in (0.01, 0.3):
-                    assert _flip_joint(probs, f) == flip_joint_terms(probs, f)
+                    flipped = dict(zip(OUTCOMES, _flip_table(row, f)[0].tolist()))
+                    assert flipped == flip_joint_terms(probs, f)
 
 
 class TestRecordEstimates:
