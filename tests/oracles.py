@@ -371,9 +371,9 @@ def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:
     """Outcome-flip noise on a joint table, written out term by term.
 
     Each flipped P(a, b) adds P(a0, b0) q(a, a0) q(b, b0) from left to right
-    over (a0, b0) = (1, 1), (1, 0), (0, 1), (0, 0), the order in which the
-    exact kernel conditions on the first outcome, so on the kernel's own
-    table the result equals each row of ``_flip_table``'s to the last bit."""
+    over (a0, b0) = (1, 1), (1, 0), (0, 1), (0, 0), the order in which
+    ``_flip_table`` sums them elementwise, so the result equals each of its
+    rows to the last bit."""
     def q(x: int, x0: int) -> float:
         return 1.0 - f if x == x0 else f
 
