@@ -37,12 +37,13 @@ from .simulate import (
     NoiseModel,
     evaluate_s,
     evaluate_s_prime,
-    joint_probs_projective,
+    joint_probs_table,
     pure_state,
     run_experiment,
 )
-# Unused since record_to_jsonable builds the ε tables; the benchmark tracer patches these names.
-from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
+# Unused since record_to_jsonable builds the ε tables and joint_probs_table the exact ones;
+# the benchmark tracer patches these names.
+from .simulate import epsilon_prime, epsilon_signaling, joint_probs_projective  # noqa: F401
 from .theta import (
     DEFAULT_TOLERANCE,
     DualReport,
@@ -285,7 +286,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     with stage("exact"):
         state = pure_state(rep.psi)
         singles = {v: rep.overlap(v) for v in range(work.n)}
-        tables = {e: joint_probs_projective(state, e, rep) for e in work.edges}
+        tables = joint_probs_table(state, rep, work.edges)
         s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(work, singles, tables)
         data["exact"] = {

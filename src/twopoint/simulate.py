@@ -191,6 +191,20 @@ def joint_probs_demolition(
     return _joint_probs(state, ctx, rep, demolition=True)
 
 
+def joint_probs_table(
+    state: QState, rep: OrthoRep, contexts: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
+    """`joint_probs_projective` of every (first, second) context, from one
+    call of the exact kernel over all of ``rep``'s vectors."""
+    _, table = _joint_table(
+        state.rho,
+        np.asarray(rep.vectors, dtype=complex),
+        np.array(contexts, dtype=np.intp).reshape(-1, 2),
+        demolition=False,
+    )
+    return {tuple(c): dict(zip(OUTCOMES, row)) for c, row in zip(contexts, table.tolist())}
+
+
 def evaluate_s(
     g: Graph,
     singles: Mapping[int, float],

@@ -18,9 +18,16 @@ re-projected onto the exact affine constraints after every step.
 The Schur complement is assembled from row-then-column gathers of X and W
 that exploit the two-entry constraint matrices, and is exactly symmetric
 by construction.  Its m x m arrays (m = 1 + |E|) are allocated once per
-call, so one iteration costs one in-place Cholesky of the m x m system, no
-m x m allocation, and a handful of n x n eigendecompositions for the step
-lengths.  `SdpSolution.termination` names the exit the loop took.
+call, so one iteration costs one in-place Cholesky of the m x m system and
+no m x m allocation.  Each iterate's X and Z are factored once, X = U^T U
+and Z = V^T V, and the inverse factors U^-1 and V^-1 serve the whole
+iteration: W = Z^-1 is V^-1 V^-T, and each of the four step lengths is the
+smallest eigenvalue of one n x n matrix U^-T dX U^-1 or V^-T dZ V^-1.  X's
+factor is the Cholesky factorisation that re-projection runs anyway as its
+definiteness test.  Every factorisation, solve and eigenvalue goes straight
+to LAPACK (`scipy.linalg.lapack`), so nothing checks finiteness on the way;
+the loop checks each new iterate once instead and raises ValueError if it
+is not finite.  `SdpSolution.termination` names the exit the loop took.
 
 The dual of the program is
 
@@ -40,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
 
 from .graphs import EventGraph, Graph, PairEvent
 
@@ -246,24 +253,60 @@ def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
     return (W @ W.T) / np.sum(W * W)
 
 
+def _smallest_eigenvalue(S: np.ndarray) -> float:
+    """lambda_min of symmetric S from one partial eigensolve; nan if that fails."""
+    w, _, found, _, info = dsyevr(S, compute_v=0, range="I", il=1, iu=1)
+    return float(w[0]) if info == 0 and found else math.nan
+
+
 def _lift_to_pd(M: np.ndarray) -> np.ndarray:
     """Shift the diagonal just enough to undo a roundoff-level loss of definiteness."""
-    lmin = float(np.linalg.eigvalsh(M)[0])
+    lmin = _smallest_eigenvalue(M)
     if lmin <= 0.0:
         M = M + (1e-14 + 2.0 * abs(lmin)) * np.eye(M.shape[0])
     return M
 
 
-def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
-    """Largest a with M + a dM still positive semidefinite (M positive definite)."""
-    try:
-        w = sla.eigh(dM, M, eigvals_only=True)
-    except (np.linalg.LinAlgError, ValueError):
-        try:
-            w = sla.eigh(dM, _lift_to_pd(M), eigvals_only=True)
-        except (np.linalg.LinAlgError, ValueError):
-            return 0.0
-    lmin = float(w[0])
+def _inverse_factor(M: np.ndarray) -> np.ndarray | None:
+    """U^-1 for the Cholesky factor M = U^T U; None if M does not factor."""
+    U, info = dpotrf(M, clean=1)
+    if info:
+        return None
+    return dtrtri(U)[0]
+
+
+def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X with zero edge entries and unit trace imposed exactly, and U^-1 for X = U^T U.
+
+    Both constraints hold by construction of the search direction; imposing
+    them again stops roundoff drift.  Near convergence X is close to
+    singular and the zeroing can flip its smallest eigenvalue negative, so a
+    Cholesky factorisation that fails sends X through `_lift_to_pd` (a
+    diagonal shift respects the edge constraints).  The factor of the
+    definite X is kept: scaled by sqrt(trace) it is the factor of the
+    returned X.
+    """
+    X = (X + X.T) / 2
+    X[ei, ej] = 0.0
+    X[ej, ei] = 0.0
+    U, info = dpotrf(X, clean=1)
+    if info:
+        X = _lift_to_pd(X)
+        U, _ = dpotrf(X, clean=1)
+    t = float(np.trace(X))
+    return X / t, dtrtri(U)[0] * math.sqrt(t)
+
+
+def _max_step(R: np.ndarray, dM: np.ndarray) -> float:
+    """Largest a with M + a dM still positive semidefinite, given R = U^-1 for M = U^T U.
+
+    M + a dM = U^T (I + a R^T dM R) U, so the step is -1 / lambda_min of
+    R^T dM R, or inf when that eigenvalue is not negative; 0 if the
+    eigensolve fails (a non-finite dM).
+    """
+    lmin = _smallest_eigenvalue(R.T @ dM @ R)
+    if math.isnan(lmin):
+        return 0.0
     if lmin >= -1e-14:
         return math.inf
     return -1.0 / lmin
@@ -316,8 +359,8 @@ class _Schur:
             block += ga
         return H
 
-    def factor(self):
-        """Cholesky factor of H, with diagonal jitter if needed; None if none works."""
+    def factor(self) -> np.ndarray | None:
+        """Upper Cholesky factor of H, with diagonal jitter if needed; None if none works."""
         H, F = self.H, self._factor
         m = H.shape[0]
         jitter_scale = float(np.trace(H)) / m
@@ -325,17 +368,16 @@ class _Schur:
             F[...] = H
             if jit:
                 F.flat[:: m + 1] += jit * jitter_scale
-            try:
-                return sla.cho_factor(F, overwrite_a=True)
-            except np.linalg.LinAlgError:
-                continue
+            c, info = dpotrf(F, clean=0, overwrite_a=1)
+            if info == 0:
+                return c
         return None
 
-    def solve(self, ch, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # One round of iterative refinement against the unjittered H; the
         # Schur system turns badly conditioned as the gap closes.
-        dy = sla.cho_solve(ch, rhs)
-        dy += sla.cho_solve(ch, rhs - self.H @ dy)
+        dy = dpotrs(F, rhs)[0]
+        dy += dpotrs(F, rhs - self.H @ dy)[0]
         return dy
 
 
@@ -352,7 +394,8 @@ def theta(
     `verify_feasibility` at tolerance; otherwise it is MAX_ITERATIONS,
     carrying the best iterate found, never silently.  `termination` names
     the exit.  A graph whose SDP would need more than `MEMORY_LIMIT_BYTES`
-    is refused with ValueError before anything is allocated.
+    is refused with ValueError before anything is allocated, and an iterate
+    that turns non-finite raises ValueError.
     """
     _check_graph(g)
     if not (1e-10 <= tolerance <= 1e-3):
@@ -389,23 +432,7 @@ def theta(
             Z[ej, ei] += y[1:]
         return Z
 
-    def reproject(X: np.ndarray) -> np.ndarray:
-        # Edge entries are zero and the trace is one by construction of the
-        # search direction; re-impose both exactly to stop roundoff drift.
-        # Near convergence X is close to singular and the zeroing can flip
-        # its smallest eigenvalue negative, so lift it back when that
-        # happens (a diagonal shift respects the edge constraints).
-        X = (X + X.T) / 2
-        if me:
-            X[ei, ej] = 0.0
-            X[ej, ei] = 0.0
-        try:
-            sla.cho_factor(X)
-        except np.linalg.LinAlgError:
-            X = _lift_to_pd(X)
-        return X / np.trace(X)
-
-    X = eye_n / n
+    X, Rx = _reproject(eye_n, ei, ej)  # X0 = I/n
     y = np.zeros(m)
     y[0] = n + 1.0
     Z = build_Z(y)
@@ -438,13 +465,11 @@ def theta(
             break
         mu = gap / n
 
-        try:
-            cz = sla.cho_factor(Z)
-        except np.linalg.LinAlgError:
+        Rz = _inverse_factor(Z)
+        if Rz is None:
             termination = SdpTermination.Z_NOT_FACTORABLE
             break
-        W = sla.cho_solve(cz, eye_n)
-        W = (W + W.T) / 2
+        W = Rz @ Rz.T  # Z^-1, exactly symmetric (numpy runs A A^T as a syrk)
 
         schur.assemble(X, W)
         ch = schur.factor()
@@ -474,19 +499,22 @@ def theta(
         # centering weight and the second-order term, and the corrector
         # reuses the factorization.
         dy_a, dZ_a, dX_a = direction(0.0, None)
-        ap = min(1.0, tau * _max_step(X, dX_a))
-        ad = min(1.0, tau * _max_step(Z, dZ_a))
+        ap = min(1.0, tau * _max_step(Rx, dX_a))
+        ad = min(1.0, tau * _max_step(Rz, dZ_a))
         gap_aff = float((y[0] + ad * dy_a[0]) - (X + ap * dX_a).sum())
         sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 0.01, 0.8))
 
         dy, dZ, dX = direction(sigma, dX_a @ dZ_a @ W)
-        ap = min(1.0, tau * _max_step(X, dX))
-        ad = min(1.0, tau * _max_step(Z, dZ))
+        ap = min(1.0, tau * _max_step(Rx, dX))
+        ad = min(1.0, tau * _max_step(Rz, dZ))
+        X_next, y_next = X + ap * dX, y + ad * dy
+        if not (np.isfinite(X_next).all() and np.isfinite(y_next).all()):
+            raise ValueError("theta: the interior-point iterate is not finite")
         if ap <= 1e-12 and ad <= 1e-12:
             termination = SdpTermination.STEP_TOO_SMALL
             break
-        X = reproject(X + ap * dX)
-        y = y + ad * dy
+        X, Rx = _reproject(X_next, ei, ej)
+        y = y_next
         Z = build_Z(y)
 
     gap = float(y[0] - X.sum())

@@ -201,7 +201,8 @@ def test_criterion_7_monte_carlo_statistics():
     from twopoint import born_single, extract_ortho_rep
 
     rep = extract_ortho_rep(g, sol)
-    record = run_experiment(rep, g, shots=1_000_000, seed=20260809)
+    seed = 20260809
+    record = run_experiment(rep, g, shots=1_000_000, seed=seed)
     s, se = record.s_estimate()
     s_ok = abs(s - SQRT5) <= 5 * se
 
@@ -223,8 +224,16 @@ def test_criterion_7_monte_carlo_statistics():
     eps_p = epsilon_prime(record)
     eps_ok = all(e["difference"] <= 5 * e["stderr"] for e in eps)
     eps_p_ok = all(e["difference"] <= 5 * e["stderr"] for e in eps_p)
-    scale_eps = math.sqrt(sum(e["difference"]**2 for e in eps) / len(eps))
-    scale_eps_p = math.sqrt(sum(e["difference"]**2 for e in eps_p) / len(eps_p))
+    # The scale check pools the rows of 20 seeds.  c5's tables repeat each
+    # outcome-0 row as an outcome-1 row, so one seed gives 5 independent
+    # values per side, and its ratio leaves [0.5, 2] on about 9% of seeds.
+    pooled = [record] + [
+        run_experiment(rep, g, shots=1_000_000, seed=seed + k) for k in range(1, 20)
+    ]
+    pooled_eps = [e for r in pooled for e in epsilon_signaling(r)]
+    pooled_eps_p = [e for r in pooled for e in epsilon_prime(r)]
+    scale_eps = math.sqrt(sum(e["difference"]**2 for e in pooled_eps) / len(pooled_eps))
+    scale_eps_p = math.sqrt(sum(e["difference"]**2 for e in pooled_eps_p) / len(pooled_eps_p))
     ratio = scale_eps / scale_eps_p if scale_eps_p > 0 else math.inf
     scale_ok = 0.5 <= ratio <= 2.0
     ok = s_ok and probs_ok and eps_ok and eps_p_ok and scale_ok
@@ -232,7 +241,8 @@ def test_criterion_7_monte_carlo_statistics():
         7,
         "Monte Carlo statistics at 1e6 shots",
         ok,
-        f"|S-sqrt5|={abs(s - SQRT5):.2e} (se {se:.2e}), eps/eps' scale ratio {ratio:.2f}",
+        f"|S-sqrt5|={abs(s - SQRT5):.2e} (se {se:.2e}), "
+        f"eps/eps' scale ratio {ratio:.2f} over 20 seeds",
     )
     assert s_ok and probs_ok and eps_ok and eps_p_ok and scale_ok
 

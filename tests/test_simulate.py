@@ -17,6 +17,7 @@ from twopoint import (
     evaluate_s_prime,
     joint_probs_demolition,
     joint_probs_projective,
+    joint_probs_table,
     luders_update,
     ordered_contexts,
     pure_state,
@@ -193,6 +194,21 @@ class TestJointProbabilities:
                 assert pp[key] == pytest.approx(pd[key], abs=1e-10)
             assert sum(pp.values()) == pytest.approx(1.0, abs=1e-10)
             assert all(0.0 <= p <= 1.0 for p in pp.values())
+
+    def test_batched_table_matches_per_context_calls(self):
+        rng = np.random.default_rng(17)
+        g = random_graph(rng, 9, 0.4)
+        d = 4
+        rep = OrthoRep(dimension=d, psi=random_unit(rng, d),
+                       vectors=np.array([random_unit(rng, d) for _ in range(g.n)]))
+        st = random_mixed_state(rng, d)
+        contexts = ordered_contexts(g)
+        tables = joint_probs_table(st, rep, contexts)
+        assert list(tables) == contexts
+        for ctx in contexts:
+            one = joint_probs_projective(st, ctx, rep)
+            assert list(tables[ctx]) == list(one)
+            assert all(tables[ctx][k] == pytest.approx(one[k], abs=1e-14) for k in one)
 
     def test_one_one_probability_is_order_symmetric_on_edges(self):
         rep = builtin_kcbs_rep()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from twopoint import (
     SdpStatus,
@@ -250,6 +251,62 @@ class TestSolverInternals:
         assert sol.iterations <= 14
 
 
+class TestLapackKernels:
+    """The iteration's direct LAPACK calls against scipy's high-level oracles."""
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_max_step_matches_generalised_eigh(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            M = _random_spd(rng, n)
+            B = rng.standard_normal((n, n))
+            dM = 3.0 * (B + B.T)
+            dM[0, 0] = -abs(dM[0, 0]) - 1.0  # e_0^T dM e_0 < 0, so the step is finite
+            lmin = sla.eigh(dM, M, eigvals_only=True)[0]
+            step = theta_mod._max_step(theta_mod._inverse_factor(M), dM)
+            assert abs(step - (-1.0 / lmin)) <= 1e-10 * abs(1.0 / lmin)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_max_step_unbounded_direction(self, n):
+        rng = np.random.default_rng(100 + n)
+        M = _random_spd(rng, n)
+        B = rng.standard_normal((n, n - 1))  # dM = B B^T is PSD and singular
+        assert theta_mod._max_step(theta_mod._inverse_factor(M), B @ B.T) == math.inf
+
+    def test_reproject_carries_inverse_factor(self):
+        g = catalog("petersen")
+        ei, ej = theta_mod._edge_index(g)
+        X, R = theta_mod._reproject(_random_spd(np.random.default_rng(3), g.n), ei, ej)
+        assert np.trace(X) == pytest.approx(1.0, abs=1e-15)
+        assert not np.any(X[ei, ej]) and not np.any(X[ej, ei])
+        U = np.linalg.cholesky(X).T
+        assert np.max(np.abs(R @ U - np.eye(g.n))) <= 1e-10
+
+    def test_non_finite_iterate_raises(self, c5, monkeypatch):
+        def solve(schur, factor, rhs):
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(theta_mod._Schur, "solve", solve)
+        with pytest.raises(ValueError, match="not finite"):
+            theta(c5)
+
+    def test_wrapper_signatures(self):
+        # Each raw wrapper exactly as the loop calls it, on a 3 x 3 SPD matrix.
+        M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        U, info = theta_mod.dpotrf(M, clean=1)
+        assert info == 0 and np.allclose(U.T @ U, M)
+        R, info = theta_mod.dtrtri(U)
+        assert info == 0 and np.allclose(R @ U, np.eye(3))
+        F = np.asfortranarray(M)
+        c, info = theta_mod.dpotrf(F, clean=0, overwrite_a=1)
+        assert info == 0
+        x, info = theta_mod.dpotrs(c, np.ones(3))
+        assert info == 0 and np.allclose(M @ x, 1.0)
+        w, _, found, _, info = theta_mod.dsyevr(M, compute_v=0, range="I", il=1, iu=1)
+        assert info == 0 and found == 1
+        assert w[0] == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-12)
+
+
 class TestUndrivenExits:
     """Exits no known input reaches, driven by failing a factorisation or the step search.
 
@@ -269,19 +326,15 @@ class TestUndrivenExits:
 
     def test_z_not_factorable(self, c5, monkeypatch):
         ref = theta(c5, max_iterations=self.K)
-        original = theta_mod.sla.cho_factor
-        z_calls = []
+        original = theta_mod._inverse_factor
+        calls = []
 
-        def cho_factor(a, **kwargs):
-            # Z = y_0 I - J + Y has trace 5 (y_0 - 1) > 6 on c5; the re-projected
-            # X has trace 1 and the Schur factor passes overwrite_a.
-            if not kwargs and np.trace(a) > 2:
-                z_calls.append(a)
-                if len(z_calls) > self.K:
-                    raise np.linalg.LinAlgError("injected")
-            return original(a, **kwargs)
+        def inverse_factor(Z):
+            # Z is factored once per iteration, through this helper alone.
+            calls.append(Z)
+            return None if len(calls) > self.K else original(Z)
 
-        monkeypatch.setattr(theta_mod.sla, "cho_factor", cho_factor)
+        monkeypatch.setattr(theta_mod, "_inverse_factor", inverse_factor)
         self._check(theta(c5), ref, SdpTermination.Z_NOT_FACTORABLE)
 
     def test_schur_not_factorable(self, c5, monkeypatch):
