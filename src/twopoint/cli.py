@@ -30,6 +30,7 @@ from .independence import ALPHA_LIMIT, independence_number
 from .serialize import (
     ParseError,
     dumps_canonical,
+    dumps_record,
     emit_graph,
     event_graph_to_jsonable,
     format_float,
@@ -39,7 +40,8 @@ from .serialize import (
 from .simulate import SCHEMES, NoiseModel, run_experiment
 from .theta import DEFAULT_TOLERANCE, theta
 
-# Unused since certify._montecarlo_section builds the record; the benchmark tracer patches them.
+# Unused since certify._montecarlo_section and dumps_record build the record; the benchmark
+# tracer patches them.
 from .serialize import record_to_jsonable  # noqa: F401
 from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
@@ -248,10 +250,10 @@ def _cmd_simulate(args) -> int:
     record = run_experiment(
         rep, g, shots=args.shots, seed=args.seed, noise=noise, scheme=args.scheme
     )
-    mc = _montecarlo_section(record)
     if args.format == "json":
-        out = dumps_canonical(mc["record"]) + "\n"
+        out = dumps_record(record) + "\n"
     else:
+        mc = _montecarlo_section(record)
         out = (
             f"scheme = {record.scheme}, shots = {record.shots}, seed = {record.seed}\n"
             f"Ŝ = {format_float(mc['s_estimate'])} ± {format_float(mc['s_stderr'])}\n"

@@ -16,6 +16,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -37,6 +39,25 @@ class Graph:
         # Built once per instance: simulate and complement query it repeatedly.
         return frozenset(self.edges)
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in increasing order, built once per instance."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for (i, j) in self.edges:
+            out[i].append(j)
+            out[j].append(i)
+        return tuple(tuple(sorted(nbrs)) for nbrs in out)
+
+    @functools.cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' first and second endpoints as read-only int arrays, built once
+        per instance: the SDP and its checks index matrices with them."""
+        ei = np.fromiter((e[0] for e in self.edges), dtype=int, count=len(self.edges))
+        ej = np.fromiter((e[1] for e in self.edges), dtype=int, count=len(self.edges))
+        ei.setflags(write=False)
+        ej.setflags(write=False)
+        return ei, ej
+
     @property
     def is_weighted(self) -> bool:
         return self.weights is not None
@@ -45,11 +66,10 @@ class Graph:
         return 1 if self.weights is None else self.weights[v]
 
     def degree(self, v: int) -> int:
-        return sum(1 for (i, j) in self.edges if i == v or j == v)
+        return len(self.adjacency[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [j for (i, j) in self.edges if i == v] + [i for (i, j) in self.edges if j == v]
-        return tuple(sorted(out))
+        return self.adjacency[v]
 
 
 def build_graph(

@@ -2,9 +2,15 @@
 
 Graphs travel as JSON ``{"n": int, "edges": [[i,j],...], "weights": {...}?}``
 or DIMACS edge lists; event graphs, representations, and experiment records
-have JSON forms of their own.  All emitters go through the standard library's
-C encoder with sorted keys and shortest round-trip floats, so identical inputs
-produce byte-identical output.
+have JSON forms of their own.  Output is canonical JSON: sorted keys, no
+whitespace and shortest round-trip floats, so identical inputs produce
+byte-identical output.  Two writers produce it.  `dumps_canonical` runs the
+standard library's C encoder over a tree of dicts and lists; every emitter
+uses it, and so does `certify`, whose report embeds the experiment record as
+the tree of `record_to_jsonable`.  The record writer `dumps_record` writes
+the same record's text straight from its count arrays, through one template
+per table row, with no tree; `twopoint simulate --format json` uses it.  A
+test holds the two to the same bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from typing import Any, Optional
+from itertools import repeat
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -27,8 +34,10 @@ from .graphs import (
 )
 from .orthorep import OrthoRep
 from .simulate import (
+    EPSILON_KEYS,
     OUTCOMES,
     ExperimentRecord,
+    _signaling,
     binomial_estimates,
     epsilon_prime,
     epsilon_signaling,
@@ -294,40 +303,120 @@ def orthorep_from_jsonable(data: dict) -> OrthoRep:
 
 
 # -- experiment records -------------------------------------------------
+#
+# One schema and one row source.  `_record` lists the record's fields once,
+# and each table's row keys are listed once, in the order of the value
+# columns that `_record` and `simulate._signaling` compute from the count
+# arrays; a (key, keys) item is a nested object.  `record_to_jsonable`
+# zips the columns into dicts; `dumps_record` pours them into %-templates
+# generated from the same keys, so it builds no dict per row.
 
 _OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
+_SINGLE_ROW = ("n0", "n1", "p1", "stderr")
+_PAIR_ROW = (("counts", _OUTCOME_KEYS), ("p", _OUTCOME_KEYS), ("stderr", _OUTCOME_KEYS))
+
+
+def _record(record: ExperimentRecord, scalar: Callable, table: Callable, epsilon: Callable) -> dict:
+    """The record's fields, rendered by ``scalar``, by ``table`` (the singles and
+    pairs tables, each from its row keys and value columns in row order) and
+    by ``epsilon`` (position 1 gives ε, position 0 ε′)."""
+    ones = np.array(record.single_counts, dtype=np.int64)
+    p1, se1 = binomial_estimates(ones, record.shots)
+    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
+    p, se = binomial_estimates(counts, record.shots)
+    s_value, s_err = record.s_estimate()
+    return {
+        "graph": scalar(graph_to_jsonable(record.graph)),
+        "scheme": scalar(record.scheme),
+        "seed": scalar(record.seed),
+        "shots": scalar(record.shots),
+        "noise": scalar(dataclasses.asdict(record.noise)),
+        "singles": table(
+            _SINGLE_ROW, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
+        ),
+        "pairs": table(
+            _PAIR_ROW, [f"{first},{second}" for first, second in record.contexts],
+            [*counts.T, *p.T, *se.T],
+        ),
+        "s_estimate": scalar(s_value),
+        "s_stderr": scalar(s_err),
+        "epsilon": epsilon(record, 1),
+        "epsilon_prime": epsilon(record, 0),
+    }
+
+
+def _key(item: Any) -> str:
+    return item if isinstance(item, str) else item[0]
+
+
+def _rows(spec: tuple, columns: Iterator[list]) -> list[dict]:
+    """A table's row objects, built column by column from its value columns
+    in ``spec`` order."""
+    keys = [_key(item) for item in spec]
+    fields = [next(columns) if isinstance(item, str) else _rows(item[1], columns) for item in spec]
+    return list(map(dict, map(zip, repeat(keys), zip(*fields))))
+
+
+def _table_tree(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> dict:
+    return dict(zip(keys, _rows(spec, (column.tolist() for column in columns))))
+
+
+def _epsilon_tree(record: ExperimentRecord, position: int) -> list[dict]:
+    return epsilon_signaling(record) if position == 1 else epsilon_prime(record)
 
 
 def record_to_jsonable(record: ExperimentRecord) -> dict:
     """The record with every count's estimate and standard error, from
-    :func:`binomial_estimates`, the witness estimate, and both ε tables."""
-    p, se = binomial_estimates(record.single_counts, record.shots)
-    singles = {
-        str(v): {"n0": record.shots - c, "n1": c, "p1": pv, "stderr": sv}
-        for v, (c, pv, sv) in enumerate(zip(record.single_counts, p.tolist(), se.tolist()))
-    }
-    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
-    p, se = binomial_estimates(counts, record.shots)
-    rows = zip(record.contexts, record.pair_counts, p.tolist(), se.tolist())
-    pairs = {
-        f"{first},{second}": {
-            "counts": dict(zip(_OUTCOME_KEYS, c)),
-            "p": dict(zip(_OUTCOME_KEYS, pv)),
-            "stderr": dict(zip(_OUTCOME_KEYS, sv)),
-        }
-        for (first, second), c, pv, sv in rows
-    }
-    s_value, s_err = record.s_estimate()
-    return {
-        "graph": graph_to_jsonable(record.graph),
-        "scheme": record.scheme,
-        "seed": record.seed,
-        "shots": record.shots,
-        "noise": dataclasses.asdict(record.noise),
-        "singles": singles,
-        "pairs": pairs,
-        "s_estimate": s_value,
-        "s_stderr": s_err,
-        "epsilon": epsilon_signaling(record),
-        "epsilon_prime": epsilon_prime(record),
-    }
+    :func:`binomial_estimates`, the witness estimate, and both ε tables: the
+    tree that `certify`'s report embeds.  :func:`dumps_record` writes its
+    canonical JSON text from the same columns without building it."""
+    return _record(record, lambda value: value, _table_tree, _epsilon_tree)
+
+
+def _template(spec: tuple, first: int = 0) -> tuple[str, list[int]]:
+    """A row's JSON object as a %-template with keys sorted at every level, and
+    the ``spec``-order index of the value behind each %s slot."""
+    entries = []
+    for item in spec:
+        text, order = ("%s", [first]) if isinstance(item, str) else _template(item[1], first)
+        entries.append((_key(item), text, order))
+        first += len(order)
+    entries.sort()
+    text = ",".join(f"{dumps_canonical(key)}:{t}" for key, t, _ in entries)
+    return "{" + text + "}", [i for *_, order in entries for i in order]
+
+
+def _json_texts(column: np.ndarray) -> list[str]:
+    """A column's values as the encoder writes them: ints and floats by their
+    ``repr``, and NaN or an infinity refused as ``allow_nan=False`` refuses it."""
+    if column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return list(map(float.__repr__, column.tolist()))
+    return list(map(int.__repr__, column.tolist()))
+
+
+def _table_json(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> str:
+    template, order = _template(spec)
+    rows = map(template.__mod__, zip(*(_json_texts(columns[i]) for i in order)))
+    items = sorted(zip(keys, rows))
+    return "{" + ",".join(f"{dumps_canonical(key)}:{row}" for key, row in items) + "}"
+
+
+def _epsilon_json(record: ExperimentRecord, position: int) -> str:
+    """An ε table: each comparison of `_signaling` gives the rows of outcome 0
+    and 1, whose numbers are formatted once and written into both."""
+    template, order = _template(EPSILON_KEYS)
+    outcome = EPSILON_KEYS.index("outcome")
+    pair = ",".join(template % tuple(str(o) if i == outcome else "%s" for i in order) for o in (0, 1))
+    columns = dict(zip((k for k in EPSILON_KEYS if k != "outcome"), _signaling(record, position)))
+    texts = [_json_texts(columns[EPSILON_KEYS[i]]) for i in order if i != outcome]
+    return "[" + ",".join(map(pair.__mod__, zip(*texts, *texts))) + "]"
+
+
+def dumps_record(record: ExperimentRecord) -> str:
+    """``dumps_canonical(record_to_jsonable(record))``, byte for byte, written
+    from the record's count arrays: each table row from a template, each ε
+    comparison formatted once for both outcomes' rows."""
+    fields = _record(record, dumps_canonical, _table_json, _epsilon_json)
+    return "{" + ",".join(f"{dumps_canonical(k)}:{v}" for k, v in sorted(fields.items())) + "}"

@@ -119,9 +119,6 @@ def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
     return QState((rho + rho.conj().T) / 2)
 
 
-_BRANCH_ATOL = 10 * PROB_ATOL  # skip margin above the conditioning threshold
-
-
 def _joint_table(
     rho: np.ndarray, vectors: np.ndarray, contexts: np.ndarray, demolition: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +133,9 @@ def _joint_table(
     for a = 0.  The demolition scheme re-prepares the normalised eigenstate on
     a = 1, dividing |G_ij|^2 by G_ii; its a = 0 branch is Lueders's.  Each row
     is P(a, 0) = P(a) - Q_a clamped to [0, P(a)] and P(a, 1) = P(a) - P(a, 0),
-    so a conditional below double resolution reads as 0, and a first outcome
-    with P(a) <= 10 PROB_ATOL gives exact zeros.
+    so a conditional below double resolution reads as 0 and every row keeps
+    its first outcome's mass P(a), however small: no state is conditioned,
+    so a branch that ``luders_update`` would refuse is still well defined.
     """
     if vectors.shape[1] != rho.shape[0]:
         raise ValueError(
@@ -159,7 +157,6 @@ def _joint_table(
     for col, pa, qa in ((0, p0, q0), (2, p1, q1)):
         table[:, col] = np.minimum(np.maximum(pa - qa, 0.0), pa)
         table[:, col + 1] = pa - table[:, col]
-        table[pa <= _BRANCH_ATOL, col:col + 2] = 0.0
     return born, table
 
 
@@ -255,17 +252,23 @@ def binomial_estimates(
     counts: np.ndarray | Sequence[int], shots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise estimate p = c / shots of outcome counts and its binomial
-    standard error sqrt(p (1 - p) / shots), floored at sqrt(0.25 / shots) where
-    p is 0 or 1.  ``counts`` is an int64 array, or a sequence of Python ints
-    where they may pass int64 (pooled counts reach 2 shots - 2).  Every p is
-    the correctly rounded quotient, as Python's ``c / shots`` gives it."""
+    standard error sqrt(p q / shots), floored at sqrt(0.25 / shots) where c is
+    0 or ``shots``.  ``counts`` is an int64 array, or a sequence of Python ints
+    where they may pass int64 (pooled counts reach 2 shots - 2).  Every p, and
+    q = (shots - c) / shots, is the correctly rounded quotient of integers, as
+    Python's ``c / shots`` gives it.  So the complementary count shots - c has
+    p and q swapped and the same standard error to the last bit; 1 - p, the
+    rounded complement of a rounded p, would not."""
     if shots <= 2**53:  # counts and shots convert to doubles exactly
-        p = np.asarray(counts, dtype=np.int64) / shots
+        c = np.asarray(counts, dtype=np.int64)
+        p, q = c / shots, (shots - c) / shots
     else:  # exact Python ints, as pooled counts may pass int64
         exact = np.array(counts, dtype=object)
-        p = np.array([c / shots for c in exact.ravel().tolist()]).reshape(exact.shape)
+        flat = exact.ravel().tolist()
+        p = np.array([c / shots for c in flat]).reshape(exact.shape)
+        q = np.array([(shots - c) / shots for c in flat]).reshape(exact.shape)
     floor = math.sqrt(0.25 / shots)
-    return p, np.where((p <= 0.0) | (p >= 1.0), floor, np.sqrt(p * (1.0 - p) / shots))
+    return p, np.where((p <= 0.0) | (q <= 0.0), floor, np.sqrt(p * q / shots))
 
 
 def _flip_table(table: np.ndarray, f: float) -> np.ndarray:
@@ -415,43 +418,53 @@ def run_experiment(
     )
 
 
-def _signaling(record: ExperimentRecord, position: int) -> list[dict[str, Any]]:
+# The keys of an epsilon row, in the order its values are listed.
+EPSILON_KEYS = ("fixed", "varied_a", "varied_b", "outcome", "difference", "stderr")
+
+
+def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...]:
     """Compare the marginal at ``position`` of every observable across the settings
     measured with it in the other position.
 
-    One row per comparison, as the JSON record stores it: ``fixed`` is the
-    observable whose marginal is compared while the co-measured setting changes
-    between ``varied_a`` and ``varied_b``; ``difference`` is the absolute
-    difference of the two marginal estimates for ``outcome`` and ``stderr``
-    its propagated standard error.
+    One comparison per pair of contexts that share the observable ``fixed`` at
+    ``position`` while the co-measured setting changes between ``varied_a`` and
+    ``varied_b``, in (fixed, varied_a, varied_b) order.  Returns the columns of
+    ``EPSILON_KEYS`` but ``outcome``, one entry per comparison, because both
+    outcomes' rows hold the same numbers: outcome 0's marginal count is shots
+    minus outcome 1's, so ``difference`` = |m1_a - m1_b| / shots comes from the
+    integer counts, and ``binomial_estimates`` gives a count and its complement
+    one standard error, so ``stderr``, propagated from the two, is shared too.
 
-    The tables come from count arrays: the count rows are read once into a
-    contexts x 4 array, each context's two marginal counts, estimates and
-    standard errors are computed once, and a fixed observable's comparisons
-    are index pairs into them, in (fixed, varied_a, varied_b, outcome) order.
+    The count rows are read once into a contexts x 4 array, each context's
+    outcome-1 marginal count and standard error are computed once, and a fixed
+    observable's comparisons are index pairs into them.
     """
     other = 1 - position
     counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
     ctx = np.array(record.contexts, dtype=np.int64).reshape(-1, 2)
     # counts[k, a, b]: summing out the other position leaves the marginal of ``position``
-    p, se = binomial_estimates(counts.reshape(-1, 2, 2).sum(axis=2 - position), record.shots)
+    ones = counts.reshape(-1, 2, 2).sum(axis=2 - position)[:, 1]
+    _, se = binomial_estimates(ones, record.shots)
     groups: dict[int, list[int]] = {}
     for k in np.lexsort((ctx[:, other], ctx[:, position])).tolist():
         groups.setdefault(record.contexts[k][position], []).append(k)
     pairs = [(x, y) for rows in groups.values() for i, x in enumerate(rows) for y in rows[i + 1:]]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    columns = zip(  # one row per pair and outcome, outcome fastest
-        ctx[a, position].repeat(2).tolist(),
-        ctx[a, other].repeat(2).tolist(),
-        ctx[b, other].repeat(2).tolist(),
-        [0, 1] * len(pairs),
-        np.abs(p[a] - p[b]).ravel().tolist(),
-        np.sqrt(se[a] * se[a] + se[b] * se[b]).ravel().tolist(),
+    difference, _ = binomial_estimates(np.abs(ones[a] - ones[b]), record.shots)
+    return (
+        ctx[a, position], ctx[a, other], ctx[b, other],
+        difference, np.sqrt(se[a] * se[a] + se[b] * se[b]),
     )
-    return [
-        {"fixed": f, "varied_a": va, "varied_b": vb, "outcome": o, "difference": d, "stderr": e}
-        for f, va, vb, o, d, e in columns
-    ]
+
+
+def _signaling_rows(record: ExperimentRecord, position: int) -> list[dict[str, Any]]:
+    """The comparisons of `_signaling` as the JSON record's rows: outcome 0, then
+    the same row for outcome 1."""
+    rows: list[dict[str, Any]] = []
+    for f, va, vb, d, e in zip(*(c.tolist() for c in _signaling(record, position))):
+        zero = dict(zip(EPSILON_KEYS, (f, va, vb, 0, d, e)))
+        rows += (zero, {**zero, "outcome": 1})
+    return rows
 
 
 def epsilon_signaling(record: ExperimentRecord) -> list[dict[str, Any]]:
@@ -462,7 +475,7 @@ def epsilon_signaling(record: ExperimentRecord) -> list[dict[str, Any]]:
     propagated standard error.  Zero for perfectly compatible measurements;
     sensitive to measurement imperfections.
     """
-    return _signaling(record, 1)
+    return _signaling_rows(record, 1)
 
 
 def epsilon_prime(record: ExperimentRecord) -> list[dict[str, Any]]:
@@ -471,4 +484,4 @@ def epsilon_prime(record: ExperimentRecord) -> list[dict[str, Any]]:
     Zero by causality in any sampling scheme; its empirical spread is the
     yardstick against which the epsilon table is judged.
     """
-    return _signaling(record, 0)
+    return _signaling_rows(record, 0)

@@ -134,12 +134,6 @@ def _check_graph(g: Graph) -> None:
         raise ValueError("theta expects an unweighted graph; apply expand_weighted")
 
 
-def _edge_index(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    ei = np.fromiter((e[0] for e in g.edges), dtype=int, count=len(g.edges))
-    ej = np.fromiter((e[1] for e in g.edges), dtype=int, count=len(g.edges))
-    return ei, ej
-
-
 def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> FeasibilityReport:
     """Recompute the primal feasibility residuals independently of the solver.
 
@@ -152,7 +146,7 @@ def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> Feasibility
     trace_err = float(abs(np.trace(X) - 1.0))
     max_edge = 0.0
     if g.edges:
-        ei, ej = _edge_index(g)
+        ei, ej = g.edge_index
         max_edge = float(np.max(np.abs(X[ei, ej])))
     return FeasibilityReport(
         min_eigenvalue=min_eig,
@@ -166,7 +160,7 @@ def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> Feasibility
 
 def multiplier_matrix(g: Graph, y: np.ndarray) -> np.ndarray:
     """The edge multipliers ``y[1:]`` of a dual iterate as a symmetric matrix Y."""
-    ei, ej = _edge_index(g)
+    ei, ej = g.edge_index
     Y = np.zeros((g.n, g.n))
     Y[ei, ej] = y[1:]
     Y[ej, ei] = y[1:]
@@ -184,7 +178,7 @@ def verify_dual(g: Graph, Y: np.ndarray) -> DualReport:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (g.n, g.n):
         raise ValueError(f"Y has shape {Y.shape}, expected ({g.n},{g.n})")
-    ei, ej = _edge_index(g)
+    ei, ej = g.edge_index
     off_edges = Y.copy()
     off_edges[ei, ej] = 0.0
     off_edges[ej, ei] = 0.0
@@ -420,7 +414,7 @@ def theta(
         )
 
     me = m - 1
-    ei, ej = _edge_index(g)
+    ei, ej = g.edge_index
     J = np.ones((n, n))
     eye_n = np.eye(n)
     schur = _Schur(ei, ej)

@@ -21,6 +21,7 @@ from twopoint import (
     QState,
     SizeLimitError,
     born_single,
+    build_graph,
     cycle_graph,
     independence_number,
     joint_probs_demolition,
@@ -282,12 +283,14 @@ def recursive_canonical_json(obj: Any) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def binomial_stderr(p: float, shots: int) -> float:
-    """Binomial standard error with a continuity floor at degenerate estimates:
-    the scalar reference for ``binomial_estimates``."""
-    if p <= 0.0 or p >= 1.0:
+def binomial_stderr(c: int, shots: int) -> float:
+    """Binomial standard error of a count c of ``shots``: sqrt(p q / shots)
+    with p = c / shots and q = (shots - c) / shots, floored at
+    sqrt(0.25 / shots) where c is 0 or ``shots``; the scalar reference for
+    ``binomial_estimates``."""
+    if c == 0 or c == shots:
         return math.sqrt(0.25 / shots)
-    return math.sqrt(p * (1.0 - p) / shots)
+    return math.sqrt((c / shots) * ((shots - c) / shots) / shots)
 
 
 def pair_row(record: ExperimentRecord, first: int, second: int) -> dict[tuple[int, int], int]:
@@ -296,23 +299,22 @@ def pair_row(record: ExperimentRecord, first: int, second: int) -> dict[tuple[in
 
 
 def single_estimate(record: ExperimentRecord, v: int) -> tuple[float, float]:
-    p = record.single_counts[v] / record.shots
-    return p, binomial_stderr(p, record.shots)
+    c = record.single_counts[v]
+    return c / record.shots, binomial_stderr(c, record.shots)
 
 
 def pair_estimate(
     record: ExperimentRecord, first: int, second: int, a: int, b: int
 ) -> tuple[float, float]:
-    p = pair_row(record, first, second)[(a, b)] / record.shots
-    return p, binomial_stderr(p, record.shots)
+    c = pair_row(record, first, second)[(a, b)]
+    return c / record.shots, binomial_stderr(c, record.shots)
 
 
 def pooled_pair11(record: ExperimentRecord, i: int, j: int) -> tuple[float, float]:
     """P(1,1) estimate pooled over the two measurement orders of an edge."""
     c = pair_row(record, i, j)[(1, 1)] + pair_row(record, j, i)[(1, 1)]
     n = 2 * record.shots
-    p = c / n
-    return p, binomial_stderr(p, n)
+    return c / n, binomial_stderr(c, n)
 
 
 def scalar_s_estimate(record: ExperimentRecord) -> tuple[float, float]:
@@ -332,17 +334,17 @@ def scalar_s_estimate(record: ExperimentRecord) -> tuple[float, float]:
 
 def record_marginal(
     record: ExperimentRecord, ctx: tuple[int, int], position: int, outcome: int
-) -> tuple[float, float]:
-    """Marginal estimate of the first (position 0) or second (position 1)
-    measurement of the ordered pair ``ctx = (first, second)``, from its counts."""
-    c = sum(n for ab, n in pair_row(record, *ctx).items() if ab[position] == outcome)
-    p = c / record.shots
-    return p, binomial_stderr(p, record.shots)
+) -> int:
+    """Marginal count of the first (position 0) or second (position 1)
+    measurement of the ordered pair ``ctx = (first, second)``."""
+    return sum(n for ab, n in pair_row(record, *ctx).items() if ab[position] == outcome)
 
 
 def pairwise_signaling(record: ExperimentRecord, position: int) -> list[dict]:
     """The epsilon (position 1) or epsilon-prime (position 0) table, with both
-    marginals recomputed from the counts for every comparison."""
+    marginal counts recomputed from the counts for every comparison and
+    outcome: the difference of the two estimates as the integer difference of
+    the counts over ``shots``, and each estimate's error from its count."""
     out: list[dict] = []
     for fixed in range(record.graph.n):
         ctxs = sorted(
@@ -352,15 +354,17 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[dict]:
         for x in range(len(ctxs)):
             for y in range(x + 1, len(ctxs)):
                 for outcome in (0, 1):
-                    p1, se1 = record_marginal(record, ctxs[x], position, outcome)
-                    p2, se2 = record_marginal(record, ctxs[y], position, outcome)
+                    c1 = record_marginal(record, ctxs[x], position, outcome)
+                    c2 = record_marginal(record, ctxs[y], position, outcome)
+                    se1 = binomial_stderr(c1, record.shots)
+                    se2 = binomial_stderr(c2, record.shots)
                     out.append(
                         {
                             "fixed": fixed,
                             "varied_a": ctxs[x][1 - position],
                             "varied_b": ctxs[y][1 - position],
                             "outcome": outcome,
-                            "difference": abs(p1 - p2),
+                            "difference": abs(c1 - c2) / record.shots,
                             "stderr": math.sqrt(se1 * se1 + se2 * se2),
                         }
                     )
@@ -389,23 +393,49 @@ def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:
     return out
 
 
+def isolated_and_leaf_case() -> tuple[Graph, OrthoRep]:
+    """Vertex 5 is isolated; 1, 2 and 4 have one neighbour each.  The vectors
+    are an orthonormal basis of R^6, so every edge is orthogonal."""
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    rng = np.random.default_rng(3)
+    vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    psi = rng.standard_normal(6)
+    return g, OrthoRep(dimension=6, psi=psi / np.linalg.norm(psi), vectors=vecs.T.copy())
+
+
 def luders_joint_table(
     state: QState, vectors: np.ndarray, contexts, scheme: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every vertex's P(1) and the k x 4 ``OUTCOMES`` table of the contexts,
     from full density matrices: P(a) by the Born rule, the state after the
     first measurement by ``luders_update`` (or, for the demolition scheme
-    after outcome 1, the pure eigenstate), and P(a, b) = P(a) P(b | a)."""
+    after outcome 1, the pure eigenstate), and P(a, b) = P(a) P(b | a).
+
+    A first outcome too rare to condition on keeps its mass P(a): where
+    ``luders_update`` refuses it (at P(a) <= PROB_ATOL, or where dividing by
+    P(a) leaves round-off that the density matrix checks reject), P(a, 1) is
+    read off the unnormalised Lueders matrix Pi_a rho Pi_a, clipped to
+    [0, P(a)], and P(a, 0) is the rest."""
     singles = np.array([born_single(state, v) for v in vectors])
     rows = []
     for (i, j) in contexts:
         row = {}
         for a in (0, 1):
             pa = singles[i] if a == 1 else 1.0 - singles[i]
-            if a == 1 and scheme == "demolition":
-                after = pure_state(vectors[i])
-            else:
-                after = luders_update(state, vectors[i], a)
+            try:
+                if a == 1 and scheme == "demolition":
+                    after = pure_state(vectors[i])
+                else:
+                    after = luders_update(state, vectors[i], a)
+            except ValueError:  # too rare to condition on
+                v = np.asarray(vectors[i], dtype=complex)
+                proj = np.outer(v, v.conj())
+                op = proj if a == 1 else np.eye(state.d) - proj
+                w = np.asarray(vectors[j], dtype=complex)
+                q = float(np.real(np.vdot(w, op @ state.rho @ op @ w)))
+                row[(a, 1)] = min(max(q, 0.0), pa)
+                row[(a, 0)] = pa - row[(a, 1)]
+                continue
             pb1 = born_single(after, vectors[j])
             row[(a, 0)] = pa * (1.0 - pb1)
             row[(a, 1)] = pa * pb1

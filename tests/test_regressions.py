@@ -55,6 +55,39 @@ class TestEdgeSetCache:
         assert g == cycle_graph(7) and hash(g) == hash(cycle_graph(7))
 
 
+class TestAdjacencyCache:
+    @staticmethod
+    def _random_graphs():
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 12, 30):
+            for p in (0.0, 0.2, 0.6, 1.0):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+                yield twopoint.build_graph(n, pairs)
+
+    def test_neighbors_and_degree_match_the_edge_scan(self):
+        for g in self._random_graphs():
+            for v in range(g.n):
+                scan = [j for (i, j) in g.edges if i == v] + [i for (i, j) in g.edges if j == v]
+                assert g.neighbors(v) == tuple(sorted(scan))
+                assert g.degree(v) == len(scan)
+            assert g.adjacency is g.adjacency
+
+    def test_edge_index_is_read_only_and_matches_the_edges(self):
+        for g in self._random_graphs():
+            ei, ej = g.edge_index
+            assert g.edge_index[0] is ei
+            assert list(zip(ei.tolist(), ej.tolist())) == list(g.edges)
+            assert ei.dtype == ej.dtype == np.dtype(int)
+            for arr in (ei, ej):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:1] = 0
+
+    def test_equality_and_hash_unchanged(self):
+        g = cycle_graph(7)
+        _ = g.adjacency, g.edge_index
+        assert g == cycle_graph(7) and hash(g) == hash(cycle_graph(7))
+
+
 class TestMalformedGraphJson:
     @pytest.mark.parametrize(
         "text",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -12,16 +13,20 @@ from twopoint import (
     ParseError,
     build_graph,
     build_two_point_graph,
+    catalog,
     cycle_graph,
     emit_graph,
+    extract_ortho_rep,
     parse_graph,
     run_experiment,
+    theta,
 )
 from twopoint import cli
 from twopoint import serialize
-from twopoint.simulate import OUTCOMES
+from twopoint.simulate import OUTCOMES, NoiseModel, binomial_estimates
 from twopoint.serialize import (
     dumps_canonical,
+    dumps_record,
     event_graph_from_jsonable,
     event_graph_to_jsonable,
     format_float,
@@ -29,7 +34,7 @@ from twopoint.serialize import (
     orthorep_to_jsonable,
     record_to_jsonable,
 )
-from oracles import builtin_kcbs_rep, kcbs_graph, recursive_canonical_json
+from oracles import builtin_kcbs_rep, isolated_and_leaf_case, kcbs_graph, recursive_canonical_json
 
 
 class TestFloatFormat:
@@ -131,9 +136,15 @@ def test_every_emitted_tree_has_string_keys(tmp_path, monkeypatch):
         ["catalog"],
         ["catalog", "petersen"],
     )
+    written = []
     for argv in runs:
+        before = len(trees)
         assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "out")]) == 0
-    assert len(trees) == len(runs)
+        written.append(len(trees) - before)
+    # simulate writes its tables through dumps_record's templates and encodes
+    # the graph, noise and scalar fields one by one; every other run is one tree.
+    assert written[1] >= 1
+    assert written[:1] + written[2:] == [1] * (len(runs) - 1)
 
     def keys(node):
         if isinstance(node, dict):
@@ -354,3 +365,100 @@ class TestRecordSerialization:
         assert len(data["epsilon"]) == 10
         assert len(data["epsilon_prime"]) == 10
         assert (data["s_estimate"], data["s_stderr"]) == record.s_estimate()
+
+
+def _writer_cases():
+    """(label, record) pairs: both schemes with noise off and on, the shot
+    counts at the edges of the estimators' exact paths, the exact KCBS
+    realisation, vertices with no or one neighbour, no edges at all, and
+    complex vectors."""
+    noisy = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
+    kcbs, kcbs_rep = kcbs_graph(), builtin_kcbs_rep()
+    leafy, leafy_rep = isolated_and_leaf_case()
+    rng = np.random.default_rng(12)
+    g12 = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4])
+    vecs = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    rep12 = OrthoRep(
+        dimension=5,
+        psi=vecs[0] / np.linalg.norm(vecs[0]),
+        vectors=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
+    )
+    edgeless = build_graph(3, [])
+    cases = []
+    for scheme in ("projective", "demolition"):
+        for noise in (None, noisy):
+            for shots in (1, 10**6, 2**53 + 1, 2**63 - 1):
+                label = f"kcbs-{scheme}-{'noisy' if noise else 'exact'}-{shots}"
+                cases.append((label, run_experiment(kcbs_rep, kcbs, shots, 5, noise, scheme)))
+        cases.append((f"leafy-{scheme}", run_experiment(leafy_rep, leafy, 5_000, 2, noisy, scheme)))
+        cases.append((f"random-12-{scheme}", run_experiment(rep12, g12, 10**6, 3, noisy, scheme)))
+    cases.append(("edgeless", run_experiment(OrthoRep(3, np.eye(3)[0], np.eye(3)), edgeless, 100, 1)))
+    return cases
+
+
+WRITER_CASES = _writer_cases()
+
+
+class TestRecordWriter:
+    """dumps_record writes record_to_jsonable's canonical bytes from the count
+    arrays, and the two outcome rows of every ε comparison share their numbers."""
+
+    @pytest.mark.parametrize("record", [r for _, r in WRITER_CASES], ids=[k for k, _ in WRITER_CASES])
+    def test_bytes_equal_tree(self, record):
+        assert dumps_record(record) == dumps_canonical(record_to_jsonable(record))
+
+    def test_cases_reach_the_floor_and_the_empty_tables(self):
+        cases = dict(WRITER_CASES)
+        exact = cases["kcbs-projective-exact-1000000"]
+        assert all(row[OUTCOMES.index((1, 1))] == 0 for row in exact.pair_counts)
+        edgeless = json.loads(dumps_record(cases["edgeless"]))
+        assert (edgeless["pairs"], edgeless["epsilon"], edgeless["epsilon_prime"]) == ({}, [], [])
+
+    @pytest.mark.parametrize("record", [r for _, r in WRITER_CASES], ids=[k for k, _ in WRITER_CASES])
+    def test_outcome_rows_are_equal(self, record):
+        data = record_to_jsonable(record)
+        for table in ("epsilon", "epsilon_prime"):
+            rows = data[table]
+            assert [r["outcome"] for r in rows] == [0, 1] * (len(rows) // 2)
+            for zero, one in zip(rows[::2], rows[1::2]):
+                assert {**zero, "outcome": 1} == one
+
+    def test_fields_go_through_the_encoder(self):
+        record = dict(WRITER_CASES)["leafy-projective"]
+        odd = dataclasses.replace(record, scheme='quote " slash \\ \u00e9 \u2028', seed=np.int64(2**40))
+        assert dumps_record(odd) == dumps_canonical(record_to_jsonable(odd))
+        assert '"scheme":"quote \\" slash \\\\ \\u00e9 \\u2028"' in dumps_record(odd)
+
+    def test_non_finite_values_refused(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                serialize._json_texts(np.array([0.5, bad]))
+            with pytest.raises(ValueError):
+                dumps_canonical([0.5, bad])
+
+    def test_templates_sort_keys_at_every_level(self):
+        template, order = serialize._template((("z", ("b", "a")), "m", ("c", ("y", "x"))))
+        assert template == '{"c":{"x":%s,"y":%s},"m":%s,"z":{"a":%s,"b":%s}}'
+        assert order == [4, 3, 2, 1, 0]
+
+    def test_cli_simulate_writes_the_tree(self, tmp_path, capsys):
+        path = tmp_path / "petersen.json"
+        path.write_text(emit_graph(catalog("petersen")))
+        argv = ["simulate", str(path), "--shots", "20000", "--seed", "6", "--scheme", "demolition",
+                "--noise-flip", "0.01", "--format", "json"]
+        assert cli.main(argv) == 0
+        g = catalog("petersen")
+        rep = extract_ortho_rep(g, theta(g))
+        record = run_experiment(rep, g, 20_000, 6, NoiseModel(outcome_flip_p=0.01), "demolition")
+        assert capsys.readouterr().out == dumps_canonical(record_to_jsonable(record)) + "\n"
+
+
+class TestBinomialSymmetry:
+    @pytest.mark.parametrize("shots", [1, 7, 10**6, 2**53 - 1, 2**53 + 1, 2**63 - 1])
+    def test_complementary_counts_share_the_stderr(self, shots):
+        rng = np.random.default_rng(shots % 1000)
+        counts = sorted({0, 1, shots // 2, shots - 1, shots, *(int(x) for x in rng.integers(0, shots, 50, endpoint=True))})
+        p, se = binomial_estimates(counts, shots)
+        p_c, se_c = binomial_estimates([shots - c for c in counts], shots)
+        assert se.tobytes() == se_c.tobytes()
+        assert p.tolist() == [c / shots for c in counts]

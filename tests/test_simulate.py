@@ -10,6 +10,7 @@ from twopoint import (
     QState,
     born_single,
     build_graph,
+    complete_graph,
     epsilon_prime,
     epsilon_signaling,
     evaluate_s,
@@ -24,12 +25,14 @@ from twopoint import (
     run_experiment,
     theta,
 )
+from twopoint.certify import EXACT_CONSISTENCY_TOL
 from twopoint.simulate import OUTCOMES, _flip_table, _joint_table
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
     builtin_kcbs_rep,
     flip_joint_terms,
+    isolated_and_leaf_case,
     kcbs_graph,
     luders_joint_table,
     maximally_mixed,
@@ -58,14 +61,6 @@ def random_unit(rng, d, complex_=True):
 
 
 NOISY = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
-
-
-def _isolated_and_leaf_case():
-    # Vertex 5 is isolated; 1, 2 and 4 have one neighbour each.
-    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    rng = np.random.default_rng(3)
-    vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    return g, OrthoRep(dimension=6, psi=random_unit(rng, 6, complex_=False), vectors=vecs.T.copy())
 
 
 class TestStates:
@@ -404,7 +399,7 @@ class TestSignalingDiagnostics:
         assert epsilon_prime(record) == pairwise_signaling(record, 0)
 
     def test_tables_equal_pairwise_oracle_with_isolated_and_leaf_vertices(self):
-        g, rep = _isolated_and_leaf_case()
+        g, rep = isolated_and_leaf_case()
         noise = NoiseModel(outcome_flip_p=0.02)
         record = run_experiment(rep, g, shots=5_000, seed=2, noise=noise)
         order = np.random.default_rng(0).permutation(len(record.contexts)).tolist()
@@ -460,9 +455,49 @@ class TestBatchedTableAgainstLuders:
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_isolated_and_leaf_vertices(self, scheme):
-        g, rep = _isolated_and_leaf_case()
+        g, rep = isolated_and_leaf_case()
         for state in self._states(np.random.default_rng(17), rep.psi):
             self._assert_matches(state, rep.vectors, g, scheme)
+
+
+class TestNearZeroBranches:
+    """An orthonormal basis of R^14 realises K_14, and psi close to its first
+    vector leaves 13 vertices with 1e-12 <= P(1) <= 1e-11.  Dropping those
+    first outcomes' mass would move S' - |E| - S past the certify tolerance."""
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(18)
+        d = 14
+        eps = rng.uniform(1e-12, 1e-11, d - 1)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        psi = q @ np.concatenate([[math.sqrt(1.0 - eps.sum())], np.sqrt(eps)])
+        return complete_graph(d), OrthoRep(dimension=d, psi=psi, vectors=q.T.copy())
+
+    def test_consistency_at_round_off(self):
+        g, rep = self._case()
+        singles = {v: rep.overlap(v) for v in range(g.n)}
+        rare = sum(singles[i] for (i, _) in g.edges if singles[i] <= 1e-11)
+        assert rare > EXACT_CONSISTENCY_TOL  # the mass a dropped branch would lose
+        tables = joint_probs_table(pure_state(rep.psi), rep, g.edges)
+        s = evaluate_s(g, singles, {e: t[(1, 1)] for e, t in tables.items()})
+        s_prime = evaluate_s_prime(g, singles, tables)
+        assert abs(s_prime - len(g.edges) - s) <= 1e-13
+
+    @pytest.mark.parametrize("scheme", ["projective", "demolition"])
+    def test_rows_keep_first_outcome_mass(self, scheme):
+        g, rep = self._case()
+        state = pure_state(rep.psi)
+        TestBatchedTableAgainstLuders._assert_matches(state, rep.vectors, g, scheme)
+        born, table = _joint_table(
+            state.rho,
+            np.asarray(rep.vectors, dtype=complex),
+            np.array(ordered_contexts(g)).reshape(-1, 2),
+            demolition=scheme == "demolition",
+        )
+        first = np.array(ordered_contexts(g))[:, 0]
+        np.testing.assert_allclose(table[:, 2] + table[:, 3], born[first], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 class TestKernelAgainstPerContextOracle:
@@ -480,7 +515,7 @@ class TestKernelAgainstPerContextOracle:
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_isolated_and_leaf_vertices(self, scheme):
-        g, rep = _isolated_and_leaf_case()
+        g, rep = isolated_and_leaf_case()
         record = run_experiment(rep, g, shots=7_000, seed=8, noise=NOISY, scheme=scheme)
         oracle = per_context_counts(rep, g, 7_000, 8, NOISY, scheme)
         assert (record.contexts, record.single_counts, record.pair_counts) == oracle
@@ -564,7 +599,7 @@ class TestRecordEstimates:
     @pytest.mark.parametrize("shots", [2**52 + 1, 2**53 + 1, 2**63 - 1])
     def test_shots_beyond_exact_doubles(self, shots):
         # 2**52 + 1: only the pooled (1,1) counts, over 2 shots > 2**53, divide exactly
-        g, rep = _isolated_and_leaf_case()
+        g, rep = isolated_and_leaf_case()
         self._assert_estimates_equal(run_experiment(rep, g, shots=shots, seed=4, noise=NOISY))
 
     def test_pooled_counts_beyond_int64(self, k2):

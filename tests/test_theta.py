@@ -275,7 +275,7 @@ class TestLapackKernels:
 
     def test_reproject_carries_inverse_factor(self):
         g = catalog("petersen")
-        ei, ej = theta_mod._edge_index(g)
+        ei, ej = g.edge_index
         X, R = theta_mod._reproject(_random_spd(np.random.default_rng(3), g.n), ei, ej)
         assert np.trace(X) == pytest.approx(1.0, abs=1e-15)
         assert not np.any(X[ei, ej]) and not np.any(X[ej, ei])
