@@ -21,6 +21,7 @@ both checked on the edges of G', pin alpha(G') to alpha(G) + |E|.
 from __future__ import annotations
 
 import dataclasses
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -30,19 +31,20 @@ from .independence import (
     ALPHA_LIMIT, IndependenceResult, SizeLimitError, independence_number, is_independent
 )
 from .orthorep import extract_ortho_rep, realisation_gate, verify_ortho_rep
-from .serialize import dumps_canonical, format_float, record_to_jsonable
+from .serialize import _json_object, dumps_canonical, dumps_record, format_float
 from .simulate import (
     SCHEMES,
     ExperimentRecord,
     NoiseModel,
+    _signaling,
     evaluate_s,
     evaluate_s_prime,
     joint_probs_table,
     pure_state,
     run_experiment,
 )
-# Unused since record_to_jsonable builds the ε tables and joint_probs_table the exact ones;
-# the benchmark tracer patches these names.
+# The benchmark tracer patches these names.
+from .serialize import record_to_jsonable  # noqa: F401
 from .simulate import epsilon_prime, epsilon_signaling, joint_probs_projective  # noqa: F401
 from .theta import (
     DEFAULT_TOLERANCE,
@@ -98,7 +100,11 @@ CHECKS: tuple[tuple[str, str, Callable[[dict[str, Any]], Any]], ...] = (
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Pipeline results as a JSON-ready tree; its checks are the rules of CHECKS."""
+    """Pipeline results by section; its checks are the rules of CHECKS.
+
+    Every section is a JSON-ready tree, except that ``data["montecarlo"]["record"]``
+    holds the `ExperimentRecord`, which `emit_report` writes with `dumps_record`.
+    """
 
     data: dict[str, Any]
 
@@ -117,7 +123,8 @@ class CertifyReport:
         return self.complete and self.data.get("checks") == checks and all(ok for _, ok in checks)
 
     def to_jsonable(self) -> dict[str, Any]:
-        return self.data
+        """The report as a tree of dicts and lists: the parse of its JSON."""
+        return json.loads(emit_report(self, "json"))
 
 
 class StageError(RuntimeError):
@@ -185,19 +192,21 @@ def _alpha_gprime_section(eg: EventGraph, gp: Graph, alpha_g: dict[str, Any]) ->
     }
 
 
-def _max_significance(entries: list[dict[str, Any]]) -> float:
-    return max((e["difference"] / e["stderr"] for e in entries), default=0.0)
+def _max_significance(record: ExperimentRecord, position: int) -> float:
+    """The largest difference / stderr of the ε (position 1) or ε′ (position 0) table."""
+    *_, difference, stderr = _signaling(record, position)
+    return max((difference / stderr).tolist(), default=0.0)
 
 
 def _montecarlo_section(record: ExperimentRecord) -> dict[str, Any]:
-    """The record's JSON tree plus Ŝ and the largest ε and ε′ significances read from it."""
-    rec_json = record_to_jsonable(record)
+    """The record itself, Ŝ with its standard error, and the largest ε and ε′ significances."""
+    s_value, s_err = record.s_estimate()
     return {
-        "record": rec_json,
-        "s_estimate": rec_json["s_estimate"],
-        "s_stderr": rec_json["s_stderr"],
-        "max_epsilon_significance": _max_significance(rec_json["epsilon"]),
-        "max_epsilon_prime_significance": _max_significance(rec_json["epsilon_prime"]),
+        "record": record,
+        "s_estimate": s_value,
+        "s_stderr": s_err,
+        "max_epsilon_significance": _max_significance(record, 1),
+        "max_epsilon_prime_significance": _max_significance(record, 0),
     }
 
 
@@ -390,10 +399,21 @@ def render_text(report: CertifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _section_json(name: str, section: Any) -> str:
+    if name != "montecarlo":
+        return dumps_canonical(section)
+    return _json_object(
+        (key, dumps_record(value) if key == "record" else dumps_canonical(value))
+        for key, value in section.items()
+    )
+
+
 def emit_report(report: CertifyReport, fmt: str = "json") -> str:
-    """Serialize deterministically; identical reports yield identical bytes."""
+    """Serialize deterministically; identical reports yield identical bytes.  JSON
+    writes each section with `dumps_canonical`, and the record with `dumps_record`."""
     if fmt == "json":
-        return dumps_canonical(report.to_jsonable()) + "\n"
+        sections = ((name, _section_json(name, section)) for name, section in report.data.items())
+        return _json_object(sections) + "\n"
     if fmt == "text":
         return render_text(report)
     raise ValueError(f"unknown report format {fmt!r}")

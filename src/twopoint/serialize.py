@@ -4,13 +4,13 @@ Graphs travel as JSON ``{"n": int, "edges": [[i,j],...], "weights": {...}?}``
 or DIMACS edge lists; event graphs, representations, and experiment records
 have JSON forms of their own.  Output is canonical JSON: sorted keys, no
 whitespace and shortest round-trip floats, so identical inputs produce
-byte-identical output.  Two writers produce it.  `dumps_canonical` runs the
-standard library's C encoder over a tree of dicts and lists; every emitter
-uses it, and so does `certify`, whose report embeds the experiment record as
-the tree of `record_to_jsonable`.  The record writer `dumps_record` writes
-the same record's text straight from its count arrays, through one template
-per table row, with no tree; `twopoint simulate --format json` uses it.  A
-test holds the two to the same bytes.
+byte-identical output.  `dumps_canonical` runs the standard library's C
+encoder over a tree of dicts and lists, and every emitter uses it, except for
+the experiment record.  The record has one writer, `dumps_record`, which
+writes its text straight from its count arrays, through one template per
+table row; `twopoint simulate --format json` and `certify`'s JSON report both
+write the record with it.  The record's tree, `record_to_jsonable`, is the
+parse of that text.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from itertools import repeat
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -33,15 +32,9 @@ from .graphs import (
     build_two_point_graph,
 )
 from .orthorep import OrthoRep
-from .simulate import (
-    EPSILON_KEYS,
-    OUTCOMES,
-    ExperimentRecord,
-    _signaling,
-    binomial_estimates,
-    epsilon_prime,
-    epsilon_signaling,
-)
+from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, _signaling, binomial_estimates
+# The benchmark tracer patches these names.
+from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
 
 class ParseError(ValueError):
@@ -304,73 +297,23 @@ def orthorep_from_jsonable(data: dict) -> OrthoRep:
 
 # -- experiment records -------------------------------------------------
 #
-# One schema and one row source.  `_record` lists the record's fields once,
-# and each table's row keys are listed once, in the order of the value
-# columns that `_record` and `simulate._signaling` compute from the count
-# arrays; a (key, keys) item is a nested object.  `record_to_jsonable`
-# zips the columns into dicts; `dumps_record` pours them into %-templates
-# generated from the same keys, so it builds no dict per row.
+# One writer.  Each table's row keys are listed once, in the order of the
+# value columns that `dumps_record` and `simulate._signaling` compute from
+# the count arrays; a (key, keys) item is a nested object.  `_template`
+# turns the keys into a row's %-template, so no dict is built per row.
 
 _OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
 _SINGLE_ROW = ("n0", "n1", "p1", "stderr")
 _PAIR_ROW = (("counts", _OUTCOME_KEYS), ("p", _OUTCOME_KEYS), ("stderr", _OUTCOME_KEYS))
 
 
-def _record(record: ExperimentRecord, scalar: Callable, table: Callable, epsilon: Callable) -> dict:
-    """The record's fields, rendered by ``scalar``, by ``table`` (the singles and
-    pairs tables, each from its row keys and value columns in row order) and
-    by ``epsilon`` (position 1 gives ε, position 0 ε′)."""
-    ones = np.array(record.single_counts, dtype=np.int64)
-    p1, se1 = binomial_estimates(ones, record.shots)
-    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
-    p, se = binomial_estimates(counts, record.shots)
-    s_value, s_err = record.s_estimate()
-    return {
-        "graph": scalar(graph_to_jsonable(record.graph)),
-        "scheme": scalar(record.scheme),
-        "seed": scalar(record.seed),
-        "shots": scalar(record.shots),
-        "noise": scalar(dataclasses.asdict(record.noise)),
-        "singles": table(
-            _SINGLE_ROW, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
-        ),
-        "pairs": table(
-            _PAIR_ROW, [f"{first},{second}" for first, second in record.contexts],
-            [*counts.T, *p.T, *se.T],
-        ),
-        "s_estimate": scalar(s_value),
-        "s_stderr": scalar(s_err),
-        "epsilon": epsilon(record, 1),
-        "epsilon_prime": epsilon(record, 0),
-    }
+def _json_object(members: Iterable[tuple[str, str]]) -> str:
+    """The JSON object of (key, JSON text) members, keys sorted as `dumps_canonical` sorts them."""
+    return "{" + ",".join(f"{dumps_canonical(key)}:{text}" for key, text in sorted(members)) + "}"
 
 
 def _key(item: Any) -> str:
     return item if isinstance(item, str) else item[0]
-
-
-def _rows(spec: tuple, columns: Iterator[list]) -> list[dict]:
-    """A table's row objects, built column by column from its value columns
-    in ``spec`` order."""
-    keys = [_key(item) for item in spec]
-    fields = [next(columns) if isinstance(item, str) else _rows(item[1], columns) for item in spec]
-    return list(map(dict, map(zip, repeat(keys), zip(*fields))))
-
-
-def _table_tree(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> dict:
-    return dict(zip(keys, _rows(spec, (column.tolist() for column in columns))))
-
-
-def _epsilon_tree(record: ExperimentRecord, position: int) -> list[dict]:
-    return epsilon_signaling(record) if position == 1 else epsilon_prime(record)
-
-
-def record_to_jsonable(record: ExperimentRecord) -> dict:
-    """The record with every count's estimate and standard error, from
-    :func:`binomial_estimates`, the witness estimate, and both ε tables: the
-    tree that `certify`'s report embeds.  :func:`dumps_record` writes its
-    canonical JSON text from the same columns without building it."""
-    return _record(record, lambda value: value, _table_tree, _epsilon_tree)
 
 
 def _template(spec: tuple, first: int = 0) -> tuple[str, list[int]]:
@@ -397,10 +340,10 @@ def _json_texts(column: np.ndarray) -> list[str]:
 
 
 def _table_json(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> str:
+    """A table object: one row per key, from its value columns in ``spec`` order."""
     template, order = _template(spec)
     rows = map(template.__mod__, zip(*(_json_texts(columns[i]) for i in order)))
-    items = sorted(zip(keys, rows))
-    return "{" + ",".join(f"{dumps_canonical(key)}:{row}" for key, row in items) + "}"
+    return _json_object(zip(keys, rows))
 
 
 def _epsilon_json(record: ExperimentRecord, position: int) -> str:
@@ -415,8 +358,38 @@ def _epsilon_json(record: ExperimentRecord, position: int) -> str:
 
 
 def dumps_record(record: ExperimentRecord) -> str:
-    """``dumps_canonical(record_to_jsonable(record))``, byte for byte, written
-    from the record's count arrays: each table row from a template, each ε
-    comparison formatted once for both outcomes' rows."""
-    fields = _record(record, dumps_canonical, _table_json, _epsilon_json)
-    return "{" + ",".join(f"{dumps_canonical(k)}:{v}" for k, v in sorted(fields.items())) + "}"
+    """The record's canonical JSON: its fields, every count with its estimate
+    and standard error from :func:`binomial_estimates`, the witness estimate,
+    and the ε and ε′ tables.  Written from the count arrays: each table row
+    from a template, each ε comparison formatted once for both outcomes' rows."""
+    ones = np.array(record.single_counts, dtype=np.int64)
+    p1, se1 = binomial_estimates(ones, record.shots)
+    counts = record.count_array
+    p, se = binomial_estimates(counts, record.shots)
+    s_value, s_err = record.s_estimate()
+    scalars = {
+        "graph": graph_to_jsonable(record.graph),
+        "scheme": record.scheme,
+        "seed": record.seed,
+        "shots": record.shots,
+        "noise": dataclasses.asdict(record.noise),
+        "s_estimate": s_value,
+        "s_stderr": s_err,
+    }
+    return _json_object([
+        *((key, dumps_canonical(value)) for key, value in scalars.items()),
+        ("singles", _table_json(
+            _SINGLE_ROW, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
+        )),
+        ("pairs", _table_json(
+            _PAIR_ROW, [f"{first},{second}" for first, second in record.contexts],
+            [*counts.T, *p.T, *se.T],
+        )),
+        ("epsilon", _epsilon_json(record, 1)),
+        ("epsilon_prime", _epsilon_json(record, 0)),
+    ])
+
+
+def record_to_jsonable(record: ExperimentRecord) -> dict:
+    """The record as a tree of dicts and lists: the parse of :func:`dumps_record`."""
+    return json.loads(dumps_record(record))

@@ -17,6 +17,7 @@ measurement's marginal across second settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
@@ -26,7 +27,6 @@ import numpy as np
 from .graphs import PAIR_OUTCOMES, Edge, Graph
 from .orthorep import OrthoRep
 
-PROB_ATOL = 1e-12
 SCHEMES = ("projective", "demolition")
 OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))  # the (a, b) order of every count array
 
@@ -92,33 +92,6 @@ def ordered_contexts(g: Graph) -> list[tuple[int, int]]:
     return sorted([*g.edges, *((j, i) for (i, j) in g.edges)])
 
 
-def born_single(state: QState, v: np.ndarray) -> float:
-    """Probability <v|rho|v> of outcome 1 for the projector onto v."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (state.d,):
-        raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    p = float(np.real(np.vdot(v, state.rho @ v)))
-    return min(1.0, max(0.0, p))
-
-
-def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
-    """Post-measurement state under Lueders's rule for the projector onto v;
-    raises on an outcome of near-zero probability."""
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be a bit")
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (state.d,):
-        raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
-    proj = np.outer(v, v.conj())
-    op = proj if outcome == 1 else np.eye(state.d) - proj
-    unnorm = op @ state.rho @ op
-    p = float(np.real(np.trace(unnorm)))
-    if p <= PROB_ATOL:
-        raise ValueError(f"conditioning on outcome {outcome} with probability {p:.3e}")
-    rho = unnorm / p
-    return QState((rho + rho.conj().T) / 2)
-
-
 def _joint_table(
     rho: np.ndarray, vectors: np.ndarray, contexts: np.ndarray, demolition: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +108,8 @@ def _joint_table(
     is P(a, 0) = P(a) - Q_a clamped to [0, P(a)] and P(a, 1) = P(a) - P(a, 0),
     so a conditional below double resolution reads as 0 and every row keeps
     its first outcome's mass P(a), however small: no state is conditioned,
-    so a branch that ``luders_update`` would refuse is still well defined.
+    so a branch too rare to condition a density matrix on is still well
+    defined.
     """
     if vectors.shape[1] != rho.shape[0]:
         raise ValueError(
@@ -327,6 +301,14 @@ class ExperimentRecord:
     single_counts: tuple[int, ...]
     pair_counts: tuple[tuple[int, int, int, int], ...]
 
+    @functools.cached_property
+    def count_array(self) -> np.ndarray:
+        """``pair_counts`` as a read-only k x 4 int64 array, built once per
+        instance: the record writer and the ε tables read it."""
+        counts = np.array(self.pair_counts, dtype=np.int64).reshape(-1, 4)
+        counts.setflags(write=False)
+        return counts
+
     def s_estimate(self) -> tuple[float, float]:
         """Witness estimate with combined binomial standard error: each vertex's
         P(1) less each edge's P(1,1), pooled over its two orders."""
@@ -435,15 +417,14 @@ def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...
     integer counts, and ``binomial_estimates`` gives a count and its complement
     one standard error, so ``stderr``, propagated from the two, is shared too.
 
-    The count rows are read once into a contexts x 4 array, each context's
-    outcome-1 marginal count and standard error are computed once, and a fixed
-    observable's comparisons are index pairs into them.
+    Each context's outcome-1 marginal count, from the record's count array, and
+    its standard error are computed once, and a fixed observable's comparisons
+    are index pairs into them.
     """
     other = 1 - position
-    counts = np.array(record.pair_counts, dtype=np.int64).reshape(-1, 4)
     ctx = np.array(record.contexts, dtype=np.int64).reshape(-1, 2)
     # counts[k, a, b]: summing out the other position leaves the marginal of ``position``
-    ones = counts.reshape(-1, 2, 2).sum(axis=2 - position)[:, 1]
+    ones = record.count_array.reshape(-1, 2, 2).sum(axis=2 - position)[:, 1]
     _, se = binomial_estimates(ones, record.shots)
     groups: dict[int, list[int]] = {}
     for k in np.lexsort((ctx[:, other], ctx[:, position])).tolist():

@@ -5,6 +5,7 @@ the code it checks (exhaustive enumeration, closed forms, fixed examples),
 or is the simpler implementation the package replaced, kept as a reference.
 """
 
+import dataclasses
 import json
 import math
 from typing import Any, Mapping, Optional
@@ -20,19 +21,20 @@ from twopoint import (
     OrthoRep,
     QState,
     SizeLimitError,
-    born_single,
     build_graph,
     cycle_graph,
     independence_number,
     joint_probs_demolition,
     joint_probs_projective,
-    luders_update,
     ordered_contexts,
     pure_state,
     theta,
 )
+from twopoint.serialize import graph_to_jsonable
 from twopoint.simulate import OUTCOMES, _misaligned_vectors
 from twopoint.theta import DEFAULT_TOLERANCE
+
+PROB_ATOL = 1e-12
 
 
 def brute_force_alpha(g: Graph) -> int:
@@ -293,6 +295,39 @@ def binomial_stderr(c: int, shots: int) -> float:
     return math.sqrt((c / shots) * ((shots - c) / shots) / shots)
 
 
+def born_single(state: QState, v: np.ndarray) -> float:
+    """Probability <v|rho|v> of outcome 1 for the projector onto v."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (state.d,):
+        raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
+    p = float(np.real(np.vdot(v, state.rho @ v)))
+    return min(1.0, max(0.0, p))
+
+
+def luders_update(state: QState, v: np.ndarray, outcome: int) -> QState:
+    """Post-measurement state under Lueders's rule for the projector onto v.
+
+    Raises, naming the outcome's probability, where it is at most PROB_ATOL or
+    where dividing by it leaves round-off that the density matrix checks reject."""
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be a bit")
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (state.d,):
+        raise ValueError(f"vector dimension {v.shape} does not match state dimension {state.d}")
+    proj = np.outer(v, v.conj())
+    op = proj if outcome == 1 else np.eye(state.d) - proj
+    unnorm = op @ state.rho @ op
+    p = float(np.real(np.trace(unnorm)))
+    refused = f"conditioning on outcome {outcome} with probability {p:.3e}"
+    if p <= PROB_ATOL:
+        raise ValueError(refused)
+    rho = unnorm / p
+    try:
+        return QState((rho + rho.conj().T) / 2)
+    except ValueError as err:
+        raise ValueError(f"{refused} leaves round-off the density matrix checks reject") from err
+
+
 def pair_row(record: ExperimentRecord, first: int, second: int) -> dict[tuple[int, int], int]:
     """The counts of the ordered context (first, second), keyed by outcome pair."""
     return dict(zip(OUTCOMES, record.pair_counts[record.contexts.index((first, second))]))
@@ -369,6 +404,37 @@ def pairwise_signaling(record: ExperimentRecord, position: int) -> list[dict]:
                         }
                     )
     return out
+
+
+def record_tree(record: ExperimentRecord) -> dict:
+    """The experiment record's JSON tree, built row by row from the scalar
+    estimates above: the reference for ``serialize.dumps_record``."""
+    singles = {}
+    for v, n1 in enumerate(record.single_counts):
+        p1, se = single_estimate(record, v)
+        singles[str(v)] = {"n0": record.shots - n1, "n1": n1, "p1": p1, "stderr": se}
+    pairs = {}
+    for (first, second), row in zip(record.contexts, record.pair_counts):
+        entry: dict[str, dict] = {"counts": {}, "p": {}, "stderr": {}}
+        for (a, b), c in zip(OUTCOMES, row):
+            key = f"{a}{b}"
+            entry["counts"][key] = c
+            entry["p"][key], entry["stderr"][key] = pair_estimate(record, first, second, a, b)
+        pairs[f"{first},{second}"] = entry
+    s_value, s_err = scalar_s_estimate(record)
+    return {
+        "graph": graph_to_jsonable(record.graph),
+        "scheme": record.scheme,
+        "seed": record.seed,
+        "shots": record.shots,
+        "noise": dataclasses.asdict(record.noise),
+        "singles": singles,
+        "pairs": pairs,
+        "s_estimate": s_value,
+        "s_stderr": s_err,
+        "epsilon": pairwise_signaling(record, 1),
+        "epsilon_prime": pairwise_signaling(record, 0),
+    }
 
 
 def flip_joint_terms(probs: Mapping[tuple[int, int], float], f: float) -> dict:

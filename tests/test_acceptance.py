@@ -32,6 +32,7 @@ from twopoint import (
 from twopoint.cli import main
 from conftest import random_graph
 from oracles import (
+    born_single,
     brute_force_alpha,
     max_assignment_value,
     odd_cycle_theta,
@@ -198,7 +199,7 @@ def test_criterion_6_scheme_equivalence():
 def test_criterion_7_monte_carlo_statistics():
     g = cycle_graph(5)
     sol = theta(g, tolerance=SDP_TOL)
-    from twopoint import born_single, extract_ortho_rep
+    from twopoint import extract_ortho_rep
 
     rep = extract_ortho_rep(g, sol)
     seed = 20260809

@@ -23,14 +23,20 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     emit_report,
+    epsilon_signaling,
     expand_weighted,
+    extract_ortho_rep,
     independence_number,
     lift_primal,
     multiplier_matrix,
+    run_experiment,
     theta,
     verify_dual,
 )
 from twopoint.cli import main
+from twopoint.serialize import dumps_canonical, format_float
+from twopoint.simulate import SCHEMES, NoiseModel
+from oracles import pairwise_signaling, record_tree, scalar_s_estimate
 
 cli_mod = importlib.import_module("twopoint.cli")
 
@@ -39,6 +45,7 @@ certify_mod = importlib.import_module("twopoint.certify")
 
 SQRT5 = math.sqrt(5.0)
 FAST = CertifyOptions(skip_montecarlo=True)
+NOISY = NoiseModel(depolarizing_p=0.05, vector_misalignment_angle=0.02, outcome_flip_p=0.01)
 
 
 class TestCatalog:
@@ -137,7 +144,7 @@ class TestCertifyPipeline:
         report = certify(cycle_graph(5), CertifyOptions(shots=20_000, seed=5))
         mc = report.data["montecarlo"]
         assert abs(mc["s_estimate"] - SQRT5) <= 6 * mc["s_stderr"]
-        assert len(mc["record"]["epsilon"]) == 10
+        assert len(epsilon_signaling(mc["record"])) == 10
 
     def test_stage_error_carries_partial_report(self, monkeypatch):
         def failing(g):
@@ -467,6 +474,22 @@ class TestReportEmission:
         assert "overall: PASS" in text
         assert text.count("PASS") >= 4
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_json_is_the_report_tree_with_the_oracle_record(self, scheme):
+        opts = CertifyOptions(shots=20_000, seed=4, noise=NOISY, scheme=scheme)
+        report = certify(catalog("petersen"), opts)
+        mc = report.data["montecarlo"]
+        record = mc["record"]
+        assert (mc["s_estimate"], mc["s_stderr"]) == scalar_s_estimate(record)
+        for key, position in (("max_epsilon_significance", 1), ("max_epsilon_prime_significance", 0)):
+            rows = pairwise_signaling(record, position)
+            assert mc[key] == max(r["difference"] / r["stderr"] for r in rows)
+        tree = {**report.data, "montecarlo": {**mc, "record": record_tree(record)}}
+        text = emit_report(report, "json")
+        assert text == dumps_canonical(tree) + "\n"
+        assert report.to_jsonable() == json.loads(text)
+        assert dumps_canonical(report.to_jsonable()) + "\n" == text
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             emit_report(certify(complete_graph(2), FAST), "xml")
@@ -631,6 +654,27 @@ class TestCli:
         assert main(["simulate", "c5", "--shots", "2000", "--seed", "1", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["shots"] == 2000 and len(data["pairs"]) == 10
+
+    def test_simulate_text_lines(self, capsys):
+        argv = ["simulate", "petersen", "--shots", "20000", "--seed", "3", "--scheme", "demolition",
+                "--noise-flip", "0.01"]
+        assert main(argv) == 0
+        g = catalog("petersen")
+        rep = extract_ortho_rep(g, theta(g))
+        record = run_experiment(rep, g, 20_000, 3, NoiseModel(outcome_flip_p=0.01), "demolition")
+        s_value, s_err = scalar_s_estimate(record)
+        eps, eps_prime = pairwise_signaling(record, 1), pairwise_signaling(record, 0)
+
+        def significance(rows):
+            return format_float(max(r["difference"] / r["stderr"] for r in rows))
+
+        assert capsys.readouterr().out == (
+            "scheme = demolition, shots = 20000, seed = 3\n"
+            f"Ŝ = {format_float(s_value)} ± {format_float(s_err)}\n"
+            f"ε entries = 60, max |ε|/σ = {significance(eps)}\n"
+            f"ε′ entries = 60, max |ε′|/σ = {significance(eps_prime)}\n"
+        )
+        assert len(eps) == len(eps_prime) == 60  # 3-regular: 10 vertices x 3 pairs x 2 outcomes
 
     def test_certify_exit_code_and_output(self, capsys):
         assert main(["certify", "c5", "--skip-montecarlo"]) == 0

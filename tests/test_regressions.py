@@ -24,6 +24,7 @@ from twopoint import (
     pure_state,
 )
 from twopoint.cli import main
+from oracles import builtin_kcbs_rep, kcbs_graph
 
 
 class TestTinyFirstOutcome:
@@ -53,6 +54,26 @@ class TestEdgeSetCache:
         g = cycle_graph(7)
         _ = g.edge_set
         assert g == cycle_graph(7) and hash(g) == hash(cycle_graph(7))
+
+
+class TestCountArrayCache:
+    @staticmethod
+    def _record():
+        return twopoint.run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=500, seed=1)
+
+    def test_built_once_read_only_and_equal_to_the_counts(self):
+        record = self._record()
+        counts = record.count_array
+        assert record.count_array is counts
+        assert counts.dtype == np.int64 and counts.shape == (10, 4)
+        assert counts.tolist() == [list(row) for row in record.pair_counts]
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 0] = 1
+
+    def test_equality_and_hash_unchanged(self):
+        record = self._record()
+        _ = record.count_array
+        assert record == self._record() and hash(record) == hash(self._record())
 
 
 class TestAdjacencyCache:

@@ -34,7 +34,13 @@ from twopoint.serialize import (
     orthorep_to_jsonable,
     record_to_jsonable,
 )
-from oracles import builtin_kcbs_rep, isolated_and_leaf_case, kcbs_graph, recursive_canonical_json
+from oracles import (
+    builtin_kcbs_rep,
+    isolated_and_leaf_case,
+    kcbs_graph,
+    record_tree,
+    recursive_canonical_json,
+)
 
 
 class TestFloatFormat:
@@ -141,10 +147,11 @@ def test_every_emitted_tree_has_string_keys(tmp_path, monkeypatch):
         before = len(trees)
         assert cli.main(argv + ["--format", "json", "--output", str(tmp_path / "out")]) == 0
         written.append(len(trees) - before)
-    # simulate writes its tables through dumps_record's templates and encodes
-    # the graph, noise and scalar fields one by one; every other run is one tree.
-    assert written[1] >= 1
-    assert written[:1] + written[2:] == [1] * (len(runs) - 1)
+    # certify encodes its report section by section, and both certify and
+    # simulate write the record through dumps_record's templates, encoding its
+    # graph, noise and scalar fields one by one; every other run is one tree.
+    assert written[0] >= 1 and written[1] >= 1
+    assert written[2:] == [1] * (len(runs) - 2)
 
     def keys(node):
         if isinstance(node, dict):
@@ -400,12 +407,14 @@ WRITER_CASES = _writer_cases()
 
 
 class TestRecordWriter:
-    """dumps_record writes record_to_jsonable's canonical bytes from the count
-    arrays, and the two outcome rows of every ε comparison share their numbers."""
+    """dumps_record writes the canonical bytes of the oracle's record tree from
+    the count arrays, and the two outcome rows of every ε comparison share
+    their numbers."""
 
     @pytest.mark.parametrize("record", [r for _, r in WRITER_CASES], ids=[k for k, _ in WRITER_CASES])
     def test_bytes_equal_tree(self, record):
-        assert dumps_record(record) == dumps_canonical(record_to_jsonable(record))
+        assert dumps_record(record) == dumps_canonical(record_tree(record))
+        assert record_to_jsonable(record) == record_tree(record)
 
     def test_cases_reach_the_floor_and_the_empty_tables(self):
         cases = dict(WRITER_CASES)
@@ -426,7 +435,7 @@ class TestRecordWriter:
     def test_fields_go_through_the_encoder(self):
         record = dict(WRITER_CASES)["leafy-projective"]
         odd = dataclasses.replace(record, scheme='quote " slash \\ \u00e9 \u2028', seed=np.int64(2**40))
-        assert dumps_record(odd) == dumps_canonical(record_to_jsonable(odd))
+        assert dumps_record(odd) == dumps_canonical(record_tree(odd))
         assert '"scheme":"quote \\" slash \\\\ \\u00e9 \\u2028"' in dumps_record(odd)
 
     def test_non_finite_values_refused(self):
@@ -450,7 +459,7 @@ class TestRecordWriter:
         g = catalog("petersen")
         rep = extract_ortho_rep(g, theta(g))
         record = run_experiment(rep, g, 20_000, 6, NoiseModel(outcome_flip_p=0.01), "demolition")
-        assert capsys.readouterr().out == dumps_canonical(record_to_jsonable(record)) + "\n"
+        assert capsys.readouterr().out == dumps_canonical(record_tree(record)) + "\n"
 
 
 class TestBinomialSymmetry:

@@ -8,7 +8,6 @@ from twopoint import (
     NoiseModel,
     OrthoRep,
     QState,
-    born_single,
     build_graph,
     complete_graph,
     epsilon_prime,
@@ -19,7 +18,6 @@ from twopoint import (
     joint_probs_demolition,
     joint_probs_projective,
     joint_probs_table,
-    luders_update,
     ordered_contexts,
     pure_state,
     run_experiment,
@@ -30,11 +28,13 @@ from twopoint.simulate import OUTCOMES, _flip_table, _joint_table
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
+    born_single,
     builtin_kcbs_rep,
     flip_joint_terms,
     isolated_and_leaf_case,
     kcbs_graph,
     luders_joint_table,
+    luders_update,
     maximally_mixed,
     pair_estimate,
     pair_row,
@@ -483,6 +483,15 @@ class TestNearZeroBranches:
         s = evaluate_s(g, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(g, singles, tables)
         assert abs(s_prime - len(g.edges) - s) <= 1e-13
+
+    def test_luders_reference_names_the_probability(self):
+        # Outcome 0 of vertex 0 has probability 7.4e-11, above PROB_ATOL, and
+        # dividing by it leaves round-off that QState's PSD check rejects.
+        g, rep = self._case()
+        with pytest.raises(ValueError, match=r"outcome 0 with probability 7\.4\d\de-11") as info:
+            luders_update(pure_state(rep.psi), rep.vectors[0], 0)
+        assert "positive semidefinite" not in str(info.value)
+        assert "positive semidefinite" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
     def test_rows_keep_first_outcome_mass(self, scheme):
