@@ -36,7 +36,6 @@ from .simulate import (
     SCHEMES,
     ExperimentRecord,
     NoiseModel,
-    _signaling,
     evaluate_s,
     evaluate_s_prime,
     joint_probs_table,
@@ -194,7 +193,7 @@ def _alpha_gprime_section(eg: EventGraph, gp: Graph, alpha_g: dict[str, Any]) ->
 
 def _max_significance(record: ExperimentRecord, position: int) -> float:
     """The largest difference / stderr of the ε (position 1) or ε′ (position 0) table."""
-    *_, difference, stderr = _signaling(record, position)
+    *_, difference, stderr = record.signaling_columns[position]
     return max((difference / stderr).tolist(), default=0.0)
 
 

@@ -37,7 +37,7 @@ from .serialize import (
     orthorep_to_jsonable,
     parse_graph,
 )
-from .simulate import SCHEMES, NoiseModel, _signaling, run_experiment
+from .simulate import SCHEMES, NoiseModel, run_experiment
 from .theta import DEFAULT_TOLERANCE, theta
 
 # The benchmark tracer patches these names.
@@ -254,7 +254,7 @@ def _cmd_simulate(args) -> int:
     else:
         mc = _montecarlo_section(record)
         # each comparison of an ε table is two entries, outcome 0 and outcome 1
-        entries = [2 * len(_signaling(record, position)[0]) for position in (1, 0)]
+        entries = [2 * len(record.signaling_columns[position][0]) for position in (1, 0)]
         out = (
             f"scheme = {record.scheme}, shots = {record.shots}, seed = {record.seed}\n"
             f"Ŝ = {format_float(mc['s_estimate'])} ± {format_float(mc['s_stderr'])}\n"

@@ -13,6 +13,7 @@ all-pairs oracle it is checked against lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -247,8 +248,11 @@ def build_two_point_graph(g: Graph) -> EventGraph:
         edge of G (adjacent observables carry orthogonal projectors).
 
     The edges are emitted rule by rule from the events that set each
-    observable to 1 and to 0, so the work is O(|E(G')|); the label-pair
-    oracle they are tested against lives in ``tests/oracles.py``.
+    observable to 1 and to 0.  All the rules' products are expanded into two
+    index arrays at once, each pair is coded as ``min * n' + max``, and the
+    sorted codes lose the pairs that both rules emit, so time and memory are
+    O(|E(G')|) and no n' x n' array is built.  The label-pair oracle the
+    edges are tested against lives in ``tests/oracles.py``.
     Weighted graphs must be expanded with :func:`expand_weighted` first.
     """
     if g.is_weighted:
@@ -262,9 +266,35 @@ def build_two_point_graph(g: Graph) -> EventGraph:
             (ones if a else zeros)[i].append(len(labels))
             (ones if b else zeros)[j].append(len(labels))
             labels.append(PairEvent(i, j, a, b))
-    edges: set[Edge] = set()
-    for o in range(g.n):
-        edges.update((min(p, q), max(p, q)) for p in ones[o] for q in zeros[o])
-    for (i, j) in g.edges:
-        edges.update((min(p, q), max(p, q)) for p in ones[i] for q in ones[j])
-    return EventGraph(source=g, labels=tuple(labels), edges=tuple(sorted(edges)))
+    # Rule (a) pairs ones[o] with zeros[o]; rule (b) ones[i] with ones[j] per edge.
+    p, q = _group_products(
+        ones + [ones[i] for (i, _) in g.edges], zeros + [ones[j] for (_, j) in g.edges]
+    )
+    n_prime = len(labels)
+    codes = np.sort(np.minimum(p, q) * n_prime + np.maximum(p, q))
+    # np.unique would do, but its hash pass (numpy >= 2.3) is slower than the sort
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    edges = tuple(zip((codes // n_prime).tolist(), (codes % n_prime).tolist()))
+    return EventGraph(source=g, labels=tuple(labels), edges=edges)
+
+
+def _group_products(
+    left: list[list[int]], right: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (p, q) with p in left[k] and q in right[k], over all k, as two
+    int64 arrays: one CSR-style expansion, not a loop over the groups."""
+    def flat(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        values = np.fromiter(
+            itertools.chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum())
+        )
+        return values, np.cumsum(sizes) - sizes, sizes
+
+    lvals, lstart, lsize = flat(left)
+    rvals, rstart, rsize = flat(right)
+    counts = lsize * rsize
+    group = np.repeat(np.arange(len(counts)), counts)
+    # r: each product's rank within its group, row-major over left x right
+    r = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = rsize[group]
+    return lvals[lstart[group] + r // width], rvals[rstart[group] + r % width]

@@ -58,6 +58,12 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResul
       one class: some maximum independent set holds all of a class's
       remaining members or none of them.  G' is G with each vertex's
       single event and outcome-1 pair events merged into one such class.
+      Every candidate mask is therefore a union of whole classes: the root
+      holds all vertices, a branch removes the pivot's class, and the
+      include branch also removes the pivot's neighbourhood, which twins
+      share, so it is a union of classes too.  Twins have equal degree in
+      such a mask, so the pivot scan visits only each class's lowest member
+      and still picks the lowest-id vertex of maximum degree.
     - A candidate set with no edge left is taken whole, in one leaf.
 
     Deterministic: identical inputs explore identical trees, and
@@ -77,6 +83,8 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResul
     for v, a in enumerate(adj):
         classes[a] = classes.get(a, 0) | 1 << v
     twins = [classes[a] for a in adj]
+    # The lowest member of each class: the only vertices the pivot scan visits.
+    reps = sum(c & -c for c in classes.values())
 
     def cover_bound(mask: int) -> int:
         # Greedily peel cliques, each grown from the lowest remaining vertex;
@@ -110,7 +118,7 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResul
         if size + cover_bound(mask) <= best_size:
             continue
         pivot, pivot_deg = -1, -1
-        m = mask
+        m = mask & reps
         while m:
             low = m & -m
             m ^= low

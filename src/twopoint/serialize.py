@@ -32,7 +32,7 @@ from .graphs import (
     build_two_point_graph,
 )
 from .orthorep import OrthoRep
-from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, _signaling, binomial_estimates
+from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, binomial_estimates
 # The benchmark tracer patches these names.
 from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
@@ -352,7 +352,8 @@ def _epsilon_json(record: ExperimentRecord, position: int) -> str:
     template, order = _template(EPSILON_KEYS)
     outcome = EPSILON_KEYS.index("outcome")
     pair = ",".join(template % tuple(str(o) if i == outcome else "%s" for i in order) for o in (0, 1))
-    columns = dict(zip((k for k in EPSILON_KEYS if k != "outcome"), _signaling(record, position)))
+    keys = (k for k in EPSILON_KEYS if k != "outcome")
+    columns = dict(zip(keys, record.signaling_columns[position]))
     texts = [_json_texts(columns[EPSILON_KEYS[i]]) for i in order if i != outcome]
     return "[" + ",".join(map(pair.__mod__, zip(*texts, *texts))) + "]"
 

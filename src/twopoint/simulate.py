@@ -309,6 +309,13 @@ class ExperimentRecord:
         counts.setflags(write=False)
         return counts
 
+    @functools.cached_property
+    def signaling_columns(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The read-only columns of :func:`_signaling` at positions 0 (ε′) and 1
+        (ε), indexed by position and built once per instance: the record writer,
+        ``certify``'s significances and the text summary read them."""
+        return _signaling(self, 0), _signaling(self, 1)
+
     def s_estimate(self) -> tuple[float, float]:
         """Witness estimate with combined binomial standard error: each vertex's
         P(1) less each edge's P(1,1), pooled over its two orders."""
@@ -419,7 +426,8 @@ def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...
 
     Each context's outcome-1 marginal count, from the record's count array, and
     its standard error are computed once, and a fixed observable's comparisons
-    are index pairs into them.
+    are index pairs into them.  The columns are read-only; callers read them
+    through ``ExperimentRecord.signaling_columns``, which builds them once.
     """
     other = 1 - position
     ctx = np.array(record.contexts, dtype=np.int64).reshape(-1, 2)
@@ -432,17 +440,20 @@ def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...
     pairs = [(x, y) for rows in groups.values() for i, x in enumerate(rows) for y in rows[i + 1:]]
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     difference, _ = binomial_estimates(np.abs(ones[a] - ones[b]), record.shots)
-    return (
+    columns = (
         ctx[a, position], ctx[a, other], ctx[b, other],
         difference, np.sqrt(se[a] * se[a] + se[b] * se[b]),
     )
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _signaling_rows(record: ExperimentRecord, position: int) -> list[dict[str, Any]]:
     """The comparisons of `_signaling` as the JSON record's rows: outcome 0, then
     the same row for outcome 1."""
     rows: list[dict[str, Any]] = []
-    for f, va, vb, d, e in zip(*(c.tolist() for c in _signaling(record, position))):
+    for f, va, vb, d, e in zip(*(c.tolist() for c in record.signaling_columns[position])):
         zero = dict(zip(EPSILON_KEYS, (f, va, vb, 0, d, e)))
         rows += (zero, {**zero, "outcome": 1})
     return rows

@@ -130,6 +130,70 @@ def one_vertex_branch_alpha(g: Graph) -> IndependenceResult:
     return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
 
 
+def full_scan_independence_number(g: Graph) -> IndependenceResult:
+    """The class-branching kernel with a pivot scan over every candidate vertex.
+
+    ``independence_number`` scans one vertex per false-twin class, because
+    its candidate masks are unions of whole classes.  This is the kernel from
+    before that change, its mask scan written as a loop over the vertices:
+    the same pivot (maximum degree, lowest id on ties), greedy clique-cover
+    bound, twin-class branching, edgeless-remainder leaf and stack order.
+    It has no size limit.
+    """
+    if g.is_weighted:
+        raise ValueError("full_scan_independence_number expects an unweighted graph")
+    adj = [0] * g.n
+    for (i, j) in g.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    classes: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        classes[a] = classes.get(a, 0) | 1 << v
+    twins = [classes[a] for a in adj]
+
+    def cover_bound(mask: int) -> int:
+        count = 0
+        rem = mask
+        while rem:
+            clique = rem & -rem
+            cand = rem & adj[clique.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                clique |= low
+                cand &= adj[low.bit_length() - 1]
+            rem ^= clique
+            count += 1
+        return count
+
+    best_size = 0
+    best_set = 0
+    nodes = 0
+    stack = [((1 << g.n) - 1, 0, 0)]
+    while stack:
+        mask, chosen, size = stack.pop()
+        nodes += 1
+        if not mask:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            continue
+        if size + cover_bound(mask) <= best_size:
+            continue
+        pivot, pivot_deg = -1, -1
+        for v in range(g.n):
+            if mask >> v & 1:
+                d = (adj[v] & mask).bit_count()
+                if d > pivot_deg:
+                    pivot, pivot_deg = v, d
+        if not pivot_deg:
+            stack.append((0, chosen | mask, size + mask.bit_count()))
+            continue
+        cls = twins[pivot] & mask
+        stack.append((mask ^ cls, chosen, size))
+        stack.append((mask & ~adj[pivot] & ~cls, chosen | cls, size + cls.bit_count()))
+    witness = tuple(v for v in range(g.n) if best_set >> v & 1)
+    return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
+
+
 def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:
     """Decide whether two measurement events are exclusive.
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -10,11 +11,13 @@ from twopoint import (
     SingleEvent,
     build_graph,
     build_two_point_graph,
+    catalog,
     complement,
     complete_graph,
     cycle_graph,
     expand_weighted,
 )
+from twopoint.serialize import dumps_canonical, event_graph_from_jsonable, event_graph_to_jsonable
 from conftest import random_graph
 from oracles import are_exclusive, brute_force_alpha, exclusive_pairs
 
@@ -198,6 +201,37 @@ class TestTwoPointGraph:
         g = build_graph(n, edges)
         eg = build_two_point_graph(g)
         assert eg.edges == exclusive_pairs(g, eg.labels)
+
+    @staticmethod
+    def _beyond_hypothesis_sources():
+        # n = 24 and |E| = 48 with 2 isolated vertices at random ids; K1; empty6.
+        # A path through the 22 others keeps them all non-isolated.
+        rnd = random.Random("compile-n24")
+        active = rnd.sample(range(24), 22)
+        path = {(min(a, b), max(a, b)) for a, b in zip(active, active[1:])}
+        rest = [(a, b) for a in active for b in active if a < b and (a, b) not in path]
+        return {
+            "n24-m48": build_graph(24, [*path, *rnd.sample(rest, 48 - len(path))]),
+            "k1": build_graph(1, []),
+            "empty6": catalog("empty6"),
+        }
+
+    @pytest.mark.parametrize("name", ["n24-m48", "k1", "empty6"])
+    def test_edges_match_oracle_beyond_hypothesis_sizes(self, name):
+        g = self._beyond_hypothesis_sources()[name]
+        eg = build_two_point_graph(g)
+        assert eg.n == g.n + 3 * len(g.edges)
+        assert eg.edges == exclusive_pairs(g, eg.labels)
+        # numpy integers would break the JSON writer and the edge-set lookups
+        assert all(type(x) is int for e in eg.edges for x in e)
+
+    def test_large_event_graph_round_trips_through_json(self):
+        eg = build_two_point_graph(self._beyond_hypothesis_sources()["n24-m48"])
+        assert len(eg.source.edges) == 48
+        assert sum(1 for v in range(24) if eg.source.degree(v) == 0) == 2
+        text = dumps_canonical(event_graph_to_jsonable(eg))
+        back = event_graph_from_jsonable(json.loads(text))
+        assert back == eg and hash(back) == hash(eg)
 
     def test_never_emits_one_one_pairs(self):
         rng = np.random.default_rng(3)

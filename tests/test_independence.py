@@ -20,6 +20,7 @@ from twopoint import (
 from conftest import random_graph
 from oracles import (
     brute_force_alpha,
+    full_scan_independence_number,
     max_assignment_value,
     noncontextual_assignment_value,
     one_vertex_branch_alpha,
@@ -289,6 +290,67 @@ class TestTwinReductions:
         res = independence_number(g)
         assert res.alpha == brute_force_alpha(g)
         assert len(res.witness) == res.alpha and is_independent(g, res.witness)
+
+
+def _relabelled(g, rnd):
+    """g with its vertices permuted, so that twin classes interleave in id order."""
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return build_graph(g.n, [(perm[i], perm[j]) for (i, j) in g.edges])
+
+
+def _complete_multipartite(parts):
+    first = [sum(parts[:k]) for k in range(len(parts))]
+    return build_graph(sum(parts), [
+        (first[a] + x, first[b] + y)
+        for a in range(len(parts)) for b in range(a + 1, len(parts))
+        for x in range(parts[a]) for y in range(parts[b])
+    ])
+
+
+class TestRepresentativeScan:
+    """The pivot scan visits one vertex per false-twin class; the full-scan
+    reference visits every candidate.  Same tree: alpha, witness and node count."""
+
+    @staticmethod
+    def _assert_same_tree(g):
+        res = independence_number(g, limit=g.n)
+        ref = full_scan_independence_number(g)
+        assert (res.alpha, res.witness, res.node_count) == (
+            ref.alpha, ref.witness, ref.node_count
+        )
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(20261019)
+        for trial in range(200):
+            n = int(rng.integers(1, 31))
+            self._assert_same_tree(random_graph(rng, n, [0.1, 0.3, 0.5, 0.8][trial % 4]))
+
+    def test_weighted_blowups(self):
+        # expand_weighted makes each weight-w vertex a class of w false twins.
+        rnd = random.Random("blowup-scan")
+        for _ in range(40):
+            n = rnd.randint(2, 9)
+            weights = {v: rnd.randint(1, 5) for v in range(n)}
+            g = build_graph(n, _random_edges(rnd, n, rnd.random()), weights=weights)
+            blowup, _ = expand_weighted(g)
+            self._assert_same_tree(blowup)
+            self._assert_same_tree(_relabelled(blowup, rnd))
+
+    @pytest.mark.parametrize(
+        "parts", [(1,), (4,), (2, 2), (1, 2, 3), (3, 1, 2), (4, 4, 4), (5, 1, 1, 2), (3, 3, 3, 3)]
+    )
+    def test_complete_multipartite(self, parts):
+        g = _complete_multipartite(parts)
+        self._assert_same_tree(g)
+        self._assert_same_tree(_relabelled(g, random.Random(f"multipartite-{parts}")))
+
+    def test_gprime_of_random_graphs(self):
+        rnd = random.Random("gprime-scan")
+        for _ in range(20):
+            n = rnd.randint(3, 12)
+            g = build_graph(n, _random_edges(rnd, n, rnd.uniform(0.2, 0.6)))
+            self._assert_same_tree(build_two_point_graph(g).as_graph())
 
 
 def _structure_sources():

@@ -23,7 +23,9 @@ from twopoint import (
     parse_graph,
     pure_state,
 )
+from twopoint.certify import _montecarlo_section
 from twopoint.cli import main
+from twopoint.serialize import dumps_record
 from oracles import builtin_kcbs_rep, kcbs_graph
 
 
@@ -73,6 +75,60 @@ class TestCountArrayCache:
     def test_equality_and_hash_unchanged(self):
         record = self._record()
         _ = record.count_array
+        assert record == self._record() and hash(record) == hash(self._record())
+
+
+class TestSignalingColumnsCache:
+    @staticmethod
+    def _record():
+        return twopoint.run_experiment(builtin_kcbs_rep(), kcbs_graph(), shots=500, seed=1)
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list[int]:
+        positions: list[int] = []
+        build = twopoint.simulate._signaling
+
+        def counted(record, position):
+            positions.append(position)
+            return build(record, position)
+
+        monkeypatch.setattr(twopoint.simulate, "_signaling", counted)
+        return positions
+
+    def test_built_once_read_only_and_equal_to_a_fresh_build(self, monkeypatch):
+        positions = self._count_builds(monkeypatch)
+        record = self._record()
+        columns = record.signaling_columns
+        assert record.signaling_columns is columns
+        dumps_record(record)
+        twopoint.epsilon_signaling(record)
+        twopoint.epsilon_prime(record)
+        _montecarlo_section(record)
+        assert sorted(positions) == [0, 1]
+        for position in (0, 1):
+            fresh = twopoint.simulate._signaling(record, position)
+            assert len(columns[position]) == len(fresh) == 5
+            for column, expected in zip(columns[position], fresh):
+                assert column.tolist() == expected.tolist() and column.dtype == expected.dtype
+                assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                columns[position][3][0] = 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "c5", "--shots", "1000", "--format", "text"],
+        ["simulate", "c5", "--shots", "1000", "--format", "json"],
+        ["certify", "c5", "--shots", "1000", "--format", "json"],
+        ["certify", "c5", "--shots", "1000", "--format", "text"],
+    ])
+    def test_one_build_per_position_per_command(self, monkeypatch, capsys, command):
+        positions = self._count_builds(monkeypatch)
+        assert main(command) == 0
+        capsys.readouterr()
+        assert sorted(positions) == [0, 1]
+
+    def test_equality_and_hash_unchanged(self):
+        record = self._record()
+        _ = record.signaling_columns
         assert record == self._record() and hash(record) == hash(self._record())
 
 
