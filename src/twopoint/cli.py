@@ -209,8 +209,7 @@ def _cmd_transform(args) -> int:
     else:
         lines = [f"G: n={g.n}, |E|={len(g.edges)}"]
         lines.append(f"G': n={eg.n}, |E|={len(eg.edges)}")
-        for idx, lab in enumerate(eg.labels):
-            assigns = lab.assignments()
+        for idx, assigns in enumerate(eg.assignments()):
             obs = ",".join(str(o) for o in assigns)
             outs = ",".join(str(assigns[o]) for o in assigns)
             lines.append(f"  vertex {idx}: {outs}|{obs}")

@@ -2,12 +2,15 @@
 
 A :class:`Graph` is a plain undirected simple graph with optional positive
 integer vertex weights.  :func:`build_two_point_graph` compiles a graph G into
-the event graph G' whose vertices are measurement events (single-observable
-outcomes and pair-outcome events, three per edge) and whose edges encode
-exclusivity of events.  Two events are exclusive when they set one
-observable to different outcomes, or set two observables adjacent in G both
-to 1; the compiler emits the edges of G' straight from these two rules, and the
-all-pairs oracle it is checked against lives in ``tests/oracles.py``.
+the event graph G' whose vertices are measurement events and whose edges
+encode exclusivity of events.  The events carry no label objects: vertex
+k < n is the single event 1|k, and vertex n + 3e + t is edge e's pair event
+with outcomes ``PAIR_OUTCOMES[t]``.  :class:`EventGraph` hands that layout
+out as index arrays, so no other module decodes it.  Two events are
+exclusive when they set one observable to different outcomes, or set two
+observables adjacent in G both to 1; the compiler emits the edges of G'
+straight from these two rules, and the all-pairs oracle it is checked
+against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -37,7 +40,7 @@ class Graph:
 
     @functools.cached_property
     def edge_set(self) -> frozenset[Edge]:
-        # Built once per instance: simulate and complement query it repeatedly.
+        # Built once per instance: certify's alpha(G') cover check queries it per pair.
         return frozenset(self.edges)
 
     @functools.cached_property
@@ -122,18 +125,6 @@ def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complement(g: Graph) -> Graph:
-    """Edge present in the output iff absent in the input; weights dropped."""
-    present = g.edge_set
-    edges = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if (i, j) not in present
-    ]
-    return build_graph(g.n, edges)
-
-
 def expand_weighted(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Blow up integer vertex weights into vertex copies.
 
@@ -158,90 +149,81 @@ def expand_weighted(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return build_graph(len(provenance), edges), tuple(provenance)
 
 
-@dataclass(frozen=True)
-class SingleEvent:
-    """Outcome assignment to one observable: ``outcome | obs``."""
-
-    obs: int
-    outcome: int
-
-    def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
-            raise ValueError(f"outcome must be a bit, got {self.outcome}")
-
-    def assignments(self) -> dict[int, int]:
-        return {self.obs: self.outcome}
-
-
-@dataclass(frozen=True)
-class PairEvent:
-    """Joint outcome assignment to two observables measured together.
-
-    By convention ``obs_a < obs_b``; pair events are only meaningful for
-    observables joined by an edge of the source graph.
-    """
-
-    obs_a: int
-    obs_b: int
-    outcome_a: int
-    outcome_b: int
-
-    def __post_init__(self) -> None:
-        if self.obs_a >= self.obs_b:
-            raise ValueError(f"pair events require obs_a < obs_b, got ({self.obs_a},{self.obs_b})")
-        if self.outcome_a not in (0, 1) or self.outcome_b not in (0, 1):
-            raise ValueError("pair outcomes must be bits")
-
-    def assignments(self) -> dict[int, int]:
-        return {self.obs_a: self.outcome_a, self.obs_b: self.outcome_b}
-
-
-EventLabel = Union[SingleEvent, PairEvent]
-
-
 PAIR_OUTCOMES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0))
+
+
+def _pair_events(g: Graph) -> np.ndarray:
+    """Row e: the vertices of G' that hold source edge e's pair events, one per
+    entry of PAIR_OUTCOMES, as a read-only (|E|, 3) int array."""
+    triples = g.n + np.arange(3 * len(g.edges)).reshape(-1, 3)
+    triples.setflags(write=False)
+    return triples
 
 
 @dataclass(frozen=True)
 class EventGraph:
     """The compiled two-point event graph G' of a source graph G.
 
-    Vertex order: one ``SingleEvent(i, 1)`` per source vertex in vertex
-    order, then per source edge (in edge order) the three pair events with
-    outcomes (0,0), (0,1), (1,0).  Edges are exactly the exclusive label
-    pairs.
+    Its vertices are the n + 3|E| events, laid out by index: vertex k < n is
+    the single event 1|k, and vertex n + 3e + t is source edge e's pair event
+    with outcomes ``PAIR_OUTCOMES[t]``.  This module alone knows that layout;
+    everything else reads it through `triples`, `blocks`, `events` and
+    `assignments`.  Edges are exactly the exclusive event pairs.
     """
 
     source: Graph
-    labels: tuple[EventLabel, ...]
     edges: tuple[Edge, ...]
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self.source.n + 3 * len(self.source.edges)
 
     def as_graph(self) -> Graph:
         """The event graph as a plain unweighted graph."""
         return Graph(n=self.n, edges=self.edges, weights=None)
 
-    def blocks(self) -> tuple[list[int], list[list[int]]]:
-        """The block partition of G', read off the labels: each source vertex's
-        single event in vertex order, then each source edge's three pair events."""
-        singles = [-1] * self.source.n
-        triples: dict[Edge, list[int]] = {e: [] for e in self.source.edges}
-        for k, label in enumerate(self.labels):
-            if isinstance(label, PairEvent):
-                triples[(label.obs_a, label.obs_b)].append(k)
-            else:
-                singles[label.obs] = k
-        return singles, list(triples.values())
+    @functools.cached_property
+    def triples(self) -> np.ndarray:
+        """Each source edge's three pair events, built once per instance."""
+        return _pair_events(self.source)
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block partition of G': the single events of the source vertices,
+        in vertex order, and the (|E|, 3) `triples` of pair events."""
+        return np.arange(self.source.n), self.triples
+
+    @functools.cached_property
+    def events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each event's observables and outcomes as read-only (n', 2) int arrays,
+        built once per instance.
+
+        Row k is event k as the assignment ``dict(zip(obs[k], out[k]))``: edge
+        (i, j)'s pair event with outcomes (a, b) reads (i, j) and (a, b), and the
+        single event 1|i reads (i, i) and (1, 1)."""
+        singles, triples = self.blocks()
+        obs = np.empty((self.n, 2), dtype=int)
+        out = np.empty((self.n, 2), dtype=int)
+        obs[singles] = singles[:, None]
+        out[singles] = 1
+        obs[triples] = np.stack(self.source.edge_index, axis=1)[:, None, :]
+        out[triples] = PAIR_OUTCOMES
+        obs.setflags(write=False)
+        out.setflags(write=False)
+        return obs, out
+
+    def assignments(self) -> list[dict[int, int]]:
+        """Each event as the outcomes it assigns, ``{observable: outcome}``: one
+        observable for a single event, two for a pair event."""
+        obs, out = self.events
+        return [dict(zip(o, u)) for o, u in zip(obs.tolist(), out.tolist())]
 
 
 def build_two_point_graph(g: Graph) -> EventGraph:
     """Compile G into its two-point event graph G'.
 
-    The result has n(G) + 3|E(G)| vertices.  Two events are exclusive, and
-    joined by an edge, when they cannot both occur:
+    The result has n(G) + 3|E(G)| vertices, laid out as `EventGraph` says.
+    Two events are exclusive, and joined by an edge, when they cannot both
+    occur:
 
     (a) one sets an observable o to 1 and the other sets o to 0, or
     (b) one sets o_1 to 1 and the other sets o_2 to 1, with (o_1, o_2) an
@@ -251,31 +233,29 @@ def build_two_point_graph(g: Graph) -> EventGraph:
     observable to 1 and to 0.  All the rules' products are expanded into two
     index arrays at once, each pair is coded as ``min * n' + max``, and the
     sorted codes lose the pairs that both rules emit, so time and memory are
-    O(|E(G')|) and no n' x n' array is built.  The label-pair oracle the
+    O(|E(G')|) and no n' x n' array is built.  The all-pairs oracle the
     edges are tested against lives in ``tests/oracles.py``.
     Weighted graphs must be expanded with :func:`expand_weighted` first.
     """
     if g.is_weighted:
         raise ValueError("expand weighted graphs with expand_weighted before compiling")
-    labels: list[EventLabel] = [SingleEvent(i, 1) for i in range(g.n)]
     # ones[o] and zeros[o]: the events that set observable o to 1 and to 0.
     ones: list[list[int]] = [[i] for i in range(g.n)]
     zeros: list[list[int]] = [[] for _ in range(g.n)]
-    for (i, j) in g.edges:
-        for (a, b) in PAIR_OUTCOMES:
-            (ones if a else zeros)[i].append(len(labels))
-            (ones if b else zeros)[j].append(len(labels))
-            labels.append(PairEvent(i, j, a, b))
+    for (i, j), triple in zip(g.edges, _pair_events(g).tolist()):
+        for k, (a, b) in zip(triple, PAIR_OUTCOMES):
+            (ones if a else zeros)[i].append(k)
+            (ones if b else zeros)[j].append(k)
     # Rule (a) pairs ones[o] with zeros[o]; rule (b) ones[i] with ones[j] per edge.
     p, q = _group_products(
         ones + [ones[i] for (i, _) in g.edges], zeros + [ones[j] for (_, j) in g.edges]
     )
-    n_prime = len(labels)
+    n_prime = g.n + 3 * len(g.edges)
     codes = np.sort(np.minimum(p, q) * n_prime + np.maximum(p, q))
     # np.unique would do, but its hash pass (numpy >= 2.3) is slower than the sort
     codes = codes[np.diff(codes, prepend=-1) != 0]
     edges = tuple(zip((codes // n_prime).tolist(), (codes % n_prime).tolist()))
-    return EventGraph(source=g, labels=tuple(labels), edges=edges)
+    return EventGraph(source=g, edges=edges)
 
 
 def _group_products(

@@ -22,15 +22,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .graphs import (
-    EventGraph,
-    EventLabel,
-    Graph,
-    PairEvent,
-    SingleEvent,
-    build_graph,
-    build_two_point_graph,
-)
+from .graphs import EventGraph, Graph, build_graph, build_two_point_graph
 from .orthorep import OrthoRep
 from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, binomial_estimates
 # The benchmark tracer patches these names.
@@ -220,48 +212,44 @@ def emit_graph(g: Graph, fmt: str = "json") -> str:
 
 # -- event graphs -------------------------------------------------------
 
-def _label_to_jsonable(label: EventLabel) -> dict:
-    if isinstance(label, SingleEvent):
-        return {"kind": "single", "obs": [label.obs], "out": [label.outcome]}
+def _event_labels(eg: EventGraph) -> list[dict]:
+    """Each event's JSON label: its kind, its observables and their outcomes."""
+    return [
+        {"kind": "single" if len(a) == 1 else "pair", "obs": list(a), "out": list(a.values())}
+        for a in eg.assignments()
+    ]
+
+
+def _label_from_jsonable(data: dict) -> dict:
     return {
-        "kind": "pair",
-        "obs": [label.obs_a, label.obs_b],
-        "out": [label.outcome_a, label.outcome_b],
+        "kind": data["kind"],
+        "obs": [_json_int(x, "label 'obs'") for x in data["obs"]],
+        "out": [_json_int(x, "label 'out'") for x in data["out"]],
     }
-
-
-def _label_from_jsonable(data: dict) -> EventLabel:
-    kind = data.get("kind")
-    obs = [_json_int(x, "label 'obs'") for x in data.get("obs", [])]
-    out = [_json_int(x, "label 'out'") for x in data.get("out", [])]
-    if kind == "single":
-        return SingleEvent(obs[0], out[0])
-    if kind == "pair":
-        return PairEvent(obs[0], obs[1], out[0], out[1])
-    raise ParseError(f"unknown label kind {kind!r}")
 
 
 def event_graph_to_jsonable(eg: EventGraph) -> dict:
     return {
         "source": graph_to_jsonable(eg.source),
-        "labels": [_label_to_jsonable(lab) for lab in eg.labels],
+        "labels": _event_labels(eg),
         "n": eg.n,
         "edges": [[i, j] for (i, j) in eg.edges],
     }
 
 
 def event_graph_from_jsonable(data: dict) -> EventGraph:
-    """The event graph of ``event_graph_to_jsonable``; its labels and edges must
-    be those that ``build_two_point_graph`` compiles from its source."""
+    """The event graph of ``event_graph_to_jsonable``; its n, labels and edges
+    must be those that ``build_two_point_graph`` compiles from its source."""
     source = graph_from_jsonable(data["source"])
     try:
-        labels = tuple(_label_from_jsonable(lab) for lab in data["labels"])
+        n = _json_int(data["n"], "'n'")
+        labels = [_label_from_jsonable(lab) for lab in data["labels"]]
         edges = tuple(tuple(_json_int(x, "edge endpoint") for x in e) for e in data["edges"])
         compiled = build_two_point_graph(source)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as err:
         raise ParseError(f"bad event graph JSON: {err}") from err
-    if labels != compiled.labels:
-        raise ParseError("event labels differ from the compilation of the source graph")
+    if n != compiled.n or labels != _event_labels(compiled):
+        raise ParseError("event n or labels differ from the compilation of the source graph")
     if edges != compiled.edges:
         raise ParseError("event edges are not exactly the exclusive label pairs")
     return compiled

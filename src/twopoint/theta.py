@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
 
-from .graphs import EventGraph, Graph, PairEvent
+from .graphs import EventGraph, Graph
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -197,15 +197,14 @@ def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
     and get (t / bound) Y, with t = bound + |E|; each edge's three pair
     events form a triangle and get t (J_3 - I_3).  Cauchy-Schwarz over the
     1 + |E| blocks, weighted bound : 1 : ... : 1, gives
-    lambda_max(J' - Y') <= t.  The blocks are `EventGraph.blocks`, so the
-    result does not depend on the vertex order of G'.
+    lambda_max(J' - Y') <= t.  The blocks are `EventGraph.blocks`, the one
+    source of where G' puts each event.
     """
     t = bound + len(eg.source.edges)
     singles, triangles = eg.blocks()
     Yp = np.zeros((eg.n, eg.n))
     Yp[np.ix_(singles, singles)] = (t / bound) * np.asarray(Y, dtype=float)
-    for tri in triangles:
-        Yp[np.ix_(tri, tri)] = t * (1.0 - np.eye(len(tri)))
+    Yp[triangles[:, :, None], triangles[:, None, :]] = t * (1.0 - np.eye(3))
     return Yp
 
 
@@ -237,13 +236,13 @@ def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
     F, psi = primal_factor(X)
     sq = np.einsum("ij,ij->i", F, F)
     P = F * np.divide(F @ psi, sq, out=np.zeros(len(F)), where=F.any(axis=1))[:, None]
-    W = np.empty((eg.n, F.shape[1]))
-    for k, label in enumerate(eg.labels):
-        if isinstance(label, PairEvent) and label.outcome_a == label.outcome_b == 0:
-            B = F[[label.obs_a, label.obs_b]].T
-            W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
-        else:
-            W[k] = P[next(obs for obs, out in label.assignments().items() if out == 1)]
+    obs, out = eg.events
+    # Each event's row of P is that of the observable it sets to 1; the (0,0)
+    # events set none, and their rows are overwritten, one per edge.
+    W = P[np.where(out[:, 0] == 1, obs[:, 0], obs[:, 1])]
+    for k in np.flatnonzero(~out.any(axis=1)):
+        B = F[obs[k]].T
+        W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
     return (W @ W.T) / np.sum(W * W)
 
 

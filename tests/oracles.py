@@ -13,7 +13,6 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from twopoint import (
-    EventLabel,
     ExperimentRecord,
     Graph,
     IndependenceResult,
@@ -194,8 +193,32 @@ def full_scan_independence_number(g: Graph) -> IndependenceResult:
     return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
 
 
-def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:
-    """Decide whether two measurement events are exclusive.
+def complement(g: Graph) -> Graph:
+    """Edge present in the output iff absent in the input; weights dropped."""
+    present = g.edge_set
+    edges = [
+        (i, j)
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if (i, j) not in present
+    ]
+    return build_graph(g.n, edges)
+
+
+Event = Mapping[int, int]
+
+
+def event_assignments(g: Graph) -> list[dict[int, int]]:
+    """The events of G' as ``{observable: outcome}`` dicts, in the vertex order
+    the compiler promises, written out: 1|i for every vertex i, then for every
+    edge (i, j) in edge order its pair events (0,0), (0,1) and (1,0)."""
+    singles = [{i: 1} for i in range(g.n)]
+    return singles + [{i: a, j: b} for (i, j) in g.edges for (a, b) in ((0, 0), (0, 1), (1, 0))]
+
+
+def are_exclusive(a1: Event, a2: Event, g: Graph) -> bool:
+    """Decide whether two measurement events, each given as the outcomes it
+    assigns ``{observable: outcome}``, are exclusive.
 
     Two events are exclusive when they cannot both occur, i.e. they are
     alternative outcomes of one sharp measurement.  That happens iff
@@ -205,12 +228,10 @@ def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:
         adjacent in g and both are assigned outcome 1 (adjacent observables
         carry orthogonal projectors, so their 1-outcomes cannot co-occur).
 
-    The relation is symmetric, and irreflexive on the labels used by the
-    two-point compilation.  This is the label-pair reference for the rule
+    The relation is symmetric, and irreflexive on the events of the
+    two-point compilation.  This is the all-pairs reference for the rule
     by rule edge emission of ``build_two_point_graph``.
     """
-    a1 = e1.assignments()
-    a2 = e2.assignments()
     for obs, out in a1.items():
         if obs in a2 and a2[obs] != out:
             return True
@@ -224,13 +245,13 @@ def are_exclusive(e1: EventLabel, e2: EventLabel, g: Graph) -> bool:
     return False
 
 
-def exclusive_pairs(g: Graph, labels: tuple[EventLabel, ...]) -> tuple[tuple[int, int], ...]:
-    """All label-index pairs p < q with exclusive labels, in lexicographic order."""
+def exclusive_pairs(g: Graph, events: list[Event]) -> tuple[tuple[int, int], ...]:
+    """All event-index pairs p < q with exclusive events, in lexicographic order."""
     return tuple(
         (p, q)
-        for p in range(len(labels))
-        for q in range(p + 1, len(labels))
-        if are_exclusive(labels[p], labels[q], g)
+        for p in range(len(events))
+        for q in range(p + 1, len(events))
+        if are_exclusive(events[p], events[q], g)
     )
 
 

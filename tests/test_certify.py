@@ -10,10 +10,8 @@ import pytest
 
 from twopoint import (
     CertifyOptions,
-    EventGraph,
     ExtractionError,
-    PairEvent,
-    SingleEvent,
+    Graph,
     SizeLimitError,
     StageError,
     build_graph,
@@ -36,7 +34,7 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.serialize import dumps_canonical, format_float
 from twopoint.simulate import SCHEMES, NoiseModel
-from oracles import pairwise_signaling, record_tree, scalar_s_estimate
+from oracles import event_assignments, pairwise_signaling, record_tree, scalar_s_estimate
 
 cli_mod = importlib.import_module("twopoint.cli")
 
@@ -267,9 +265,9 @@ class TestConstructiveThetaGprime:
             return (sol.X.sum() - b @ np.linalg.pinv(sol.X[np.ix_([i, j], [i, j])]) @ b) / t
 
         residuals = {
-            k: residual(label.obs_a, label.obs_b)
-            for k, label in enumerate(eg.labels)
-            if isinstance(label, PairEvent) and (label.outcome_a, label.outcome_b) == (0, 0)
+            k: residual(*event)
+            for k, event in enumerate(event_assignments(g))
+            if len(event) == 2 and not any(event.values())
         }
         zero_rows = [k for k, r in residuals.items() if r <= 1e-14]
         # K2's one edge spans psi; K6's six orthogonal f_k leave 2/3 of it outside any pair.
@@ -317,7 +315,7 @@ class TestConstructiveThetaGprime:
         F = np.array([[0.6, 0.0], [0.0, 0.8], [1e-15, 0.0]])
         exact = np.array([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]])
         X = lift_primal(eg, F @ F.T)
-        on_2 = [k for k, lab in enumerate(eg.labels) if lab.assignments().get(2) == 1]
+        on_2 = [k for k, event in enumerate(event_assignments(g)) if event.get(2) == 1]
         assert len(on_2) == 2
         assert np.all(X[on_2] == 0.0)
         assert np.allclose(X, lift_primal(eg, exact @ exact.T), rtol=0.0, atol=1e-15)
@@ -407,10 +405,9 @@ class TestConstructiveAlphaGprime:
         # 0 and 2, and on each edge the pair event of the outcomes it reads.
         assert d["alpha_g"]["witness"] == [0, 2]
         reads = [1, 0, 1, 0, 0]
-        eg = build_two_point_graph(cycle_graph(5))
         assert a["witness"] == [
-            k for k, lab in enumerate(eg.labels)
-            if all(reads[o] == out for o, out in lab.assignments().items())
+            k for k, event in enumerate(event_assignments(cycle_graph(5)))
+            if all(reads[o] == out for o, out in event.items())
         ]
         names = [name for name, _ in d["checks"]]
         assert {"alpha_gprime_witness_independent", "alpha_gprime_cover_verified"} <= set(names)
@@ -422,13 +419,13 @@ class TestConstructiveAlphaGprime:
 
     @pytest.mark.parametrize(
         "drop",
-        [(5, 6), (0, 1)],
-        ids=["triangle-edge", "single-event-edge"],
+        [(5, 6), (6, 7), (0, 1)],
+        ids=["triangle-edge", "triangle-last-edge", "single-event-edge"],
     )
     def test_deleted_edge_fails_cover(self, monkeypatch, drop):
-        # 5 and 6 are the (0,0) and (0,1) events of c5's edge (0, 1); 0 and 1
-        # are its single events.  Either deletion lets an independent set of
-        # G' exceed alpha(G) + |E|.
+        # 5, 6 and 7 are the (0,0), (0,1) and (1,0) events of c5's edge (0, 1);
+        # 0 and 1 are its single events.  Each deletion lets an independent set
+        # of G' exceed alpha(G) + |E|.
         report = _certify_c5_tampered(monkeypatch, drop=[drop])
         checks = dict(report.checks())
         assert checks["alpha_gprime_cover_verified"] is False
@@ -438,13 +435,14 @@ class TestConstructiveAlphaGprime:
         assert "cover verified FAIL" in text and "overall: FAIL" in text
 
     def test_blocks_must_partition_gprime(self):
-        # A second single event of vertex 0 is left out of every block, so the
-        # cover bound alpha(G) + |E| = 1 would miss it: alpha of this G' is 2.
-        g = build_graph(1, [])
-        eg = EventGraph(source=g, labels=(SingleEvent(0, 1), SingleEvent(0, 1)), edges=())
-        section = certify_mod._alpha_gprime_section(eg, eg.as_graph(), {"alpha": 1, "witness": [0]})
+        # A G' with a second, isolated vertex: it lies outside every block, so
+        # the cover bound alpha(G) + |E| = 1 would miss it, and alpha of this G' is 2.
+        eg = build_two_point_graph(build_graph(1, []))
+        gp = Graph(n=2, edges=(), weights=None)
+        section = certify_mod._alpha_gprime_section(eg, gp, {"alpha": 1, "witness": [0]})
         assert section["cover_verified"] is False
-        assert (section["alpha"], section["upper_bound"]) == (2, 1)
+        assert section["witness_independent"] is True
+        assert (section["alpha"], section["upper_bound"]) == (1, 1)
 
     def test_joined_witness_events_fail_independence(self, monkeypatch):
         # The lifted witness holds single events 0 and 2; joining them leaves
@@ -644,6 +642,19 @@ class TestCli:
         assert main(["transform", "fig2-k2", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["n"] == 5 and len(data["edges"]) == 8
+
+    def test_transform_text(self, capsys):
+        # Each vertex of G' reads as its outcomes | its observables.
+        assert main(["transform", "fig2-k2", "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "G: n=2, |E|=1\n"
+            "G': n=5, |E|=8\n"
+            "  vertex 0: 1|0\n"
+            "  vertex 1: 1|1\n"
+            "  vertex 2: 0,0|0,1\n"
+            "  vertex 3: 0,1|0,1\n"
+            "  vertex 4: 1,0|0,1\n"
+        )
 
     def test_orthorep_json(self, capsys):
         assert main(["orthorep", "c5", "--format", "json"]) == 0

@@ -7,19 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint import (
-    PairEvent,
-    SingleEvent,
     build_graph,
     build_two_point_graph,
     catalog,
-    complement,
     complete_graph,
     cycle_graph,
     expand_weighted,
 )
 from twopoint.serialize import dumps_canonical, event_graph_from_jsonable, event_graph_to_jsonable
 from conftest import random_graph
-from oracles import are_exclusive, brute_force_alpha, exclusive_pairs
+from oracles import (
+    are_exclusive, brute_force_alpha, complement, event_assignments, exclusive_pairs
+)
 
 
 class TestBuildGraph:
@@ -128,28 +127,28 @@ class TestExpandWeighted:
 
 class TestExclusivity:
     def test_single_vs_pair_conflicting_outcome(self, k2):
-        assert are_exclusive(SingleEvent(0, 1), PairEvent(0, 1, 0, 1), k2)
+        assert are_exclusive({0: 1}, {0: 0, 1: 1}, k2)
 
     def test_single_vs_pair_agreeing_outcome(self, k2):
         # 1|0 and (1,0)|01 agree on observable 0 and assign no 1-1 pair
         # across the edge, so these events coexist.
-        assert not are_exclusive(SingleEvent(0, 1), PairEvent(0, 1, 1, 0), k2)
+        assert not are_exclusive({0: 1}, {0: 1, 1: 0}, k2)
 
     def test_two_singles_across_an_edge(self, k2):
-        assert are_exclusive(SingleEvent(0, 1), SingleEvent(1, 1), k2)
+        assert are_exclusive({0: 1}, {1: 1}, k2)
 
     def test_two_singles_without_edge(self):
         g = build_graph(3, [(0, 1)])
-        assert not are_exclusive(SingleEvent(0, 1), SingleEvent(2, 1), g)
+        assert not are_exclusive({0: 1}, {2: 1}, g)
 
     def test_symmetric_and_irreflexive_on_compiled_labels(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(2, 7)), 0.5)
-            labels = build_two_point_graph(g).labels
-            for e1 in labels:
+            events = event_assignments(g)
+            for e1 in events:
                 assert not are_exclusive(e1, e1, g)
-                for e2 in labels:
+                for e2 in events:
                     assert are_exclusive(e1, e2, g) == are_exclusive(e2, e1, g)
 
 
@@ -157,14 +156,12 @@ class TestTwoPointGraph:
     def test_k2_gadget_matches_expected_edge_list(self, k2):
         eg = build_two_point_graph(k2)
         assert eg.n == 5
-        assert [type(lab).__name__ for lab in eg.labels] == [
-            "SingleEvent", "SingleEvent", "PairEvent", "PairEvent", "PairEvent",
-        ]
-        assert eg.labels[2:] == (
-            PairEvent(0, 1, 0, 0),
-            PairEvent(0, 1, 0, 1),
-            PairEvent(0, 1, 1, 0),
-        )
+        assert eg.assignments() == [{0: 1}, {1: 1}, {0: 0, 1: 0}, {0: 0, 1: 1}, {0: 1, 1: 0}]
+        obs, out = eg.events
+        assert obs.tolist() == [[0, 0], [1, 1], [0, 1], [0, 1], [0, 1]]
+        assert out.tolist() == [[1, 1], [1, 1], [0, 0], [0, 1], [1, 0]]
+        singles, triples = eg.blocks()
+        assert singles.tolist() == [0, 1] and triples.tolist() == [[2, 3, 4]]
         assert set(eg.edges) == {
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4),
         }
@@ -200,7 +197,8 @@ class TestTwoPointGraph:
         ]
         g = build_graph(n, edges)
         eg = build_two_point_graph(g)
-        assert eg.edges == exclusive_pairs(g, eg.labels)
+        assert eg.assignments() == event_assignments(g)
+        assert eg.edges == exclusive_pairs(g, event_assignments(g))
 
     @staticmethod
     def _beyond_hypothesis_sources():
@@ -221,7 +219,8 @@ class TestTwoPointGraph:
         g = self._beyond_hypothesis_sources()[name]
         eg = build_two_point_graph(g)
         assert eg.n == g.n + 3 * len(g.edges)
-        assert eg.edges == exclusive_pairs(g, eg.labels)
+        assert eg.assignments() == event_assignments(g)
+        assert eg.edges == exclusive_pairs(g, event_assignments(g))
         # numpy integers would break the JSON writer and the edge-set lookups
         assert all(type(x) is int for e in eg.edges for x in e)
 
@@ -236,18 +235,13 @@ class TestTwoPointGraph:
     def test_never_emits_one_one_pairs(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 6, 0.8)
-        for lab in build_two_point_graph(g).labels:
-            if isinstance(lab, PairEvent):
-                assert (lab.outcome_a, lab.outcome_b) != (1, 1)
+        obs, out = build_two_point_graph(g).events
+        pairs = obs[:, 0] != obs[:, 1]
+        assert pairs.sum() == 3 * len(g.edges)
+        assert not (out[pairs] == 1).all(axis=1).any()
 
-
-class TestEventLabels:
-    def test_pair_requires_sorted_observables(self):
-        with pytest.raises(ValueError, match="obs_a < obs_b"):
-            PairEvent(2, 1, 0, 0)
-
-    def test_outcomes_must_be_bits(self):
-        with pytest.raises(ValueError):
-            SingleEvent(0, 2)
-        with pytest.raises(ValueError):
-            PairEvent(0, 1, 0, 3)
+    def test_layout_arrays_are_read_only(self, c5):
+        eg = build_two_point_graph(c5)
+        for arr in (eg.triples, *eg.events):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twopoint import (
-    PairEvent,
     SizeLimitError,
     build_graph,
     build_two_point_graph,
@@ -20,6 +19,7 @@ from twopoint import (
 from conftest import random_graph
 from oracles import (
     brute_force_alpha,
+    event_assignments,
     full_scan_independence_number,
     max_assignment_value,
     noncontextual_assignment_value,
@@ -366,14 +366,12 @@ class TestGprimeTwinClasses:
         g = _structure_sources()[name]
         assert all(g.degree(v) for v in range(g.n))  # isolated vertices would merge
         eg = build_two_point_graph(g)
+        events = event_assignments(g)
         expected = set()
         for i in range(g.n):
-            expected.add(frozenset(
-                [i] + [k for k, lab in enumerate(eg.labels)
-                       if isinstance(lab, PairEvent) and lab.assignments().get(i) == 1]
-            ))
-        for k, lab in enumerate(eg.labels):
-            if isinstance(lab, PairEvent) and lab.outcome_a == lab.outcome_b == 0:
+            expected.add(frozenset(k for k, event in enumerate(events) if event.get(i) == 1))
+        for k, event in enumerate(events):
+            if not any(event.values()):
                 expected.add(frozenset([k]))
         classes = _false_twin_classes(eg.as_graph())
         assert classes == expected
@@ -386,8 +384,8 @@ class TestGprimeTwinClasses:
         s = set(independence_number(g).witness)
         reads = [1 if v in s else 0 for v in range(g.n)]
         lifted = [
-            k for k, lab in enumerate(eg.labels)
-            if all(reads[o] == out for o, out in lab.assignments().items())
+            k for k, event in enumerate(event_assignments(g))
+            if all(reads[o] == out for o, out in event.items())
         ]
         assert len(lifted) == len(s) + len(g.edges)
         assert is_independent(eg.as_graph(), lifted)

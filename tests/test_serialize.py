@@ -323,6 +323,40 @@ class TestEventGraphSerialization:
         with pytest.raises(ParseError, match="must be an integer"):
             event_graph_from_jsonable(data)
 
+    @pytest.mark.parametrize(
+        "index,label",
+        [
+            (2, {"kind": "pair", "obs": [1, 0], "out": [0, 0]}),
+            (3, {"kind": "pair", "obs": [0, 1], "out": [0, 3]}),
+            (0, {"kind": "single", "obs": [0], "out": [2]}),
+            (4, {"kind": "pair", "obs": [0, 1], "out": [1, 1]}),
+            (0, {"kind": "triple", "obs": [0], "out": [1]}),
+        ],
+        ids=["unsorted-obs", "non-bit-out", "non-bit-single", "one-one-pair", "unknown-kind"],
+    )
+    def test_bad_label_refused(self, k2, index, label):
+        data = event_graph_to_jsonable(build_two_point_graph(k2))
+        data["labels"][index] = label
+        with pytest.raises(ParseError):
+            event_graph_from_jsonable(data)
+
+    @pytest.mark.parametrize("n", [4, 6, 5.0, None], ids=["low", "high", "float", "missing"])
+    def test_n_must_be_the_compiled_count(self, k2, n):
+        data = event_graph_to_jsonable(build_two_point_graph(k2))
+        data["n"] = n
+        if n is None:
+            del data["n"]
+        with pytest.raises(ParseError):
+            event_graph_from_jsonable(data)
+
+    @pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
+    def test_label_list_of_wrong_length_refused(self, k2, short):
+        data = event_graph_to_jsonable(build_two_point_graph(k2))
+        labels = data["labels"]
+        data["labels"] = labels[:-1] if short else labels + labels[-1:]
+        with pytest.raises(ParseError, match="labels differ"):
+            event_graph_from_jsonable(data)
+
     def test_edge_between_non_exclusive_singles_refused(self):
         # On the path 0-1-2 the single events of 0 and 2 are not exclusive.
         data = event_graph_to_jsonable(build_two_point_graph(build_graph(3, [(0, 1), (1, 2)])))

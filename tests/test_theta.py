@@ -10,7 +10,6 @@ from twopoint import (
     SdpTermination,
     build_graph,
     build_two_point_graph,
-    complement,
     complete_graph,
     cycle_graph,
     catalog,
@@ -23,7 +22,7 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.theta import _Schur
 from conftest import random_graph
-from oracles import odd_cycle_theta, theta_sandwich
+from oracles import complement, odd_cycle_theta, theta_sandwich
 
 # The package re-exports the function `theta` under the module's name.
 theta_mod = importlib.import_module("twopoint.theta")
