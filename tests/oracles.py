@@ -8,6 +8,7 @@ or is the simpler implementation the package replaced, kept as a reference.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -129,6 +130,29 @@ def one_vertex_branch_alpha(g: Graph) -> IndependenceResult:
     return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
 
 
+def greedy_incumbent(g: Graph) -> tuple[int, ...]:
+    """The incumbent ``independence_number`` starts its search from, written
+    with sets and fractions: GWMIN over whole false-twin classes.  Until no
+    vertex remains, take the class with the largest ratio of its members to
+    (remaining neighbours + 1), ties going to the class holding the lowest
+    id, and delete it and its neighbourhood.  Remaining sets are unions of
+    whole classes, so a class is always taken whole.
+    """
+    nbrs = [set() for _ in range(g.n)]
+    for (i, j) in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    twins = [frozenset(u for u in range(g.n) if nbrs[u] == nbrs[v]) for v in range(g.n)]
+    rem = set(range(g.n))
+    taken: set[int] = set()
+    while rem:
+        # max keeps the first of equal keys: the lowest id in sorted order.
+        v = max(sorted(rem), key=lambda u: Fraction(len(twins[u]), len(nbrs[u] & rem) + 1))
+        taken |= twins[v]
+        rem -= twins[v] | nbrs[v]
+    return tuple(sorted(taken))
+
+
 def full_scan_independence_number(g: Graph) -> IndependenceResult:
     """The class-branching kernel with a pivot scan over every candidate vertex.
 
@@ -136,7 +160,8 @@ def full_scan_independence_number(g: Graph) -> IndependenceResult:
     its candidate masks are unions of whole classes.  This is the kernel from
     before that change, its mask scan written as a loop over the vertices:
     the same pivot (maximum degree, lowest id on ties), greedy clique-cover
-    bound, twin-class branching, edgeless-remainder leaf and stack order.
+    bound, twin-class branching, edgeless-remainder leaf and stack order
+    (exclude branch explored first), starting from ``greedy_incumbent``.
     It has no size limit.
     """
     if g.is_weighted:
@@ -164,8 +189,8 @@ def full_scan_independence_number(g: Graph) -> IndependenceResult:
             count += 1
         return count
 
-    best_size = 0
-    best_set = 0
+    best_set = sum(1 << v for v in greedy_incumbent(g))
+    best_size = best_set.bit_count()
     nodes = 0
     stack = [((1 << g.n) - 1, 0, 0)]
     while stack:
@@ -187,8 +212,8 @@ def full_scan_independence_number(g: Graph) -> IndependenceResult:
             stack.append((0, chosen | mask, size + mask.bit_count()))
             continue
         cls = twins[pivot] & mask
-        stack.append((mask ^ cls, chosen, size))
         stack.append((mask & ~adj[pivot] & ~cls, chosen | cls, size + cls.bit_count()))
+        stack.append((mask ^ cls, chosen, size))
     witness = tuple(v for v in range(g.n) if best_set >> v & 1)
     return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
 

@@ -21,6 +21,7 @@ from oracles import (
     brute_force_alpha,
     event_assignments,
     full_scan_independence_number,
+    greedy_incumbent,
     max_assignment_value,
     noncontextual_assignment_value,
     one_vertex_branch_alpha,
@@ -64,9 +65,10 @@ class TestIndependenceNumber:
         with pytest.raises(SizeLimitError):
             independence_number(g)
         res = independence_number(g, limit=65)
-        # The root sees no edge among its candidates and pushes one leaf
-        # holding all of them.
-        assert (res.alpha, res.node_count) == (65, 2)
+        # The 65 isolated vertices are one false-twin class, which the greedy
+        # incumbent takes whole; the cover bound (65 singletons) then prunes
+        # the root.
+        assert (res.alpha, res.node_count) == (65, 1)
 
     def test_weighted_rejected(self):
         g = build_graph(2, [(0, 1)], weights={0: 2})
@@ -176,48 +178,50 @@ def _pinned_sources():
 
 
 # (alpha, witness, node_count) of independence_number on G' of each source.
-# The node count changes with any change to the pivot rule, the bound, the
-# false-twin class branching or the edgeless-remainder leaf, even one that
-# keeps alpha and the witness, and reports print it.
+# The node count changes with any change to the greedy incumbent, the branch
+# order, the pivot rule, the bound, the false-twin class branching or the
+# edgeless-remainder leaf, even one that keeps alpha and the witness, and
+# reports print it.  On c21 and c31 the incumbent is already optimal and the
+# search proves it in three nodes; the random sources pin a deeper search.
 PINNED_TREES = {
     "c21": (
         31,
         (
-            0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 23, 26, 27, 31, 35, 37, 41, 43, 47, 49,
-            53, 55, 59, 61, 65, 67, 71, 73, 77, 79, 83,
+            0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 23, 26, 28, 32, 34, 38, 40, 44, 46, 50,
+            52, 56, 58, 62, 64, 68, 70, 74, 76, 80, 81,
         ),
-        97,
+        3,
     ),
     "c31": (
         46,
         (
-            0, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 33, 36, 37, 41, 45,
-            47, 51, 53, 57, 59, 63, 65, 69, 71, 75, 77, 81, 83, 87, 89, 93, 95, 99, 101,
-            105, 107, 111, 113, 117, 119, 123,
+            0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 33, 36, 38, 42, 44,
+            48, 50, 54, 56, 60, 62, 66, 68, 72, 74, 78, 80, 84, 86, 90, 92, 96, 98, 102,
+            104, 108, 110, 114, 116, 120, 121,
         ),
-        219,
+        3,
     ),
     "random-0": (
         71,
         (
-            1, 2, 3, 5, 6, 8, 16, 17, 19, 20, 22, 26, 29, 31, 35, 39, 42, 45, 48, 51,
-            54, 57, 60, 63, 64, 67, 72, 75, 78, 81, 84, 87, 90, 93, 94, 97, 100, 103,
-            107, 111, 114, 117, 120, 121, 124, 128, 130, 133, 137, 140, 142, 145, 149,
-            151, 154, 157, 160, 163, 166, 169, 173, 176, 178, 182, 186, 189, 192, 195,
-            198, 199, 204,
+            1, 4, 6, 7, 8, 9, 16, 17, 19, 21, 22, 25, 29, 32, 35, 39, 42, 44, 46, 49,
+            53, 55, 58, 61, 66, 69, 71, 74, 76, 79, 82, 85, 89, 93, 96, 99, 102, 105,
+            108, 111, 114, 117, 120, 123, 126, 129, 130, 133, 137, 140, 143, 145, 149,
+            152, 155, 157, 161, 163, 166, 170, 173, 176, 179, 182, 186, 189, 191, 195,
+            198, 201, 202,
         ),
-        274,
+        120,
     ),
     "random-1": (
         73,
         (
-            2, 5, 6, 7, 10, 12, 13, 16, 18, 19, 22, 28, 32, 34, 37, 41, 43, 47, 50, 52,
-            57, 60, 63, 65, 68, 71, 73, 77, 80, 82, 86, 89, 92, 94, 99, 102, 105, 108,
-            111, 114, 117, 120, 123, 126, 128, 130, 134, 136, 140, 144, 147, 150, 152,
-            155, 159, 162, 165, 168, 171, 174, 175, 178, 182, 184, 187, 190, 195, 198,
-            199, 202, 205, 208, 211,
+            7, 10, 13, 16, 17, 18, 19, 20, 22, 23, 27, 28, 31, 34, 38, 40, 43, 47, 50,
+            53, 55, 58, 62, 64, 68, 71, 73, 77, 79, 82, 86, 89, 92, 94, 98, 101, 104,
+            106, 110, 112, 115, 120, 123, 126, 128, 130, 134, 137, 140, 144, 147, 150,
+            152, 155, 157, 161, 163, 167, 170, 174, 176, 179, 182, 184, 188, 192, 195,
+            198, 201, 203, 205, 208, 213,
         ),
-        313,
+        126,
     ),
 }
 
@@ -390,3 +394,75 @@ class TestGprimeTwinClasses:
         assert len(lifted) == len(s) + len(g.edges)
         assert is_independent(eg.as_graph(), lifted)
         assert len(lifted) == independence_number(eg.as_graph(), limit=eg.n).alpha
+
+
+def _alpha_sweep_sources():
+    """Random graphs G, n 10-45, and small random sources of G', drawn once."""
+    rnd = random.Random("alpha-sweep")
+    graphs = []
+    for _ in range(60):
+        n = rnd.randint(10, 45)
+        graphs.append(build_graph(n, _random_edges(rnd, n, rnd.choice((0.1, 0.2, 0.3, 0.5)))))
+    sources = []
+    for _ in range(20):
+        n = rnd.randint(6, 16)
+        sources.append(build_graph(n, _random_edges(rnd, n, rnd.uniform(0.2, 0.5))))
+    return graphs, sources
+
+
+# alpha of each sweep graph and of G' of each sweep source, as computed by the
+# search before it started from the greedy incumbent (include branch first,
+# from an empty best set).
+SWEEP_ALPHA = (
+    6, 13, 9, 6, 7, 12, 11, 5, 10, 10, 6, 8, 5, 11, 9, 13, 16, 15, 9, 13, 13, 6, 12, 20,
+    12, 9, 5, 13, 7, 7, 8, 6, 8, 8, 6, 5, 14, 9, 10, 7, 8, 5, 11, 4, 15, 11, 13, 7, 8,
+    10, 9, 7, 6, 7, 7, 6, 10, 8, 9, 22,
+)
+SWEEP_GPRIME_ALPHA = (
+    10, 18, 8, 12, 20, 9, 46, 22, 29, 13, 11, 8, 55, 36, 40, 55, 32, 27, 19, 15,
+)
+
+
+class TestGreedyIncumbent:
+    # GWMIN takes vertex 1 (ratio 1/3, lowest id), which deletes 0 and 2 and
+    # leaves the triangle 3, 4, 5: two vertices, against alpha = 3 at {0, 2, 5}.
+    BELOW_ALPHA = build_graph(6, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 4), (3, 4), (3, 5), (4, 5)])
+
+    def test_search_goes_beyond_an_incumbent_below_alpha(self):
+        g = self.BELOW_ALPHA
+        assert greedy_incumbent(g) == (1, 3)
+        res = independence_number(g)
+        assert res.alpha == brute_force_alpha(g) == 3
+        assert len(res.witness) == 3 and is_independent(g, res.witness)
+
+    def test_optimal_incumbent_is_the_witness(self):
+        # The search replaces the incumbent only by a strictly larger set.
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        res = independence_number(star)
+        assert (res.alpha, res.witness, res.node_count) == (3, (1, 2, 3), 1)
+        assert independence_number(cycle_graph(5)).witness == (0, 2)
+        rng = np.random.default_rng(20261020)
+        for trial in range(100):
+            g = random_graph(rng, int(rng.integers(1, 17)), [0.2, 0.5, 0.8][trial % 3])
+            res = independence_number(g)
+            if len(greedy_incumbent(g)) == brute_force_alpha(g):
+                assert res.witness == greedy_incumbent(g)
+
+    def test_alpha_unchanged_on_random_graphs(self):
+        graphs, _ = _alpha_sweep_sources()
+        found = []
+        for g in graphs:
+            res = independence_number(g)
+            assert len(res.witness) == res.alpha and is_independent(g, res.witness)
+            found.append(res.alpha)
+        assert tuple(found) == SWEEP_ALPHA
+
+    def test_alpha_unchanged_on_gprime_of_random_graphs(self):
+        _, sources = _alpha_sweep_sources()
+        found = []
+        for g in sources:
+            gp = build_two_point_graph(g).as_graph()
+            res = independence_number(gp, limit=gp.n)
+            assert len(res.witness) == res.alpha and is_independent(gp, res.witness)
+            found.append(res.alpha)
+        assert tuple(found) == SWEEP_GPRIME_ALPHA
