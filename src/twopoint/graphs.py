@@ -56,11 +56,11 @@ class Graph:
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges' first and second endpoints as read-only int arrays, built once
         per instance: the SDP and its checks index matrices with them."""
-        ei = np.fromiter((e[0] for e in self.edges), dtype=int, count=len(self.edges))
-        ej = np.fromiter((e[1] for e in self.edges), dtype=int, count=len(self.edges))
-        ei.setflags(write=False)
-        ej.setflags(write=False)
-        return ei, ej
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.edges), dtype=int, count=2 * len(self.edges)
+        )
+        flat.setflags(write=False)
+        return flat[0::2], flat[1::2]
 
     @property
     def is_weighted(self) -> bool:

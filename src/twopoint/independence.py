@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .graphs import Graph
 
 ALPHA_LIMIT = 64  # default vertex limit of the exact solver
@@ -21,12 +23,16 @@ class IndependenceResult:
     node_count: int
 
 
-def _adjacency_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for (i, j) in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
+def _adjacency_masks(n: int, ei: np.ndarray, ej: np.ndarray) -> list[int]:
+    """Bitmask neighbourhoods of the graph on 0..n-1 with edges (ei[k], ej[k]):
+    bit u of entry v is set iff u ~ v."""
+    rows = np.zeros((n, n), dtype=bool)
+    rows[ei, ej] = True
+    rows[ej, ei] = True
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)]
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
@@ -50,37 +56,44 @@ def _bits(mask: int) -> list[int]:
 def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResult:
     """Exact maximum independent set by branch and bound.
 
-    Branches on a maximum-degree vertex of the remaining subgraph (lowest id
-    on ties) and prunes with a greedy clique-cover upper bound; vertex sets
-    are bitmasks.  Two reductions shrink the tree without changing alpha:
+    A maximum independent set of G is a maximum clique of G's complement, so
+    this is the max-clique scheme of MCQ (Tomita and Seki, DMTCS 2003) and
+    BBMC (San Segundo, Rodriguez-Losada and Jimenez, Computers & OR 38,
+    2011), with a greedy clique cover of G in place of their colouring.
+    Vertex sets are bitmasks over an internal order sorted by (degree, id),
+    lowest degree first; the witness is mapped back to input ids, ascending.
 
-    - False twins (vertices with equal adjacency masks) are branched on as
-      one class: some maximum independent set holds all of a class's
-      remaining members or none of them.  G' is G with each vertex's
-      single event and outcome-1 pair events merged into one such class.
-      Every candidate mask is therefore a union of whole classes: the root
-      holds all vertices, a branch removes the pivot's class, and the
-      include branch also removes the pivot's neighbourhood, which twins
-      share, so it is a union of classes too.  Twins have equal degree in
-      such a mask, so the pivot scan visits only each class's lowest member
-      and still picks the lowest-id vertex of maximum degree.
-    - A candidate set with no edge left is taken whole, in one leaf.
+    Each search node holds a candidate set P and a chosen independent set.
+    It peels cliques Q_1, ..., Q_K off P, each grown greedily from the
+    lowest remaining position.  Any independent set meets a clique at most
+    once, so one drawn from Q_1 .. Q_k has at most k vertices.  The node
+    therefore branches only on vertices of cliques with size + k > best,
+    walking the cliques from Q_K back and each clique from its highest
+    position down, and stops as soon as size + k <= best, with best the
+    largest set found so far.  A branch on v takes v's whole false-twin
+    class (the vertices with v's neighbourhood; some maximum independent
+    set holds all of a class or none of it), searches P minus the class
+    and its neighbourhood, and then drops the class from P.  Candidate sets
+    are thus unions of whole classes.  G' is G with each vertex's single
+    event and outcome-1 pair events merged into one such class.
 
     The search starts from a greedy incumbent, GWMIN of Sakai, Togasaki and
     Yamazaki (Discrete Appl. Math. 126, 2003) over whole classes: it takes
     the class with the most members per (remaining neighbours + 1), ratios
-    compared exactly in integers and ties going to the lowest id, until no
-    vertex is left.  The search then looks only for a strictly larger set,
-    and explores each exclude branch before its include branch, so its
-    first dive deletes maximum-degree classes.  It runs until the bound
-    proves the best set optimal, so alpha is exact; the witness is the
-    incumbent when no larger set exists.
+    compared exactly in integers and ties going to the class with the
+    lowest input id, until no vertex is left.  The search replaces it only
+    by a strictly larger set, and runs until the bound has closed every
+    branch, so alpha is exact; the witness is the incumbent when no larger
+    set exists.  The nodes are held on an explicit stack, not in Python
+    recursion, since the depth reaches alpha.
 
-    Deterministic: identical inputs give the same incumbent and explore
-    identical trees, and ``tests/test_independence.py`` pins the tree
-    (alpha, witness and node count) on four event graphs, so a change to
-    the incumbent, the branch order, the pivot, the bound or either
-    reduction shows.
+    ``node_count`` counts the nodes searched: the root and every branch
+    still open under the bound when its turn comes.  It is deterministic:
+    identical inputs give the same incumbent and explore identical trees
+    (relabelling the vertices can change the tree and the witness, never
+    alpha), and ``tests/test_independence.py`` pins the tree (alpha, witness and
+    node count) on four event graphs, so a change to the order, the
+    incumbent, the cover, the walk or the class branching shows.
 
     Raises SizeLimitError above ``limit`` vertices and ValueError for
     weighted graphs (expand them first).
@@ -89,33 +102,21 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResul
         raise ValueError("independence_number expects an unweighted graph; apply expand_weighted")
     if g.n > limit:
         raise SizeLimitError(f"graph has {g.n} vertices, exceeding the limit of {limit}")
-    adj = _adjacency_masks(g)
+    ei, ej = g.edge_index
+    degree = np.bincount(ei, minlength=g.n) + np.bincount(ej, minlength=g.n)
+    # order[p] is the input id at bit position p; pos is its inverse.
+    order = np.argsort(degree, kind="stable")
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[order] = np.arange(g.n)
+    adj = _adjacency_masks(g.n, pos[ei], pos[ej])
+    # False-twin classes, inserted in order of their lowest input id.
     classes: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        classes[a] = classes.get(a, 0) | 1 << v
+    for p in pos.tolist():
+        classes[adj[p]] = classes.get(adj[p], 0) | 1 << p
     twins = [classes[a] for a in adj]
-    # The lowest member of each class: the only vertices the pivot scan visits.
-    reps = sum(c & -c for c in classes.values())
-
-    def cover_bound(mask: int) -> int:
-        # Greedily peel cliques, each grown from the lowest remaining vertex;
-        # the number of cliques needed to cover the candidate set bounds its
-        # independence number from above.
-        count = 0
-        rem = mask
-        while rem:
-            clique = rem & -rem
-            cand = rem & adj[clique.bit_length() - 1]
-            while cand:
-                low = cand & -cand
-                clique |= low
-                cand &= adj[low.bit_length() - 1]
-            rem ^= clique
-            count += 1
-        return count
 
     # Greedy incumbent.  Remaining masks are unions of whole classes, so a
-    # class is either all remaining or gone; classes are in lowest-id order.
+    # class is either all remaining or gone.
     full = (1 << g.n) - 1
     best_set = 0
     live = list(classes.values())
@@ -131,34 +132,43 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> IndependenceResul
         best_set |= pick
         rem &= ~pick & ~adj[(pick & -pick).bit_length() - 1]
     best_size = best_set.bit_count()
+
     nodes = 0
-    # Explicit stack of (candidate mask, chosen mask, chosen size) frames.
-    stack = [(full, 0, 0)]
+    # Explicit stack of (candidate mask, chosen mask, chosen size, bound) frames;
+    # the root's bound exceeds any set.
+    stack = [(full, 0, 0, g.n + 1)]
     while stack:
-        mask, chosen, size = stack.pop()
+        mask, chosen, size, bound = stack.pop()
+        if bound <= best_size:
+            continue
         nodes += 1
         if not mask:
             if size > best_size:
                 best_size, best_set = size, chosen
             continue
-        if size + cover_bound(mask) <= best_size:
-            continue
-        pivot, pivot_deg = -1, -1
-        m = mask & reps
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        if not pivot_deg:
-            stack.append((0, chosen | mask, size + mask.bit_count()))
-            continue
-        cls = twins[pivot] & mask
-        # Include branch pushed first so the exclude branch is explored first.
-        stack.append((mask & ~adj[pivot] & ~cls, chosen | cls, size + cls.bit_count()))
-        stack.append((mask ^ cls, chosen, size))
-    return IndependenceResult(
-        alpha=best_size, witness=tuple(_bits(best_set)), node_count=nodes
-    )
+        cliques = []
+        rem = mask
+        while rem:
+            clique = rem & -rem
+            cand = rem & adj[clique.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                clique |= low
+                cand &= adj[low.bit_length() - 1]
+            rem ^= clique
+            cliques.append(clique)
+        branches = []
+        for k in range(len(cliques), max(best_size - size, 0), -1):
+            clique = cliques[k - 1]
+            while clique:
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                if mask >> v & 1:
+                    cls = twins[v] & mask
+                    rest = mask & ~adj[v] & ~cls
+                    branches.append((rest, chosen | cls, size + cls.bit_count(), size + k))
+                    mask ^= cls
+        # Reversed, so the first branch of the walk is explored first.
+        stack.extend(reversed(branches))
+    witness = sorted(order[_bits(best_set)].tolist())
+    return IndependenceResult(alpha=best_size, witness=tuple(witness), node_count=nodes)

@@ -154,68 +154,59 @@ def greedy_incumbent(g: Graph) -> tuple[int, ...]:
 
 
 def full_scan_independence_number(g: Graph) -> IndependenceResult:
-    """The class-branching kernel with a pivot scan over every candidate vertex.
+    """The clique-cover search of ``independence_number``, written with sets.
 
-    ``independence_number`` scans one vertex per false-twin class, because
-    its candidate masks are unions of whole classes.  This is the kernel from
-    before that change, its mask scan written as a loop over the vertices:
-    the same pivot (maximum degree, lowest id on ties), greedy clique-cover
-    bound, twin-class branching, edgeless-remainder leaf and stack order
-    (exclude branch explored first), starting from ``greedy_incumbent``.
-    It has no size limit.
+    Vertices are ranked by (degree, id), lowest degree first.  A node peels
+    cliques off its candidate set, each started at the lowest-ranked
+    remaining vertex and grown by the lowest-ranked vertex adjacent to all
+    of it; it then walks the cliques from the last one back, each from its
+    highest rank down, stops once size + k <= best for the k-th clique,
+    and branches on each vertex still a candidate by taking its whole
+    false-twin class, recursing, and dropping the class.  It starts from
+    ``greedy_incumbent`` and replaces the best set only at an empty
+    candidate set holding more.  It counts one node per call, as the
+    package counts one per branch it searches, and has no size limit.
     """
     if g.is_weighted:
         raise ValueError("full_scan_independence_number expects an unweighted graph")
-    adj = [0] * g.n
+    nbrs = [set() for _ in range(g.n)]
     for (i, j) in g.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    classes: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        classes[a] = classes.get(a, 0) | 1 << v
-    twins = [classes[a] for a in adj]
-
-    def cover_bound(mask: int) -> int:
-        count = 0
-        rem = mask
-        while rem:
-            clique = rem & -rem
-            cand = rem & adj[clique.bit_length() - 1]
-            while cand:
-                low = cand & -cand
-                clique |= low
-                cand &= adj[low.bit_length() - 1]
-            rem ^= clique
-            count += 1
-        return count
-
-    best_set = sum(1 << v for v in greedy_incumbent(g))
-    best_size = best_set.bit_count()
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    rank = {v: r for r, v in enumerate(sorted(range(g.n), key=lambda v: (len(nbrs[v]), v)))}
+    twins = [{u for u in range(g.n) if nbrs[u] == nbrs[v]} for v in range(g.n)]
+    best = set(greedy_incumbent(g))
     nodes = 0
-    stack = [((1 << g.n) - 1, 0, 0)]
-    while stack:
-        mask, chosen, size = stack.pop()
+
+    def search(cand: set, chosen: set) -> None:
+        nonlocal best, nodes
         nodes += 1
-        if not mask:
-            if size > best_size:
-                best_size, best_set = size, chosen
-            continue
-        if size + cover_bound(mask) <= best_size:
-            continue
-        pivot, pivot_deg = -1, -1
-        for v in range(g.n):
-            if mask >> v & 1:
-                d = (adj[v] & mask).bit_count()
-                if d > pivot_deg:
-                    pivot, pivot_deg = v, d
-        if not pivot_deg:
-            stack.append((0, chosen | mask, size + mask.bit_count()))
-            continue
-        cls = twins[pivot] & mask
-        stack.append((mask & ~adj[pivot] & ~cls, chosen | cls, size + cls.bit_count()))
-        stack.append((mask ^ cls, chosen, size))
-    witness = tuple(v for v in range(g.n) if best_set >> v & 1)
-    return IndependenceResult(alpha=best_size, witness=witness, node_count=nodes)
+        if not cand:
+            if len(chosen) > len(best):
+                best = chosen
+            return
+        cliques = []
+        rest = set(cand)
+        while rest:
+            clique = [min(rest, key=rank.get)]
+            grow = rest & nbrs[clique[0]]
+            while grow:
+                u = min(grow, key=rank.get)
+                clique.append(u)
+                grow &= nbrs[u]
+            rest -= set(clique)
+            cliques.append(clique)
+        for k in range(len(cliques), 0, -1):
+            for v in sorted(cliques[k - 1], key=rank.get, reverse=True):
+                if len(chosen) + k <= len(best):
+                    return
+                if v in cand:
+                    cls = twins[v] & cand
+                    search(cand - nbrs[v] - cls, chosen | cls)
+                    cand = cand - cls
+
+    search(set(range(g.n)), set())
+    return IndependenceResult(alpha=len(best), witness=tuple(sorted(best)), node_count=nodes)
 
 
 def complement(g: Graph) -> Graph:

@@ -66,8 +66,8 @@ class TestIndependenceNumber:
             independence_number(g)
         res = independence_number(g, limit=65)
         # The 65 isolated vertices are one false-twin class, which the greedy
-        # incumbent takes whole; the cover bound (65 singletons) then prunes
-        # the root.
+        # incumbent takes whole; the root's cover (65 singletons) then leaves
+        # nothing to branch on.
         assert (res.alpha, res.node_count) == (65, 1)
 
     def test_weighted_rejected(self):
@@ -178,11 +178,12 @@ def _pinned_sources():
 
 
 # (alpha, witness, node_count) of independence_number on G' of each source.
-# The node count changes with any change to the greedy incumbent, the branch
-# order, the pivot rule, the bound, the false-twin class branching or the
-# edgeless-remainder leaf, even one that keeps alpha and the witness, and
-# reports print it.  On c21 and c31 the incumbent is already optimal and the
-# search proves it in three nodes; the random sources pin a deeper search.
+# The node count changes with any change to the vertex order, the greedy
+# incumbent, the clique cover, the walk over the cliques or the false-twin
+# class branching, even one that keeps alpha and the witness, and reports
+# print it.  On c21 and c31 the incumbent is already optimal: the root
+# branches on the one class its last clique holds, and that branch's cover
+# closes the search; the random sources pin a deeper search.
 PINNED_TREES = {
     "c21": (
         31,
@@ -190,7 +191,7 @@ PINNED_TREES = {
             0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 23, 26, 28, 32, 34, 38, 40, 44, 46, 50,
             52, 56, 58, 62, 64, 68, 70, 74, 76, 80, 81,
         ),
-        3,
+        2,
     ),
     "c31": (
         46,
@@ -199,29 +200,29 @@ PINNED_TREES = {
             48, 50, 54, 56, 60, 62, 66, 68, 72, 74, 78, 80, 84, 86, 90, 92, 96, 98, 102,
             104, 108, 110, 114, 116, 120, 121,
         ),
-        3,
+        2,
     ),
     "random-0": (
         71,
         (
-            1, 4, 6, 7, 8, 9, 16, 17, 19, 21, 22, 25, 29, 32, 35, 39, 42, 44, 46, 49,
-            53, 55, 58, 61, 66, 69, 71, 74, 76, 79, 82, 85, 89, 93, 96, 99, 102, 105,
-            108, 111, 114, 117, 120, 123, 126, 129, 130, 133, 137, 140, 143, 145, 149,
-            152, 155, 157, 161, 163, 166, 170, 173, 176, 179, 182, 186, 189, 191, 195,
-            198, 201, 202,
+            1, 4, 6, 7, 8, 9, 17, 19, 20, 21, 22, 27, 29, 32, 35, 39, 42, 44, 46, 49,
+            53, 55, 58, 62, 66, 69, 71, 74, 76, 79, 82, 85, 89, 93, 96, 99, 102, 105,
+            108, 111, 114, 117, 120, 123, 126, 129, 130, 133, 136, 140, 143, 145, 149,
+            152, 154, 157, 160, 163, 166, 170, 173, 176, 179, 182, 185, 189, 192, 195,
+            198, 200, 203,
         ),
-        120,
+        41,
     ),
     "random-1": (
         73,
         (
-            7, 10, 13, 16, 17, 18, 19, 20, 22, 23, 27, 28, 31, 34, 38, 40, 43, 47, 50,
-            53, 55, 58, 62, 64, 68, 71, 73, 77, 79, 82, 86, 89, 92, 94, 98, 101, 104,
-            106, 110, 112, 115, 120, 123, 126, 128, 130, 134, 137, 140, 144, 147, 150,
-            152, 155, 157, 161, 163, 167, 170, 174, 176, 179, 182, 184, 188, 192, 195,
-            198, 201, 203, 205, 208, 213,
+            5, 6, 7, 10, 12, 13, 14, 16, 18, 19, 22, 28, 32, 34, 37, 41, 43, 47, 50,
+            52, 55, 59, 61, 65, 68, 71, 73, 77, 80, 83, 86, 89, 92, 94, 99, 102, 105,
+            108, 111, 114, 117, 120, 123, 126, 128, 130, 134, 136, 140, 144, 147, 150,
+            152, 155, 159, 162, 165, 168, 171, 174, 177, 180, 182, 184, 187, 190, 195,
+            198, 199, 202, 205, 208, 211,
         ),
-        126,
+        36,
     ),
 }
 
@@ -313,8 +314,8 @@ def _complete_multipartite(parts):
 
 
 class TestRepresentativeScan:
-    """The pivot scan visits one vertex per false-twin class; the full-scan
-    reference visits every candidate.  Same tree: alpha, witness and node count."""
+    """The package's bitmask search against the set-based reference of the same
+    rule in ``oracles``.  Same tree: alpha, witness and node count."""
 
     @staticmethod
     def _assert_same_tree(g):
@@ -466,3 +467,37 @@ class TestGreedyIncumbent:
             assert len(res.witness) == res.alpha and is_independent(gp, res.witness)
             found.append(res.alpha)
         assert tuple(found) == SWEEP_GPRIME_ALPHA
+
+
+def _where_graph(n, m):
+    """where-n-m: m of the n(n-1)/2 vertex pairs, drawn by random.Random(f"where-{n}-{m}")."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return build_graph(n, random.Random(f"where-{n}-{m}").sample(pairs, m))
+
+
+# alpha of where-n-3n, as computed by the search before it walked a clique
+# cover over the degree order (max-degree pivot, one cover bound per node).
+WHERE_ALPHA = {40: 15, 60: 24, 80: 31, 100: 40, 140: 59}
+
+
+class TestCliqueCoverSearch:
+    @pytest.mark.parametrize("n", sorted(WHERE_ALPHA))
+    def test_alpha_of_where_graphs(self, n):
+        g = _where_graph(n, 3 * n)
+        res = independence_number(g, limit=n)
+        assert res.alpha == WHERE_ALPHA[n]
+        assert len(res.witness) == res.alpha and is_independent(g, res.witness)
+
+    def test_gprime_alpha_unchanged_under_relabelling(self):
+        # The internal order sorts by (degree, id), so relabelling moves ties
+        # and the tree; alpha must not move.
+        rnd = random.Random("relabel-gprime")
+        for _ in range(20):
+            n = rnd.randint(5, 14)
+            g = build_graph(n, _random_edges(rnd, n, rnd.uniform(0.2, 0.5)))
+            gp = build_two_point_graph(g).as_graph()
+            alpha = independence_number(g).alpha + len(g.edges)
+            for h in (gp, _relabelled(gp, rnd), _relabelled(gp, rnd)):
+                res = independence_number(h, limit=h.n)
+                assert res.alpha == alpha
+                assert len(res.witness) == alpha and is_independent(h, res.witness)
