@@ -1,20 +1,24 @@
 """Graph data model and the two-point event-graph compiler.
 
 A :class:`Graph` is a plain undirected simple graph with optional positive
-integer vertex weights.  :func:`build_two_point_graph` compiles a graph G into
-the event graph G' whose vertices are measurement events and whose edges
-encode exclusivity of events.  The events carry no label objects: vertex
-k < n is the single event 1|k, and vertex n + 3e + t is edge e's pair event
-with outcomes ``PAIR_OUTCOMES[t]``.  :class:`EventGraph` hands that layout
-out as index arrays, so no other module decodes it.  Two events are
-exclusive when they set one observable to different outcomes, or set two
-observables adjacent in G both to 1; the compiler emits the edges of G'
-straight from these two rules, and the all-pairs oracle it is checked
-against lives in ``tests/oracles.py``.
+integer vertex weights, built from a tuple of edge pairs or from two arrays
+of edge endpoints; each form is made from the other when first read.
+:func:`build_two_point_graph` compiles a graph G into the event graph G'
+whose vertices are measurement events and whose edges encode exclusivity of
+events.  The events carry no label objects: vertex k < n is the single event
+1|k, and vertex n + 3e + t is edge e's pair event with outcomes
+``PAIR_OUTCOMES[t]``.  :class:`EventGraph` hands that layout out as index
+arrays, so no other module decodes it.  Two events are exclusive when they
+set one observable to different outcomes, or set two observables adjacent in
+G both to 1; the compiler emits the edges of G' straight from these two
+rules as endpoint arrays, which G' keeps and the alpha search reads as they
+are, and the all-pairs oracle it is checked against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -25,22 +29,67 @@ import numpy as np
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
-    ``edges`` holds sorted, deduplicated pairs in lexicographic order.
-    ``weights`` is either None (all weights 1) or a length-``n`` tuple of
-    positive integers.  Instances are immutable and safe to share.
+    Its edges have two forms: ``edges``, sorted, deduplicated pairs of ints
+    in lexicographic order, and ``edge_index``, the same pairs' first and
+    second endpoints as two read-only int arrays.  ``Graph(n, edges,
+    weights)`` builds a graph from the tuple and `Graph.from_edge_index`
+    from the arrays; the other form is made on its first read and kept.
+    ``==`` and ``hash`` compare ``(n, edges, weights)`` however the graph was
+    built.  ``weights`` is either None (all weights 1) or a length-``n``
+    tuple of positive integers.  Instances are immutable and safe to share.
     """
 
     n: int
-    edges: tuple[Edge, ...]
-    weights: Optional[tuple[int, ...]] = None
+    weights: Optional[tuple[int, ...]]
+
+    def __init__(
+        self, n: int, edges: tuple[Edge, ...], weights: Optional[tuple[int, ...]] = None
+    ) -> None:
+        vars(self).update(n=n, edges=edges, weights=weights)
+
+    @classmethod
+    def from_edge_index(cls, n: int, ei: np.ndarray, ej: np.ndarray) -> Graph:
+        """The unweighted graph whose k-th edge is ``(ei[k], ej[k])``, holding
+        the two int arrays themselves, made read-only, as its ``edge_index``.
+
+        The pairs must be in the order of ``edges``: ei[k] < ej[k], sorted
+        lexicographically, none repeated.  The compiler of G' makes them so."""
+        for ends in (ei, ej):
+            ends.setflags(write=False)
+        g = cls.__new__(cls)
+        vars(g).update(n=n, weights=None, edge_index=(ei, ej))
+        return g
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.weights) == (other.n, other.edges, other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.weights))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, weights={self.weights!r})"
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as pairs of Python ints; an array-built graph makes them on
+        their first read."""
+        ei, ej = self.edge_index
+        return tuple(zip(ei.tolist(), ej.tolist()))
 
     @functools.cached_property
     def edge_set(self) -> frozenset[Edge]:
-        # Built once per instance: certify's alpha(G') cover check queries it per pair.
+        """The edges as a frozenset, built once per instance."""
         return frozenset(self.edges)
 
     @functools.cached_property
@@ -54,8 +103,9 @@ class Graph:
 
     @functools.cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges' first and second endpoints as read-only int arrays, built once
-        per instance: the SDP and its checks index matrices with them."""
+        """The edges' first and second endpoints as read-only int arrays: the SDP,
+        its checks and the alpha search index with them.  A tuple-built graph
+        makes them on their first read."""
         flat = np.fromiter(
             itertools.chain.from_iterable(self.edges), dtype=int, count=2 * len(self.edges)
         )
@@ -169,18 +219,29 @@ class EventGraph:
     with outcomes ``PAIR_OUTCOMES[t]``.  This module alone knows that layout;
     everything else reads it through `triples`, `blocks`, `events` and
     `assignments`.  Edges are exactly the exclusive event pairs.
+
+    ``graph`` is G' itself, built by the compiler from its endpoint arrays:
+    `as_graph` hands out that one instance, whose ``edge_index`` the alpha
+    search and the checks read, and `edges` is its tuple view, built on the
+    first read and the same object on every read after.
     """
 
     source: Graph
-    edges: tuple[Edge, ...]
+    graph: Graph
 
     @property
     def n(self) -> int:
         return self.source.n + 3 * len(self.source.edges)
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges of G' as a tuple of pairs: ``graph.edges``."""
+        return self.graph.edges
+
     def as_graph(self) -> Graph:
-        """The event graph as a plain unweighted graph."""
-        return Graph(n=self.n, edges=self.edges, weights=None)
+        """The event graph as a plain unweighted graph: ``graph``, the same
+        instance on every call."""
+        return self.graph
 
     @functools.cached_property
     def triples(self) -> np.ndarray:
@@ -233,8 +294,10 @@ def build_two_point_graph(g: Graph) -> EventGraph:
     observable to 1 and to 0.  All the rules' products are expanded into two
     index arrays at once, each pair is coded as ``min * n' + max``, and the
     sorted codes lose the pairs that both rules emit, so time and memory are
-    O(|E(G')|) and no n' x n' array is built.  The all-pairs oracle the
-    edges are tested against lives in ``tests/oracles.py``.
+    O(|E(G')|) and no n' x n' array is built.  The codes split into the
+    endpoint arrays of G', which `EventGraph.graph` holds; no edge tuple is
+    built until something reads `EventGraph.edges`.  The all-pairs oracle
+    the edges are tested against lives in ``tests/oracles.py``.
     Weighted graphs must be expanded with :func:`expand_weighted` first.
     """
     if g.is_weighted:
@@ -254,8 +317,7 @@ def build_two_point_graph(g: Graph) -> EventGraph:
     codes = np.sort(np.minimum(p, q) * n_prime + np.maximum(p, q))
     # np.unique would do, but its hash pass (numpy >= 2.3) is slower than the sort
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    edges = tuple(zip((codes // n_prime).tolist(), (codes % n_prime).tolist()))
-    return EventGraph(source=g, edges=edges)
+    return EventGraph(source=g, graph=Graph.from_edge_index(n_prime, *np.divmod(codes, n_prime)))
 
 
 def _group_products(

@@ -36,12 +36,15 @@ def _adjacency_masks(n: int, ei: np.ndarray, ej: np.ndarray) -> list[int]:
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    """True iff no edge of g has both endpoints in s."""
+    """True iff no edge of g has both endpoints in s; read off ``g.edge_index``."""
     sset = set(s)
     for v in sset:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return not any(i in sset and j in sset for (i, j) in g.edges)
+    chosen = np.zeros(g.n, dtype=bool)
+    chosen[list(sset)] = True
+    ei, ej = g.edge_index
+    return not np.any(chosen[ei] & chosen[ej])
 
 
 def _bits(mask: int) -> list[int]:

@@ -145,8 +145,8 @@ def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> Feasibility
     min_eig = float(np.linalg.eigvalsh((X + X.T) / 2)[0])
     trace_err = float(abs(np.trace(X) - 1.0))
     max_edge = 0.0
-    if g.edges:
-        ei, ej = g.edge_index
+    ei, ej = g.edge_index
+    if len(ei):
         max_edge = float(np.max(np.abs(X[ei, ej])))
     return FeasibilityReport(
         min_eigenvalue=min_eig,

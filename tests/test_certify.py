@@ -214,7 +214,7 @@ def _certify_c5_tampered(monkeypatch, add=(), drop=()):
     def compile_tampered(g):
         eg = build_two_point_graph(g)
         edges = tuple(sorted((set(eg.edges) | set(add)) - set(drop)))
-        return dataclasses.replace(eg, edges=edges)
+        return dataclasses.replace(eg, graph=Graph(eg.n, edges))
 
     monkeypatch.setattr(certify_mod, "build_two_point_graph", compile_tampered)
     return certify(cycle_graph(5), FAST)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint import (
+    Graph,
     build_graph,
     build_two_point_graph,
     catalog,
@@ -245,3 +247,62 @@ class TestTwoPointGraph:
         for arr in (eg.triples, *eg.events):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
+
+
+def _array_built(g: Graph) -> Graph:
+    """g rebuilt by `Graph.from_edge_index` from fresh copies of its endpoints."""
+    pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
+    return Graph.from_edge_index(g.n, pairs[:, 0].copy(), pairs[:, 1].copy())
+
+
+class TestArrayBuiltGraph:
+    """A graph built from endpoint arrays answers every query as the graph
+    built from the same edges as a tuple."""
+
+    @staticmethod
+    def _sources():
+        rng = np.random.default_rng(24)
+        graphs = [random_graph(rng, int(rng.integers(2, 16)), p) for p in (0.1, 0.3, 0.6, 1.0) * 3]
+        return graphs + [build_graph(1, []), build_graph(6, [])]
+
+    def test_matches_the_tuple_built_graph(self):
+        for g in self._sources():
+            # Each query reads a fresh array-built graph, so it is answered from
+            # the arrays alone and not from a form an earlier query built.
+            assert hash(_array_built(g)) == hash(g)
+            assert _array_built(g) == g and g == _array_built(g)
+            a = _array_built(g)
+            assert a.edges == g.edges
+            assert all(type(x) is int for e in a.edges for x in e)
+            for got, want in zip(_array_built(g).edge_index, g.edge_index):
+                assert got.dtype == want.dtype == np.dtype(int)
+                assert got.tolist() == want.tolist()
+                assert not got.flags.writeable
+            assert _array_built(g).adjacency == g.adjacency
+            assert _array_built(g).edge_set == g.edge_set
+            assert not _array_built(g).is_weighted
+
+    def test_differs_where_the_tuple_built_graphs_differ(self):
+        c5 = cycle_graph(5)
+        a = _array_built(c5)
+        weighted = build_graph(5, c5.edges, weights={0: 2})
+        assert a != weighted and hash(a) != hash(weighted)
+        assert a != cycle_graph(6) and a != build_graph(5, c5.edges[1:])
+        assert a != build_graph(6, c5.edges)
+
+    def test_is_immutable(self):
+        for g in (cycle_graph(5), _array_built(cycle_graph(5))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.n = 6
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del g.weights
+
+    def test_compiled_gprime_equals_the_oracle_graph(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            g = random_graph(rng, int(rng.integers(1, 9)), float(rng.choice([0.2, 0.5, 0.8])))
+            eg = build_two_point_graph(g)
+            oracle = Graph(eg.n, exclusive_pairs(g, event_assignments(g)))
+            gp = eg.as_graph()
+            assert hash(gp) == hash(oracle) and gp == oracle
+            assert [a.tolist() for a in gp.edge_index] == [a.tolist() for a in oracle.edge_index]

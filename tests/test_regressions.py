@@ -1,6 +1,8 @@
 """Regression guards: the exact kernel near a zero-probability branch, the
-cached edge set, parser robustness, and byte determinism across processes."""
+cached edge set, G' handed from the compiler to its readers as index arrays,
+parser robustness, and byte determinism across processes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,10 +16,14 @@ from hypothesis import strategies as st
 
 import twopoint
 from twopoint import (
+    CertifyOptions,
     Graph,
     OrthoRep,
     ParseError,
+    build_two_point_graph,
+    certify,
     cycle_graph,
+    independence_number,
     joint_probs_demolition,
     joint_probs_projective,
     parse_graph,
@@ -27,6 +33,8 @@ from twopoint.certify import _montecarlo_section
 from twopoint.cli import main
 from twopoint.serialize import dumps_record
 from oracles import builtin_kcbs_rep, kcbs_graph
+
+certify_mod = importlib.import_module("twopoint.certify")
 
 
 class TestTinyFirstOutcome:
@@ -163,6 +171,56 @@ class TestAdjacencyCache:
         g = cycle_graph(7)
         _ = g.adjacency, g.edge_index
         assert g == cycle_graph(7) and hash(g) == hash(cycle_graph(7))
+
+
+def _tuples_built(g: Graph) -> bool:
+    # `edges` is a cached property: its value lands in the instance dict when built.
+    return "edges" in vars(g)
+
+
+class TestEventGraphHandOff:
+    """G' goes from the compiler to the alpha search and to certify's checks as
+    the compiler's endpoint arrays; its edge tuple is built only when read."""
+
+    def test_as_graph_is_one_instance(self):
+        eg = build_two_point_graph(cycle_graph(7))
+        assert eg.as_graph() is eg.as_graph()
+        assert eg.edges is eg.edges and eg.edges is eg.as_graph().edges
+
+    def test_edge_index_holds_the_compilers_arrays(self, monkeypatch):
+        made = []
+        real = Graph.from_edge_index.__func__
+
+        def recording(cls, n, ei, ej):
+            made.append((ei, ej))
+            return real(cls, n, ei, ej)
+
+        monkeypatch.setattr(Graph, "from_edge_index", classmethod(recording))
+        eg = build_two_point_graph(cycle_graph(7))
+        [(ei, ej)] = made
+        got = eg.as_graph().edge_index
+        assert got[0] is ei and got[1] is ej
+        assert not ei.flags.writeable and not ej.flags.writeable
+
+    def test_alpha_search_leaves_the_tuples_unbuilt(self):
+        eg = build_two_point_graph(cycle_graph(21))
+        res = independence_number(eg.as_graph(), limit=eg.n)
+        assert res.alpha == 10 + 21
+        assert not _tuples_built(eg.as_graph())
+
+    def test_certify_leaves_the_tuples_unbuilt(self, monkeypatch):
+        compiled = []
+
+        def recording(g):
+            compiled.append(build_two_point_graph(g))
+            return compiled[-1]
+
+        monkeypatch.setattr(certify_mod, "build_two_point_graph", recording)
+        report = certify(cycle_graph(5), CertifyOptions(skip_montecarlo=True))
+        assert report.all_passed
+        [eg] = compiled
+        assert not _tuples_built(eg.as_graph())
+        assert report.data["event_graph"]["edge_count"] == len(eg.edges) == 75
 
 
 class TestMalformedGraphJson:
