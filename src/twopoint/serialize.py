@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import warnings
 from typing import Any, Iterable, Optional
 
@@ -263,10 +264,25 @@ def _vector_to_jsonable(vec: np.ndarray) -> list:
     return [float(x) for x in vec]
 
 
-def _vector_from_jsonable(data: list) -> np.ndarray:
+def _json_number(x: Any, field: str) -> float:
+    """``x`` if it is a finite JSON number; ``float()`` would read true and "1" as one."""
+    # nan fails the comparison; an int too large for a float exceeds the bound
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise TypeError(f"{field} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _vector_from_jsonable(data: Any, d: int, field: str) -> np.ndarray:
+    """d numbers, or d [re, im] pairs of numbers for a complex vector."""
+    if not isinstance(data, list) or len(data) != d:
+        raise ValueError(f"{field} must be a list of d = {d} entries, got {data!r}")
     if data and isinstance(data[0], list):
-        return np.array([complex(re, im) for re, im in data])
-    return np.array([float(x) for x in data])
+        for x in data:
+            if not isinstance(x, list) or len(x) != 2:
+                raise ValueError(f"{field} entry {x!r} is not an [re, im] pair")
+        return np.array([complex(_json_number(re, field), _json_number(im, field))
+                         for re, im in data])
+    return np.array([_json_number(x, field) for x in data])
 
 
 def orthorep_to_jsonable(rep: OrthoRep) -> dict:
@@ -277,10 +293,24 @@ def orthorep_to_jsonable(rep: OrthoRep) -> dict:
     }
 
 
-def orthorep_from_jsonable(data: dict) -> OrthoRep:
-    psi = _vector_from_jsonable(data["psi"])
-    vectors = np.array([_vector_from_jsonable(v) for v in data["vectors"]])
-    return OrthoRep(dimension=int(data["d"]), psi=psi, vectors=vectors)
+def orthorep_from_jsonable(data: Any) -> OrthoRep:
+    """The representation of ``orthorep_to_jsonable``: ``psi`` and every vector
+    hold exactly d coordinates."""
+    if not isinstance(data, dict):
+        raise ParseError("representation JSON must be an object")
+    try:
+        d = _json_int(data["d"], "'d'")
+        if d < 1:
+            raise ValueError(f"'d' must be positive, got {d}")
+        psi = _vector_from_jsonable(data["psi"], d, "'psi'")
+        raw_vectors = data["vectors"]
+        if not isinstance(raw_vectors, list):
+            raise TypeError(f"'vectors' must be a list, got {raw_vectors!r}")
+        vectors = np.array([_vector_from_jsonable(v, d, f"vector {k}")
+                            for k, v in enumerate(raw_vectors)])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParseError(f"bad representation JSON: {err}") from err
+    return OrthoRep(dimension=d, psi=psi, vectors=vectors)
 
 
 # -- experiment records -------------------------------------------------

@@ -25,9 +25,12 @@ iteration: W = Z^-1 is V^-1 V^-T, and each of the four step lengths is the
 smallest eigenvalue of one n x n matrix U^-T dX U^-1 or V^-T dZ V^-1.  X's
 factor is the Cholesky factorisation that re-projection runs anyway as its
 definiteness test.  Every factorisation, solve and eigenvalue goes straight
-to LAPACK (`scipy.linalg.lapack`), so nothing checks finiteness on the way;
-the loop checks each new iterate once instead and raises ValueError if it
-is not finite.  `SdpSolution.termination` names the exit the loop took.
+to LAPACK, so nothing checks finiteness on the way; the loop checks each new
+iterate once instead and raises ValueError if it is not finite.  The raw
+wrappers (`dpotrf`, `dpotrs`, `dsyevr`, `dtrtri`) come from
+`scipy.linalg.lapack`, which `_lapack` imports on the first call that needs
+it: importing this module, and everything that never runs the SDP, loads
+numpy alone.  `SdpSolution.termination` names the exit the loop took.
 
 The dual of the program is
 
@@ -43,11 +46,11 @@ two-point event graph G', `lift_primal` builds an X from G's own X, and
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dtrtri
 
 from .graphs import EventGraph, Graph
 
@@ -246,9 +249,21 @@ def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
     return (W @ W.T) / np.sum(W * W)
 
 
+@functools.cache
+def _lapack():
+    """`scipy.linalg.lapack`, imported once per process by the first helper that calls it.
+
+    Importing `scipy.linalg` takes more time and memory than the rest of
+    the package together, and nothing outside the SDP needs it.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _smallest_eigenvalue(S: np.ndarray) -> float:
     """lambda_min of symmetric S from one partial eigensolve; nan if that fails."""
-    w, _, found, _, info = dsyevr(S, compute_v=0, range="I", il=1, iu=1)
+    w, _, found, _, info = _lapack().dsyevr(S, compute_v=0, range="I", il=1, iu=1)
     return float(w[0]) if info == 0 and found else math.nan
 
 
@@ -262,10 +277,10 @@ def _lift_to_pd(M: np.ndarray) -> np.ndarray:
 
 def _inverse_factor(M: np.ndarray) -> np.ndarray | None:
     """U^-1 for the Cholesky factor M = U^T U; None if M does not factor."""
-    U, info = dpotrf(M, clean=1)
+    U, info = _lapack().dpotrf(M, clean=1)
     if info:
         return None
-    return dtrtri(U)[0]
+    return _lapack().dtrtri(U)[0]
 
 
 def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,12 +297,12 @@ def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarra
     X = (X + X.T) / 2
     X[ei, ej] = 0.0
     X[ej, ei] = 0.0
-    U, info = dpotrf(X, clean=1)
+    U, info = _lapack().dpotrf(X, clean=1)
     if info:
         X = _lift_to_pd(X)
-        U, _ = dpotrf(X, clean=1)
+        U, _ = _lapack().dpotrf(X, clean=1)
     t = float(np.trace(X))
-    return X / t, dtrtri(U)[0] * math.sqrt(t)
+    return X / t, _lapack().dtrtri(U)[0] * math.sqrt(t)
 
 
 def _max_step(R: np.ndarray, dM: np.ndarray) -> float:
@@ -361,7 +376,7 @@ class _Schur:
             F[...] = H
             if jit:
                 F.flat[:: m + 1] += jit * jitter_scale
-            c, info = dpotrf(F, clean=0, overwrite_a=1)
+            c, info = _lapack().dpotrf(F, clean=0, overwrite_a=1)
             if info == 0:
                 return c
         return None
@@ -369,8 +384,8 @@ class _Schur:
     def solve(self, F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # One round of iterative refinement against the unjittered H; the
         # Schur system turns badly conditioned as the gap closes.
-        dy = dpotrs(F, rhs)[0]
-        dy += dpotrs(F, rhs - self.H @ dy)[0]
+        dy = _lapack().dpotrs(F, rhs)[0]
+        dy += _lapack().dpotrs(F, rhs - self.H @ dy)[0]
         return dy
 
 

@@ -1,6 +1,7 @@
 """Regression guards: the exact kernel near a zero-probability branch, the
 cached edge set, G' handed from the compiler to its readers as index arrays,
-parser robustness, and byte determinism across processes."""
+parser robustness, byte determinism across processes, and SciPy left
+unloaded by everything that runs no SDP."""
 
 import importlib
 import json
@@ -296,14 +297,20 @@ class TestParserFuzz:
         _parses_or_refuses("\n".join(lines), "dimacs")
 
 
-def _certify_bytes(graph: str, threads: str, hash_seed: str) -> bytes:
+def _fresh_env(**variables: str) -> dict[str, str]:
+    """The environment of a fresh process that imports this checkout's twopoint."""
     src = str(Path(twopoint.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _certify_bytes(graph: str, threads: str, hash_seed: str) -> bytes:
     proc = subprocess.run(
         [sys.executable, "-m", "twopoint.cli", "certify", graph,
          "--format", "json", "--shots", "2000", "--alpha-limit", "80"],
-        env=env, capture_output=True, check=True,
+        env=_fresh_env(OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed),
+        capture_output=True, check=True,
     )
     return proc.stdout
 
@@ -323,3 +330,44 @@ def test_certify_bytes_identical_across_blas_threads(graph):
     outputs = [_certify_bytes(graph, threads, "0") for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["complete"] is True
+
+
+_NO_SDP_PATHS = """
+import contextlib, json, math, sys
+from pathlib import Path
+
+from twopoint import build_two_point_graph, cycle_graph, independence_number, theta
+from twopoint.cli import main
+
+tmp = Path(sys.argv[1])
+assert independence_number(build_two_point_graph(cycle_graph(5)).as_graph()).alpha == 7
+with open(tmp / "catalog.txt", "w") as out, contextlib.redirect_stdout(out):
+    assert main(["catalog"]) == 0
+assert main(["transform", "c5", "--format", "json", "--output", str(tmp / "gp.json")]) == 0
+assert main(["alpha", "c5", "--output", str(tmp / "alpha.txt")]) == 0
+assert main(["alpha", str(tmp / "gp.json"), "--format", "json", "--output", str(tmp / "a.json")]) == 0
+assert json.loads((tmp / "a.json").read_text())["alpha"] == 7
+assert "scipy.linalg" not in sys.modules
+assert abs(theta(cycle_graph(5)).primal_value - math.sqrt(5)) <= 1e-7
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_on_the_first_sdp_only(tmp_path):
+    """Compiling G', alpha and the catalog, transform and alpha commands
+    leave scipy.linalg unimported; the first theta imports it."""
+    proc = subprocess.run([sys.executable, "-c", _NO_SDP_PATHS, str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lapack_kernel_tests_pass_alone():
+    """Each helper binds the LAPACK wrappers itself, so the kernel tests pass
+    in a process where theta has never run."""
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_theta.py"), "-k", "TestLapackKernels"],
+        cwd=tests.parent, env=_fresh_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -389,6 +389,42 @@ class TestOrthoRepSerialization:
         back = orthorep_from_jsonable(json.loads(dumps_canonical(data)))
         assert np.allclose(back.vectors, rep.vectors)
 
+    VALID = {"d": 2, "psi": [1, 0], "vectors": [[1, 0], [0, 1]]}
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [
+            ({"d": 2.9}, "'d' must be an integer, got 2.9"),
+            ({"d": True}, "'d' must be an integer, got True"),
+            ({"d": "2"}, "'d' must be an integer"),
+            ({"d": 0, "psi": [], "vectors": []}, "'d' must be positive"),
+            ({"psi": ["1", 0]}, "'psi' must be a finite number, got '1'"),
+            ({"psi": [1, False]}, "'psi' must be a finite number, got False"),
+            ({"psi": [1, float("nan")]}, "'psi' must be a finite number, got nan"),
+            ({"vectors": [[1, 0], [0, True]]}, "vector 1 must be a finite number"),
+            ({"psi": [[1, 0], [0]]}, r"'psi' entry \[0\] is not an \[re, im\] pair"),
+            ({"psi": [[1, 0], 1]}, r"'psi' entry 1 is not an \[re, im\] pair"),
+            ({"psi": [[1, 0], ["0", 1]]}, "'psi' must be a finite number, got '0'"),
+            ({"d": 5}, "'psi' must be a list of d = 5 entries"),
+            ({"vectors": [[1, 0], [1, 0, 0]]}, "vector 1 must be a list of d = 2 entries"),
+            ({"psi": 1}, "'psi' must be a list"),
+            ({"vectors": {"0": [1, 0]}}, "'vectors' must be a list"),
+        ],
+    )
+    def test_malformed_field_named(self, change, error):
+        with pytest.raises(ParseError, match=error):
+            orthorep_from_jsonable({**self.VALID, **change})
+
+    def test_missing_field_named(self):
+        for field in self.VALID:
+            data = {k: v for k, v in self.VALID.items() if k != field}
+            with pytest.raises(ParseError, match=f"'{field}'"):
+                orthorep_from_jsonable(data)
+
+    def test_non_object_refused(self):
+        with pytest.raises(ParseError, match="must be an object"):
+            orthorep_from_jsonable([2, [1, 0], [[1, 0]]])
+
 
 class TestRecordSerialization:
     def test_record_jsonable_is_consistent(self):

@@ -289,19 +289,37 @@ class TestLapackKernels:
         with pytest.raises(ValueError, match="not finite"):
             theta(c5)
 
+    def test_schur_factor_and_solve(self):
+        g = catalog("petersen")
+        ei, ej = g.edge_index
+        rng = np.random.default_rng(11)
+        schur = _Schur(ei, ej)
+        H = schur.assemble(_random_spd(rng, g.n), _random_spd(rng, g.n)).copy()
+        rhs = rng.standard_normal(len(H))
+        dy = schur.solve(schur.factor(), rhs)
+        assert np.max(np.abs(H @ dy - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+    def test_lift_to_pd_restores_a_factor(self):
+        # I - (1 + 1e-13) v v^T with |v| = 1 has lambda_min = -1e-13.
+        v = np.ones(4) / 2.0
+        M = np.eye(4) - (1.0 + 1e-13) * np.outer(v, v)
+        assert theta_mod._smallest_eigenvalue(M) < 0.0
+        assert theta_mod._inverse_factor(theta_mod._lift_to_pd(M)) is not None
+
     def test_wrapper_signatures(self):
         # Each raw wrapper exactly as the loop calls it, on a 3 x 3 SPD matrix.
+        lapack = theta_mod._lapack()
         M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        U, info = theta_mod.dpotrf(M, clean=1)
+        U, info = lapack.dpotrf(M, clean=1)
         assert info == 0 and np.allclose(U.T @ U, M)
-        R, info = theta_mod.dtrtri(U)
+        R, info = lapack.dtrtri(U)
         assert info == 0 and np.allclose(R @ U, np.eye(3))
         F = np.asfortranarray(M)
-        c, info = theta_mod.dpotrf(F, clean=0, overwrite_a=1)
+        c, info = lapack.dpotrf(F, clean=0, overwrite_a=1)
         assert info == 0
-        x, info = theta_mod.dpotrs(c, np.ones(3))
+        x, info = lapack.dpotrs(c, np.ones(3))
         assert info == 0 and np.allclose(M @ x, 1.0)
-        w, _, found, _, info = theta_mod.dsyevr(M, compute_v=0, range="I", il=1, iu=1)
+        w, _, found, _, info = lapack.dsyevr(M, compute_v=0, range="I", il=1, iu=1)
         assert info == 0 and found == 1
         assert w[0] == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-12)
 
