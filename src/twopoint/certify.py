@@ -302,7 +302,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("exact"):
         state = pure_state(rep.psi)
-        singles = {v: rep.overlap(v) for v in range(work.n)}
+        singles = dict(enumerate(rep.overlaps().tolist()))
         tables = joint_probs_table(state, rep, work.edges)
         s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
         s_prime = evaluate_s_prime(work, singles, tables)

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .graphs import EventGraph, Graph, build_graph, build_two_point_graph
+from .graphs import EventGraph, Graph, build_graph
 from .orthorep import OrthoRep
 from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, binomial_estimates
 # The benchmark tracer patches these names.
@@ -213,47 +213,19 @@ def emit_graph(g: Graph, fmt: str = "json") -> str:
 
 # -- event graphs -------------------------------------------------------
 
-def _event_labels(eg: EventGraph) -> list[dict]:
-    """Each event's JSON label: its kind, its observables and their outcomes."""
-    return [
+def event_graph_to_jsonable(eg: EventGraph) -> dict:
+    """The source graph, n, edges and one label per event: the event's kind,
+    its observables and their outcomes."""
+    labels = [
         {"kind": "single" if len(a) == 1 else "pair", "obs": list(a), "out": list(a.values())}
         for a in eg.assignments()
     ]
-
-
-def _label_from_jsonable(data: dict) -> dict:
-    return {
-        "kind": data["kind"],
-        "obs": [_json_int(x, "label 'obs'") for x in data["obs"]],
-        "out": [_json_int(x, "label 'out'") for x in data["out"]],
-    }
-
-
-def event_graph_to_jsonable(eg: EventGraph) -> dict:
     return {
         "source": graph_to_jsonable(eg.source),
-        "labels": _event_labels(eg),
+        "labels": labels,
         "n": eg.n,
         "edges": [[i, j] for (i, j) in eg.edges],
     }
-
-
-def event_graph_from_jsonable(data: dict) -> EventGraph:
-    """The event graph of ``event_graph_to_jsonable``; its n, labels and edges
-    must be those that ``build_two_point_graph`` compiles from its source."""
-    source = graph_from_jsonable(data["source"])
-    try:
-        n = _json_int(data["n"], "'n'")
-        labels = [_label_from_jsonable(lab) for lab in data["labels"]]
-        edges = tuple(tuple(_json_int(x, "edge endpoint") for x in e) for e in data["edges"])
-        compiled = build_two_point_graph(source)
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as err:
-        raise ParseError(f"bad event graph JSON: {err}") from err
-    if n != compiled.n or labels != _event_labels(compiled):
-        raise ParseError("event n or labels differ from the compilation of the source graph")
-    if edges != compiled.edges:
-        raise ParseError("event edges are not exactly the exclusive label pairs")
-    return compiled
 
 
 # -- representations ----------------------------------------------------
@@ -318,7 +290,8 @@ def orthorep_from_jsonable(data: Any) -> OrthoRep:
 # One writer.  Each table's row keys are listed once, in the order of the
 # value columns that `dumps_record` and `simulate._signaling` compute from
 # the count arrays; a (key, keys) item is a nested object.  `_template`
-# turns the keys into a row's %-template, so no dict is built per row.
+# turns the keys into a row's %-template, once at import, so no dict is
+# built per row and no template per record.
 
 _OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
 _SINGLE_ROW = ("n0", "n1", "p1", "stderr")
@@ -357,9 +330,24 @@ def _json_texts(column: np.ndarray) -> list[str]:
     return list(map(int.__repr__, column.tolist()))
 
 
-def _table_json(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> str:
-    """A table object: one row per key, from its value columns in ``spec`` order."""
-    template, order = _template(spec)
+def _epsilon_pair() -> tuple[str, list[str]]:
+    """The %-template of an ε comparison's two rows, outcome 0 then outcome 1,
+    and the column key behind each slot of one row."""
+    template, order = _template(EPSILON_KEYS)
+    outcome = EPSILON_KEYS.index("outcome")
+    pair = ",".join(template % tuple(str(o) if i == outcome else "%s" for i in order) for o in (0, 1))
+    return pair, [EPSILON_KEYS[i] for i in order if i != outcome]
+
+
+_SINGLE_TEMPLATE = _template(_SINGLE_ROW)
+_PAIR_TEMPLATE = _template(_PAIR_ROW)
+_EPSILON_PAIR, _EPSILON_SLOTS = _epsilon_pair()
+
+
+def _table_json(row: tuple[str, list[int]], keys: list[str], columns: list[np.ndarray]) -> str:
+    """A table object: one row per key, from the row's `_template` and its value
+    columns in spec order."""
+    template, order = row
     rows = map(template.__mod__, zip(*(_json_texts(columns[i]) for i in order)))
     return _json_object(zip(keys, rows))
 
@@ -367,13 +355,10 @@ def _table_json(spec: tuple, keys: list[str], columns: list[np.ndarray]) -> str:
 def _epsilon_json(record: ExperimentRecord, position: int) -> str:
     """An ε table: each comparison of `_signaling` gives the rows of outcome 0
     and 1, whose numbers are formatted once and written into both."""
-    template, order = _template(EPSILON_KEYS)
-    outcome = EPSILON_KEYS.index("outcome")
-    pair = ",".join(template % tuple(str(o) if i == outcome else "%s" for i in order) for o in (0, 1))
     keys = (k for k in EPSILON_KEYS if k != "outcome")
     columns = dict(zip(keys, record.signaling_columns[position]))
-    texts = [_json_texts(columns[EPSILON_KEYS[i]]) for i in order if i != outcome]
-    return "[" + ",".join(map(pair.__mod__, zip(*texts, *texts))) + "]"
+    texts = [_json_texts(columns[key]) for key in _EPSILON_SLOTS]
+    return "[" + ",".join(map(_EPSILON_PAIR.__mod__, zip(*texts, *texts))) + "]"
 
 
 def dumps_record(record: ExperimentRecord) -> str:
@@ -398,10 +383,10 @@ def dumps_record(record: ExperimentRecord) -> str:
     return _json_object([
         *((key, dumps_canonical(value)) for key, value in scalars.items()),
         ("singles", _table_json(
-            _SINGLE_ROW, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
+            _SINGLE_TEMPLATE, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
         )),
         ("pairs", _table_json(
-            _PAIR_ROW, [f"{first},{second}" for first, second in record.contexts],
+            _PAIR_TEMPLATE, [f"{first},{second}" for first, second in record.contexts],
             [*counts.T, *p.T, *se.T],
         )),
         ("epsilon", _epsilon_json(record, 1)),

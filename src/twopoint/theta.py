@@ -19,9 +19,16 @@ The Schur complement is assembled from row-then-column gathers of X and W
 that exploit the two-entry constraint matrices, and is exactly symmetric
 by construction.  Its m x m arrays (m = 1 + |E|) are allocated once per
 call, so one iteration costs one in-place Cholesky of the m x m system and
-no m x m allocation.  Each iterate's X and Z are factored once, X = U^T U
-and Z = V^T V, and the inverse factors U^-1 and V^-1 serve the whole
-iteration: W = Z^-1 is V^-1 V^-T, and each of the four step lengths is the
+no m x m allocation.  The loop and the Schur border read and write edge
+entries of the n x n iterates through flat indices i n + j and j n + i on
+``reshape(-1)`` views, built once per call: on small graphs numpy spends
+less per access on one index array than on an index pair, and the
+arithmetic is the same.  `_reproject`, which is handed the endpoints only,
+keeps the index pair, since deriving flat indices per call costs more than
+it saves.
+
+Each iterate's X and Z are factored once, X = U^T U and Z = V^T V, and
+the inverse factors U^-1 and V^-1 serve the whole iteration: W = Z^-1 is V^-1 V^-T, and each of the four step lengths is the
 smallest eigenvalue of one n x n matrix U^-T dX U^-1 or V^-T dZ V^-1.  X's
 factor is the Cholesky factorisation that re-projection runs anyway as its
 definiteness test.  Every factorisation, solve and eigenvalue goes straight
@@ -233,19 +240,25 @@ def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
 
     Rows of W are the paper's event vectors read off the `primal_factor` F of
     X and its psi: psi projected onto span(f_i) for outcome 1 on observable i,
-    off span(f_i, f_j) by least squares for (i, j, 0, 0).  X' is W W^T over
-    its trace, and <J, X'> >= <J, X> + |E| by Cauchy-Schwarz when X vanishes
-    on G's edges, with equality at an optimum."""
+    and psi minus its projection onto span(f_i, f_j) for (i, j, 0, 0).  The
+    (0,0) rows come from one stacked SVD of the d x 2 blocks [f_i f_j]: the
+    projection is onto their left singular vectors whose singular value
+    exceeds eps * max(d, 2) times the largest, the rank rule of a least
+    squares solve (`numpy.linalg.lstsq` with ``rcond=None``).  X' is W W^T
+    over its trace, and <J, X'> >= <J, X> + |E| by Cauchy-Schwarz when X
+    vanishes on G's edges, with equality at an optimum."""
     F, psi = primal_factor(X)
     sq = np.einsum("ij,ij->i", F, F)
     P = F * np.divide(F @ psi, sq, out=np.zeros(len(F)), where=F.any(axis=1))[:, None]
     obs, out = eg.events
     # Each event's row of P is that of the observable it sets to 1; the (0,0)
-    # events set none, and their rows are overwritten, one per edge.
+    # events set none, and their rows are overwritten.
     W = P[np.where(out[:, 0] == 1, obs[:, 0], obs[:, 1])]
-    for k in np.flatnonzero(~out.any(axis=1)):
-        B = F[obs[k]].T
-        W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
+    zero = np.flatnonzero(~out.any(axis=1))
+    u, s, _ = np.linalg.svd(F[obs[zero]].transpose(0, 2, 1), full_matrices=False)
+    rank_cut = s[:, :1] * (np.finfo(float).eps * max(F.shape[1], 2))
+    coef = np.einsum("kdr,d->kr", u, psi) * (s > rank_cut)
+    W[zero] = psi - np.einsum("kdr,kr->kd", u, coef)
     return (W @ W.T) / np.sum(W * W)
 
 
@@ -301,7 +314,7 @@ def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarra
     if info:
         X = _lift_to_pd(X)
         U, _ = _lapack().dpotrf(X, clean=1)
-    t = float(np.trace(X))
+    t = float(X.trace())
     return X / t, _lapack().dtrtri(U)[0] * math.sqrt(t)
 
 
@@ -320,18 +333,25 @@ def _max_step(R: np.ndarray, dM: np.ndarray) -> float:
     return -1.0 / lmin
 
 
+def _flat_index(ei: np.ndarray, ej: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of entries (i, j) and (j, i) in an n x n matrix's ``reshape(-1)`` view."""
+    return ei * n + ej, ej * n + ei
+
+
 class _Schur:
     """HKM Schur complement H[p,q] = tr(A_p X A_q W) of the theta program.
 
     A_0 is the identity and the edge constraint (i, j) has A = E_ij + E_ji.
     The m x m matrix, a Fortran-order factor buffer and two gather buffers
-    are allocated once and reused by every iteration.
+    are allocated once and reused by every iteration; the flat edge indices
+    are derived from the order of X on the first `assemble`.
     """
 
     def __init__(self, ei: np.ndarray, ej: np.ndarray):
         me = len(ei)
         m = 1 + me
         self.ei, self.ej = ei, ej
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
         self.H = np.empty((m, m))
         self._factor = np.empty((m, m), order="F")
         self._ga = np.empty((me, me))
@@ -344,14 +364,18 @@ class _Schur:
         X_ad W_cb + X_bc W_da + X_ac W_bd + X_bd W_ac, that is
         T + T' + X_ii o W_jj + X_jj o W_ii with T = X_ij o W_ji, where
         X_ij[p, q] = X[i_p, j_q].  Each term is a row gather followed by a
-        column gather into a reused buffer.
+        column gather into a reused buffer.  The border H[0, 1:] reads W X at
+        each edge's flat indices.
         """
         ei, ej, H, ga, gb = self.ei, self.ej, self.H, self._ga, self._gb
         H[0, 0] = float(np.sum(X * W))
         if not len(ei):
             return H
-        R = W @ X
-        h0 = R[ej, ei] + R[ei, ej]
+        if self._flat is None:
+            self._flat = _flat_index(ei, ej, X.shape[0])
+        ij, ji = self._flat
+        Rf = (W @ X).reshape(-1)
+        h0 = Rf[ji] + Rf[ij]
         H[0, 1:] = h0
         H[1:, 0] = h0
         Xi, Xj, Wi, Wj = X[ei], X[ej], W[ei], W[ej]
@@ -371,7 +395,7 @@ class _Schur:
         """Upper Cholesky factor of H, with diagonal jitter if needed; None if none works."""
         H, F = self.H, self._factor
         m = H.shape[0]
-        jitter_scale = float(np.trace(H)) / m
+        jitter_scale = float(H.trace()) / m
         for jit in (0.0, 1e-12, 1e-9, 1e-6):
             F[...] = H
             if jit:
@@ -429,6 +453,7 @@ def theta(
 
     me = m - 1
     ei, ej = g.edge_index
+    ij, ji = _flat_index(ei, ej, n)
     J = np.ones((n, n))
     eye_n = np.eye(n)
     schur = _Schur(ei, ej)
@@ -436,8 +461,9 @@ def theta(
     def build_Z(y: np.ndarray) -> np.ndarray:
         Z = y[0] * eye_n - J
         if me:
-            Z[ei, ej] += y[1:]
-            Z[ej, ei] += y[1:]
+            Zf = Z.reshape(-1)
+            Zf[ij] += y[1:]
+            Zf[ji] += y[1:]
         return Z
 
     X, Rx = _reproject(eye_n, ei, ej)  # X0 = I/n
@@ -492,14 +518,16 @@ def theta(
             if C is not None:
                 R -= C
             rhs = np.empty(m)
-            rhs[0] = float(np.trace(R))
+            rhs[0] = float(R.trace())
             if me:
-                rhs[1:] = R[ei, ej] + R[ej, ei]
+                Rf = R.reshape(-1)
+                rhs[1:] = Rf[ij] + Rf[ji]
             dy = schur.solve(ch, rhs)
             dZ = dy[0] * eye_n
             if me:
-                dZ[ei, ej] += dy[1:]
-                dZ[ej, ei] += dy[1:]
+                dZf = dZ.reshape(-1)
+                dZf[ij] += dy[1:]
+                dZf[ji] += dy[1:]
             dXr = R - X @ dZ @ W
             return dy, dZ, (dXr + dXr.T) / 2
 
@@ -510,7 +538,7 @@ def theta(
         ap = min(1.0, tau * _max_step(Rx, dX_a))
         ad = min(1.0, tau * _max_step(Rz, dZ_a))
         gap_aff = float((y[0] + ad * dy_a[0]) - (X + ap * dX_a).sum())
-        sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 0.01, 0.8))
+        sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 0.01), 0.8)
 
         dy, dZ, dX = direction(sigma, dX_a @ dZ_a @ W)
         ap = min(1.0, tau * _max_step(Rx, dX))

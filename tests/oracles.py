@@ -6,6 +6,7 @@ or is the simpler implementation the package replaced, kept as a reference.
 """
 
 import dataclasses
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from twopoint import (
+    EventGraph,
     ExperimentRecord,
     Graph,
     IndependenceResult,
@@ -22,6 +24,7 @@ from twopoint import (
     QState,
     SizeLimitError,
     build_graph,
+    build_two_point_graph,
     cycle_graph,
     independence_number,
     joint_probs_demolition,
@@ -30,9 +33,14 @@ from twopoint import (
     pure_state,
     theta,
 )
-from twopoint.serialize import graph_to_jsonable
+from twopoint.serialize import (
+    ParseError, _json_int, event_graph_to_jsonable, graph_from_jsonable, graph_to_jsonable
+)
 from twopoint.simulate import OUTCOMES, _misaligned_vectors
 from twopoint.theta import DEFAULT_TOLERANCE
+
+# The package re-exports the function `theta` under the module's name.
+theta_mod = importlib.import_module("twopoint.theta")
 
 PROB_ATOL = 1e-12
 
@@ -271,6 +279,36 @@ def exclusive_pairs(g: Graph, events: list[Event]) -> tuple[tuple[int, int], ...
     )
 
 
+def _label_from_jsonable(data: dict) -> dict:
+    return {
+        "kind": data["kind"],
+        "obs": [_json_int(x, "label 'obs'") for x in data["obs"]],
+        "out": [_json_int(x, "label 'out'") for x in data["out"]],
+    }
+
+
+def event_graph_from_jsonable(data: dict) -> EventGraph:
+    """The event graph of ``event_graph_to_jsonable``; its n, labels and edges
+    must be those that ``build_two_point_graph`` compiles from its source.
+
+    No command reads an event graph back (``twopoint alpha`` reads
+    ``transform`` output as a plain graph), so the reader lives here, as the
+    round-trip reference for the writer."""
+    source = graph_from_jsonable(data["source"])
+    try:
+        n = _json_int(data["n"], "'n'")
+        labels = [_label_from_jsonable(lab) for lab in data["labels"]]
+        edges = tuple(tuple(_json_int(x, "edge endpoint") for x in e) for e in data["edges"])
+        compiled = build_two_point_graph(source)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as err:
+        raise ParseError(f"bad event graph JSON: {err}") from err
+    if n != compiled.n or labels != event_graph_to_jsonable(compiled)["labels"]:
+        raise ParseError("event n or labels differ from the compilation of the source graph")
+    if edges != compiled.edges:
+        raise ParseError("event edges are not exactly the exclusive label pairs")
+    return compiled
+
+
 def noncontextual_assignment_value(g: Graph, assignment: Mapping[int, int]) -> int:
     """Value of the two-point witness under a deterministic 0/1 assignment.
 
@@ -324,6 +362,23 @@ def theta_sandwich(
             f"sandwich violated: alpha={alpha} > theta={sol.primal_value}"
         )
     return alpha, sol.primal_value
+
+
+def lift_primal_per_edge(eg: EventGraph, X: np.ndarray) -> np.ndarray:
+    """`theta.lift_primal` with one least-squares solve per (0,0) event, as the
+    package computed it before the solves were stacked.
+
+    Reads F and psi through ``theta_mod.primal_factor`` at call time, so a
+    test that replaces it feeds both lifts the same factor."""
+    F, psi = theta_mod.primal_factor(X)
+    sq = np.einsum("ij,ij->i", F, F)
+    P = F * np.divide(F @ psi, sq, out=np.zeros(len(F)), where=F.any(axis=1))[:, None]
+    obs, out = eg.events
+    W = P[np.where(out[:, 0] == 1, obs[:, 0], obs[:, 1])]
+    for k in np.flatnonzero(~out.any(axis=1)):
+        B = F[obs[k]].T
+        W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
+    return (W @ W.T) / np.sum(W * W)
 
 
 def builtin_kcbs_rep() -> OrthoRep:

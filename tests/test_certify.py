@@ -34,12 +34,15 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.serialize import dumps_canonical, format_float
 from twopoint.simulate import SCHEMES, NoiseModel
-from oracles import event_assignments, pairwise_signaling, record_tree, scalar_s_estimate
+from oracles import (
+    event_assignments, lift_primal_per_edge, pairwise_signaling, record_tree, scalar_s_estimate
+)
 
 cli_mod = importlib.import_module("twopoint.cli")
 
-# The package re-exports the function `certify` under the module's name.
+# The package re-exports the functions `certify` and `theta` under their modules' names.
 certify_mod = importlib.import_module("twopoint.certify")
+theta_mod = importlib.import_module("twopoint.theta")
 
 SQRT5 = math.sqrt(5.0)
 FAST = CertifyOptions(skip_montecarlo=True)
@@ -356,6 +359,94 @@ class TestConstructiveThetaGprime:
         X = t["X"]
         assert len(X) == 20 and len(X[0]) == 20
         assert sum(map(sum, X)) == pytest.approx(t["value"], abs=1e-12)
+
+
+def _seeded_graphs(count: int, stream: str):
+    """``count`` graphs with n in 3-14 and 1 to all n(n-1)/2 edges."""
+    rng = random.Random(stream)
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 14)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        out.append(build_graph(n, rng.sample(pairs, rng.randint(1, len(pairs)))))
+    return out
+
+
+class TestStackedLift:
+    """`lift_primal`'s stacked projection against the per-edge least-squares oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(g, X):
+        eg = build_two_point_graph(g)
+        lifted = lift_primal(eg, X)
+        assert np.max(np.abs(lifted - lift_primal_per_edge(eg, X))) <= 1e-15
+        return lifted
+
+    @pytest.mark.parametrize("name", [
+        "c5", "c7", "c9", "c21", "petersen", "chsh-circulant", "fig2-k2", "k4", "k6",
+        "empty6", "random-10-22",
+    ])
+    def test_catalog_and_ladder_graphs(self, name):
+        g = _ladder_graph(name)
+        self.assert_matches_oracle(g, theta(g).X)
+
+    def test_seeded_random_graphs(self):
+        for g in _seeded_graphs(20, "stacked-lift"):
+            self.assert_matches_oracle(g, theta(g).X)
+
+    def test_one_zero_row(self):
+        # Edge (1, 2) has f_2 = 0: its block [f_1 f_2] has rank 1.
+        F = np.array([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]])
+        self.assert_matches_oracle(build_graph(3, [(1, 2)]), F @ F.T)
+
+    @pytest.mark.parametrize("factor", ["eigh", "fed"])
+    def test_both_rows_of_an_edge_zero(self, monkeypatch, factor):
+        # f_2 = f_3 = 0, so the (0,0) event of edge (2, 3) keeps all of psi = (0.6, 0.8),
+        # and psi lies in span(f_0, f_1), so edge (0, 1)'s (0,0) event vanishes.  "fed"
+        # hands both lifts F itself, where the SVD of the zero block has singular
+        # vectors along psi.
+        g = build_graph(4, [(0, 1), (2, 3)])
+        F = np.array([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
+        if factor == "fed":
+            psi = np.array([0.6, 0.8])
+            monkeypatch.setattr(theta_mod, "primal_factor", lambda X, floor=-math.inf: (F, psi))
+        lifted = self.assert_matches_oracle(g, F @ F.T)
+        p0, p1, psi, zero = [0.6, 0.0], [0.0, 0.8], [0.6, 0.8], [0.0, 0.0]
+        # singles 0-3, then (0,0), (0,1), (1,0) of edge (0, 1), then those of edge (2, 3)
+        W = np.array([p0, p1, zero, zero, zero, p1, p0, psi, zero, zero])
+        assert np.allclose(lifted, W @ W.T / np.sum(W * W), rtol=0.0, atol=1e-16)
+
+    @staticmethod
+    def nearly_parallel(monkeypatch, r):
+        """G = path 0-1-2 with f_0 = e_0, f_1 = e_0 + r e_1 and f_2 = e_1 + e_2 in
+        d = 40, fed to both lifts in place of X's factor; psi = (e_0 + e_1 + e_2) / sqrt(3)."""
+        F = np.zeros((3, 40))
+        F[0, 0] = F[1, 0] = 1.0
+        F[1, 1] = r
+        F[2, 1] = F[2, 2] = 1.0
+        psi = np.zeros(40)
+        psi[:3] = 1.0 / math.sqrt(3.0)
+        monkeypatch.setattr(theta_mod, "primal_factor", lambda X, floor=-math.inf: (F.copy(), psi))
+        return build_graph(3, [(0, 1), (1, 2)]), F
+
+    def test_nearly_parallel_rows_below_the_rank_cutoff(self, monkeypatch):
+        # [f_0 f_1] has singular values about sqrt(2) and r / sqrt(2).  At r = 8e-15
+        # their ratio, 4e-15, is below the least-squares cutoff 40 eps = 8.9e-15 but
+        # above numpy.linalg.pinv's default 1e-15: the block has rank 1, as for f_1 = f_0.
+        g, F = self.nearly_parallel(monkeypatch, 8e-15)
+        lifted = self.assert_matches_oracle(g, np.eye(3))
+        F[1, 1] = 0.0
+        assert np.max(np.abs(lifted - lift_primal(build_two_point_graph(g), np.eye(3)))) <= 1e-13
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-10])
+    def test_ill_conditioned_rows_above_the_rank_cutoff(self, monkeypatch, r):
+        # Rank 2: the (0,0) event of edge (0, 1), event 3, is psi off span(e_0, e_1),
+        # orthogonal to the rows of single events 0 and 1 (along f_0 and f_1).
+        # A least-squares solve leaves about eps / r of psi's e_0 part in it.
+        g, _ = self.nearly_parallel(monkeypatch, r)
+        lifted = lift_primal(build_two_point_graph(g), np.eye(3))
+        assert np.abs(lifted[3, [0, 1]]).max() <= 1e-15
+        assert lifted[3, 3] == pytest.approx(lifted[2, 2] / 2, rel=1e-12)
 
 
 class TestConstructiveAlphaGprime:

@@ -16,10 +16,11 @@ from twopoint import (
     cycle_graph,
     expand_weighted,
 )
-from twopoint.serialize import dumps_canonical, event_graph_from_jsonable, event_graph_to_jsonable
+from twopoint.serialize import dumps_canonical, event_graph_to_jsonable
 from conftest import random_graph
 from oracles import (
-    are_exclusive, brute_force_alpha, complement, event_assignments, exclusive_pairs
+    are_exclusive, brute_force_alpha, complement, event_assignments, event_graph_from_jsonable,
+    exclusive_pairs,
 )
 
 

@@ -9,6 +9,7 @@ from twopoint import (
     OrthoRep,
     SdpStatus,
     build_graph,
+    catalog,
     cycle_graph,
     extract_ortho_rep,
     theta,
@@ -64,6 +65,35 @@ class TestVerifier:
         rep = builtin_kcbs_rep()
         with pytest.raises(ValueError, match="shape"):
             verify_ortho_rep(build_graph(4, []), rep, 1e-6)
+
+    def test_edge_overlap_conjugates_the_first_vector(self):
+        # v_0^T v_1 = 1, but <v_0, v_1> = conj(v_0) . v_1 = 0: K2's edge is orthogonal.
+        v = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
+        assert abs(v[0] @ v[1]) == pytest.approx(1.0) and abs(np.vdot(v[0], v[1])) <= 1e-16
+        rep = OrthoRep(dimension=2, psi=np.array([1.0, 0.0]), vectors=v)
+        report = verify_ortho_rep(build_graph(2, [(0, 1)]), rep, 1e-9, theta_target=1.0)
+        assert report.max_edge_overlap <= 1e-16
+        assert report.passed
+
+    def test_edgeless_graph_has_zero_edge_overlap(self):
+        rep = OrthoRep(dimension=3, psi=np.ones(3) / math.sqrt(3.0), vectors=np.eye(3))
+        report = verify_ortho_rep(build_graph(3, []), rep, 1e-9, theta_target=1.0)
+        assert report.max_edge_overlap == 0.0
+        assert report.passed
+
+    @pytest.mark.parametrize("name", ["kcbs", "k2-complex", "c7", "petersen", "chsh-circulant"])
+    def test_overlaps_are_the_per_vertex_overlaps(self, name):
+        if name == "kcbs":
+            rep = builtin_kcbs_rep()
+        elif name == "k2-complex":
+            v = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
+            rep = OrthoRep(dimension=2, psi=np.array([0.6, 0.8j]), vectors=v)
+        else:
+            g = catalog(name)
+            rep = extract_ortho_rep(g, theta(g))
+        expected = [rep.overlap(v) for v in range(rep.n)]
+        assert np.allclose(rep.overlaps(), expected, rtol=0.0, atol=1e-16)
+        assert rep.overlap_sum() == pytest.approx(sum(expected), abs=1e-15)
 
 
 # Random graphs on which extraction once failed its own verification.  The

@@ -27,7 +27,6 @@ from twopoint.simulate import OUTCOMES, NoiseModel, binomial_estimates
 from twopoint.serialize import (
     dumps_canonical,
     dumps_record,
-    event_graph_from_jsonable,
     event_graph_to_jsonable,
     format_float,
     orthorep_from_jsonable,
@@ -36,6 +35,7 @@ from twopoint.serialize import (
 )
 from oracles import (
     builtin_kcbs_rep,
+    event_graph_from_jsonable,
     isolated_and_leaf_case,
     kcbs_graph,
     record_tree,
