@@ -16,6 +16,9 @@ and weak duality pins theta(G') between them, even if extraction then fails.
 alpha(G') needs no search: G's witness lifted to the events that occur when it
 reads 1 and every other vertex 0, and the cover of G' by G and |E| cliques,
 both checked on the edges of G', pin alpha(G') to alpha(G) + |E|.
+
+The exact witness values S and S' of that representation are summed straight
+from the exact kernel's table of G's edges, by `simulate.exact_witnesses`.
 """
 
 from __future__ import annotations
@@ -38,10 +41,7 @@ from .simulate import (
     SCHEMES,
     ExperimentRecord,
     NoiseModel,
-    evaluate_s,
-    evaluate_s_prime,
-    joint_probs_table,
-    pure_state,
+    exact_witnesses,
     run_experiment,
 )
 # The benchmark tracer patches these names.
@@ -301,11 +301,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         data["orthorep"] = {"dimension": rep.dimension, **rep_report.measures(), "tolerance": gate}
 
     with stage("exact"):
-        state = pure_state(rep.psi)
-        singles = dict(enumerate(rep.overlaps().tolist()))
-        tables = joint_probs_table(state, rep, work.edges)
-        s_exact = evaluate_s(work, singles, {e: t[(1, 1)] for e, t in tables.items()})
-        s_prime = evaluate_s_prime(work, singles, tables)
+        s_exact, s_prime = exact_witnesses(rep, work)
         data["exact"] = {
             "s": s_exact,
             "s_prime": s_prime,

@@ -62,12 +62,9 @@ class OrthoRep:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def overlap(self, v: int) -> float:
-        """Squared overlap |<v|psi>|^2 of vertex v's vector with the handle."""
-        return float(abs(np.vdot(self.vectors[v], self.psi)) ** 2)
-
     def overlaps(self) -> np.ndarray:
-        """Every vertex's `overlap`, in vertex order, from one stacked `np.vecdot`."""
+        """Every vertex's squared overlap |<v|psi>|^2 with the handle, in vertex
+        order, from one stacked `np.vecdot`."""
         return np.abs(np.vecdot(self.vectors, self.psi)) ** 2
 
     def overlap_sum(self) -> float:

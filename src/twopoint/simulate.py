@@ -5,7 +5,8 @@ a projective scheme (measure, update the state by Lueders's rule, measure
 again) and a demolition-and-repreparation scheme (measure destructively,
 then re-prepare the first observable's eigenstate on outcome 1 or the
 Lueders outcome-0 state on outcome 0).  Both are one-context views of one
-exact kernel that computes the joint tables of many contexts at once.  Monte
+exact kernel that computes the joint tables of many contexts at once, and
+`exact_witnesses` sums S and S' straight from its table of the edges.  Monte
 Carlo experiments sample every single-observable context and every ordered
 pair context with a fixed number of shots, under an optional noise model,
 from one call of that kernel: seed stream 0 draws the vector misalignment,
@@ -20,11 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .graphs import PAIR_OUTCOMES, Edge, Graph
+from .graphs import Graph
 from .orthorep import OrthoRep
 
 SCHEMES = ("projective", "demolition")
@@ -162,64 +163,35 @@ def joint_probs_demolition(
     return _joint_probs(state, ctx, rep, demolition=True)
 
 
-def joint_probs_table(
-    state: QState, rep: OrthoRep, contexts: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
-    """`joint_probs_projective` of every (first, second) context, from one
-    call of the exact kernel over all of ``rep``'s vectors."""
+def exact_witnesses(rep: OrthoRep, g: Graph) -> tuple[float, float]:
+    """The exact witness values (S, S') of ``rep`` on ``g``, from one call of the
+    exact kernel over the edges as (first, second) contexts, in the pure
+    state ``rep.psi`` and the projective scheme.
+
+    S is the singles P(1) = |<v|psi>|^2 less each edge's P(1, 1); S' is the
+    singles plus each edge's three pair events of G', P(0, 0), P(0, 1) and
+    P(1, 0), and exceeds S by the number of edges up to rounding.  Both are
+    summed left to right: the singles in vertex order, then the edges in the
+    order of ``g.edges``.
+    """
+    if rep.n != g.n:
+        raise ValueError(f"representation covers {rep.n} vertices, graph has {g.n}")
     _, table = _joint_table(
-        state.rho,
+        pure_state(rep.psi).rho,
         np.asarray(rep.vectors, dtype=complex),
-        np.array(contexts, dtype=np.intp).reshape(-1, 2),
+        np.stack(g.edge_index, axis=1),
         demolition=False,
     )
-    return {tuple(c): dict(zip(OUTCOMES, row)) for c, row in zip(contexts, table.tolist())}
-
-
-def evaluate_s(
-    g: Graph,
-    singles: Mapping[int, float],
-    pairs: Mapping[Edge, float],
-) -> float:
-    """The two-point witness: sum of P(1|i) minus sum of P(1,1|i,j) over edges."""
-    total = 0.0
-    for v in range(g.n):
-        if v not in singles:
-            raise ValueError(f"missing single probability for vertex {v}")
-        total += singles[v]
-    for e in g.edges:
-        p = pairs.get(e, pairs.get((e[1], e[0])))
-        if p is None:
-            raise ValueError(f"missing pair probability for edge {e}")
-        total -= p
-    return total
-
-
-def evaluate_s_prime(
-    g: Graph,
-    singles: Mapping[int, float],
-    pair_tables: Mapping[Edge, Mapping[tuple[int, int], float]],
-) -> float:
-    """The compiled witness: singles plus, per edge, its pair events in G',
-    P(0,0) + P(0,1) + P(1,0).
-
-    On probability tables consistent with a single joint distribution this
-    exceeds :func:`evaluate_s` by exactly the number of edges.
-    """
-    total = 0.0
-    for v in range(g.n):
-        if v not in singles:
-            raise ValueError(f"missing single probability for vertex {v}")
-        total += singles[v]
-    for e in g.edges:
-        table = pair_tables.get(e, pair_tables.get((e[1], e[0])))
-        if table is None:
-            raise ValueError(f"missing pair table for edge {e}")
-        for outcomes in PAIR_OUTCOMES:
-            if outcomes not in table:
-                raise ValueError(f"pair table for edge {e} missing outcome {outcomes}")
-            total += table[outcomes]
-    return total
+    singles = 0.0
+    for p in rep.overlaps().tolist():  # not sum(), which compensates from Python 3.12 on
+        singles += p
+    s = s_prime = singles
+    for p00, p01, p10, p11 in table.tolist():
+        s -= p11
+        s_prime += p00
+        s_prime += p01
+        s_prime += p10
+    return s, s_prime
 
 
 def binomial_estimates(

@@ -19,13 +19,11 @@ The Schur complement is assembled from row-then-column gathers of X and W
 that exploit the two-entry constraint matrices, and is exactly symmetric
 by construction.  Its m x m arrays (m = 1 + |E|) are allocated once per
 call, so one iteration costs one in-place Cholesky of the m x m system and
-no m x m allocation.  The loop and the Schur border read and write edge
-entries of the n x n iterates through flat indices i n + j and j n + i on
-``reshape(-1)`` views, built once per call: on small graphs numpy spends
-less per access on one index array than on an index pair, and the
-arithmetic is the same.  `_reproject`, which is handed the endpoints only,
-keeps the index pair, since deriving flat indices per call costs more than
-it saves.
+no m x m allocation.  The loop, the Schur border and re-projection read
+and write edge entries of the n x n iterates through flat indices i n + j
+and j n + i on ``reshape(-1)`` views, built once per call: on small graphs
+numpy spends less per access on one index array than on an index pair, and
+the arithmetic is the same.
 
 Each iterate's X and Z are factored once, X = U^T U and Z = V^T V, and
 the inverse factors U^-1 and V^-1 serve the whole iteration: W = Z^-1 is V^-1 V^-T, and each of the four step lengths is the
@@ -296,8 +294,10 @@ def _inverse_factor(M: np.ndarray) -> np.ndarray | None:
     return _lapack().dtrtri(U)[0]
 
 
-def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reproject(X: np.ndarray, ij: np.ndarray, ji: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X with zero edge entries and unit trace imposed exactly, and U^-1 for X = U^T U.
+
+    ``ij`` and ``ji`` are the edges' flat indices i n + j and j n + i.
 
     Both constraints hold by construction of the search direction; imposing
     them again stops roundoff drift.  Near convergence X is close to
@@ -308,8 +308,9 @@ def _reproject(X: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> tuple[np.ndarra
     returned X.
     """
     X = (X + X.T) / 2
-    X[ei, ej] = 0.0
-    X[ej, ei] = 0.0
+    Xf = X.reshape(-1)
+    Xf[ij] = 0.0
+    Xf[ji] = 0.0
     U, info = _lapack().dpotrf(X, clean=1)
     if info:
         X = _lift_to_pd(X)
@@ -333,25 +334,19 @@ def _max_step(R: np.ndarray, dM: np.ndarray) -> float:
     return -1.0 / lmin
 
 
-def _flat_index(ei: np.ndarray, ej: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of entries (i, j) and (j, i) in an n x n matrix's ``reshape(-1)`` view."""
-    return ei * n + ej, ej * n + ei
-
-
 class _Schur:
     """HKM Schur complement H[p,q] = tr(A_p X A_q W) of the theta program.
 
-    A_0 is the identity and the edge constraint (i, j) has A = E_ij + E_ji.
+    A_0 is the identity and the edge constraint (i, j) has A = E_ij + E_ji,
+    given by its endpoints ``ei``, ``ej`` and flat indices ``ij``, ``ji``.
     The m x m matrix, a Fortran-order factor buffer and two gather buffers
-    are allocated once and reused by every iteration; the flat edge indices
-    are derived from the order of X on the first `assemble`.
+    are allocated once and reused by every iteration.
     """
 
-    def __init__(self, ei: np.ndarray, ej: np.ndarray):
+    def __init__(self, ei: np.ndarray, ej: np.ndarray, ij: np.ndarray, ji: np.ndarray):
         me = len(ei)
         m = 1 + me
-        self.ei, self.ej = ei, ej
-        self._flat: tuple[np.ndarray, np.ndarray] | None = None
+        self.ei, self.ej, self.ij, self.ji = ei, ej, ij, ji
         self.H = np.empty((m, m))
         self._factor = np.empty((m, m), order="F")
         self._ga = np.empty((me, me))
@@ -367,13 +362,11 @@ class _Schur:
         column gather into a reused buffer.  The border H[0, 1:] reads W X at
         each edge's flat indices.
         """
-        ei, ej, H, ga, gb = self.ei, self.ej, self.H, self._ga, self._gb
+        ei, ej, ij, ji = self.ei, self.ej, self.ij, self.ji
+        H, ga, gb = self.H, self._ga, self._gb
         H[0, 0] = float(np.sum(X * W))
         if not len(ei):
             return H
-        if self._flat is None:
-            self._flat = _flat_index(ei, ej, X.shape[0])
-        ij, ji = self._flat
         Rf = (W @ X).reshape(-1)
         h0 = Rf[ji] + Rf[ij]
         H[0, 1:] = h0
@@ -453,10 +446,10 @@ def theta(
 
     me = m - 1
     ei, ej = g.edge_index
-    ij, ji = _flat_index(ei, ej, n)
+    ij, ji = ei * n + ej, ej * n + ei
     J = np.ones((n, n))
     eye_n = np.eye(n)
-    schur = _Schur(ei, ej)
+    schur = _Schur(ei, ej, ij, ji)
 
     def build_Z(y: np.ndarray) -> np.ndarray:
         Z = y[0] * eye_n - J
@@ -466,7 +459,7 @@ def theta(
             Zf[ji] += y[1:]
         return Z
 
-    X, Rx = _reproject(eye_n, ei, ej)  # X0 = I/n
+    X, Rx = _reproject(eye_n, ij, ji)  # X0 = I/n
     y = np.zeros(m)
     y[0] = n + 1.0
     Z = build_Z(y)
@@ -549,7 +542,7 @@ def theta(
         if ap <= 1e-12 and ad <= 1e-12:
             termination = SdpTermination.STEP_TOO_SMALL
             break
-        X, Rx = _reproject(X_next, ei, ej)
+        X, Rx = _reproject(X_next, ij, ji)
         y = y_next
         Z = build_Z(y)
 

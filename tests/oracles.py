@@ -10,7 +10,7 @@ import importlib
 import json
 import math
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from twopoint import (
     pure_state,
     theta,
 )
+from twopoint.graphs import PAIR_OUTCOMES, Edge
 from twopoint.serialize import (
     ParseError, _json_int, event_graph_to_jsonable, graph_from_jsonable, graph_to_jsonable
 )
-from twopoint.simulate import OUTCOMES, _misaligned_vectors
+from twopoint.simulate import OUTCOMES, _joint_table, _misaligned_vectors
 from twopoint.theta import DEFAULT_TOLERANCE
 
 # The package re-exports the function `theta` under the module's name.
@@ -379,6 +380,81 @@ def lift_primal_per_edge(eg: EventGraph, X: np.ndarray) -> np.ndarray:
         B = F[obs[k]].T
         W[k] = psi - B @ np.linalg.lstsq(B, psi, rcond=None)[0]
     return (W @ W.T) / np.sum(W * W)
+
+
+def vertex_overlap(rep: OrthoRep, v: int) -> float:
+    """Squared overlap |<v|psi>|^2 of vertex v's vector with the handle, by one
+    `np.vdot`: the per-vertex reference for `OrthoRep.overlaps`."""
+    return float(abs(np.vdot(rep.vectors[v], rep.psi)) ** 2)
+
+
+def joint_probs_table(
+    state: QState, rep: OrthoRep, contexts: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
+    """`joint_probs_projective` of every (first, second) context, from one
+    call of the exact kernel over all of ``rep``'s vectors."""
+    _, table = _joint_table(
+        state.rho,
+        np.asarray(rep.vectors, dtype=complex),
+        np.array(contexts, dtype=np.intp).reshape(-1, 2),
+        demolition=False,
+    )
+    return {tuple(c): dict(zip(OUTCOMES, row)) for c, row in zip(contexts, table.tolist())}
+
+
+def evaluate_s(
+    g: Graph,
+    singles: Mapping[int, float],
+    pairs: Mapping[Edge, float],
+) -> float:
+    """The two-point witness: sum of P(1|i) minus sum of P(1,1|i,j) over edges."""
+    total = 0.0
+    for v in range(g.n):
+        if v not in singles:
+            raise ValueError(f"missing single probability for vertex {v}")
+        total += singles[v]
+    for e in g.edges:
+        p = pairs.get(e, pairs.get((e[1], e[0])))
+        if p is None:
+            raise ValueError(f"missing pair probability for edge {e}")
+        total -= p
+    return total
+
+
+def evaluate_s_prime(
+    g: Graph,
+    singles: Mapping[int, float],
+    pair_tables: Mapping[Edge, Mapping[tuple[int, int], float]],
+) -> float:
+    """The compiled witness: singles plus, per edge, its pair events in G',
+    P(0,0) + P(0,1) + P(1,0).
+
+    On probability tables consistent with a single joint distribution this
+    exceeds :func:`evaluate_s` by exactly the number of edges.
+    """
+    total = 0.0
+    for v in range(g.n):
+        if v not in singles:
+            raise ValueError(f"missing single probability for vertex {v}")
+        total += singles[v]
+    for e in g.edges:
+        table = pair_tables.get(e, pair_tables.get((e[1], e[0])))
+        if table is None:
+            raise ValueError(f"missing pair table for edge {e}")
+        for outcomes in PAIR_OUTCOMES:
+            if outcomes not in table:
+                raise ValueError(f"pair table for edge {e} missing outcome {outcomes}")
+            total += table[outcomes]
+    return total
+
+
+def dict_witnesses(rep: OrthoRep, g: Graph) -> tuple[float, float]:
+    """(S, S') by the dict path `certify` once took: the singles as a dict,
+    `joint_probs_table` of the edges, then `evaluate_s` and `evaluate_s_prime`."""
+    singles = dict(enumerate(rep.overlaps().tolist()))
+    tables = joint_probs_table(pure_state(rep.psi), rep, g.edges)
+    s = evaluate_s(g, singles, {e: t[(1, 1)] for e, t in tables.items()})
+    return s, evaluate_s_prime(g, singles, tables)
 
 
 def builtin_kcbs_rep() -> OrthoRep:

@@ -17,7 +17,7 @@ from twopoint import (
 )
 from twopoint.simulate import joint_probs_projective, pure_state
 from conftest import random_graph
-from oracles import builtin_kcbs_rep, kcbs_graph
+from oracles import builtin_kcbs_rep, kcbs_graph, vertex_overlap
 
 SQRT5 = math.sqrt(5.0)
 
@@ -37,7 +37,7 @@ class TestBuiltinKcbs:
     def test_every_overlap_is_inverse_sqrt5(self):
         rep = builtin_kcbs_rep()
         for v in range(5):
-            assert rep.overlap(v) == pytest.approx(1 / SQRT5, abs=1e-12)
+            assert rep.overlaps()[v] == pytest.approx(1 / SQRT5, abs=1e-12)
         assert rep.overlap_sum() == pytest.approx(SQRT5, abs=1e-12)
 
     def test_verifier_passes_with_theta_target(self):
@@ -91,7 +91,7 @@ class TestVerifier:
         else:
             g = catalog(name)
             rep = extract_ortho_rep(g, theta(g))
-        expected = [rep.overlap(v) for v in range(rep.n)]
+        expected = [vertex_overlap(rep, v) for v in range(rep.n)]
         assert np.allclose(rep.overlaps(), expected, rtol=0.0, atol=1e-16)
         assert rep.overlap_sum() == pytest.approx(sum(expected), abs=1e-15)
 
@@ -225,7 +225,7 @@ class TestExtraction:
         g = build_graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)])
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
-        assert rep.overlap(0) <= 1e-9
+        assert rep.overlaps()[0] <= 1e-9
         assert verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value).passed
 
     def test_random_graphs_extract_and_verify(self):

@@ -1,7 +1,7 @@
 """Regression guards: the exact kernel near a zero-probability branch, the
 cached edge set, G' handed from the compiler to its readers as index arrays,
-parser robustness, byte determinism across processes, and SciPy left
-unloaded by everything that runs no SDP."""
+parser robustness, byte determinism across processes, SciPy left
+unloaded by everything that runs no SDP, and a public API that resolves."""
 
 import importlib
 import json
@@ -36,6 +36,26 @@ from twopoint.serialize import dumps_record
 from oracles import builtin_kcbs_rep, kcbs_graph
 
 certify_mod = importlib.import_module("twopoint.certify")
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in twopoint.__all__ if not hasattr(twopoint, name)]
+        assert not missing
+        assert len(set(twopoint.__all__)) == len(twopoint.__all__)
+
+    def test_star_import_runs(self):
+        namespace: dict = {}
+        exec("from twopoint import *", namespace)
+        assert set(twopoint.__all__) <= set(namespace)
+
+    @pytest.mark.parametrize("name", ["joint_probs_table", "evaluate_s", "evaluate_s_prime"])
+    def test_dict_witness_path_is_gone(self, name):
+        # The dict-shaped references live in tests/oracles.py; the package
+        # computes S and S' with simulate.exact_witnesses.
+        assert name not in twopoint.__all__
+        assert not hasattr(twopoint, name)
+        assert not hasattr(importlib.import_module("twopoint.simulate"), name)
 
 
 class TestTinyFirstOutcome:

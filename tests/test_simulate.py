@@ -9,15 +9,15 @@ from twopoint import (
     OrthoRep,
     QState,
     build_graph,
+    catalog,
     complete_graph,
+    cycle_graph,
     epsilon_prime,
     epsilon_signaling,
-    evaluate_s,
+    exact_witnesses,
     extract_ortho_rep,
-    evaluate_s_prime,
     joint_probs_demolition,
     joint_probs_projective,
-    joint_probs_table,
     ordered_contexts,
     pure_state,
     run_experiment,
@@ -30,8 +30,12 @@ from conftest import random_graph
 from oracles import (
     born_single,
     builtin_kcbs_rep,
+    dict_witnesses,
+    evaluate_s,
+    evaluate_s_prime,
     flip_joint_terms,
     isolated_and_leaf_case,
+    joint_probs_table,
     kcbs_graph,
     luders_joint_table,
     luders_update,
@@ -42,6 +46,7 @@ from oracles import (
     per_context_counts,
     scalar_s_estimate,
     single_estimate,
+    vertex_overlap,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -221,7 +226,7 @@ class TestWitnessEvaluation:
         rep = builtin_kcbs_rep()
         g = kcbs_graph()
         st = pure_state(rep.psi)
-        singles = {v: rep.overlap(v) for v in range(5)}
+        singles = {v: vertex_overlap(rep, v) for v in range(5)}
         pairs = {
             e: joint_probs_projective(st, e, rep)[(1, 1)]
             for e in g.edges
@@ -256,7 +261,7 @@ class TestWitnessEvaluation:
         rep = builtin_kcbs_rep()
         g = kcbs_graph()
         st = pure_state(rep.psi)
-        singles = {v: rep.overlap(v) for v in range(5)}
+        singles = {v: vertex_overlap(rep, v) for v in range(5)}
         tables = {
             e: joint_probs_projective(st, e, rep) for e in g.edges
         }
@@ -280,6 +285,44 @@ class TestWitnessEvaluation:
     def test_s_prime_missing_outcome_raises(self, k2):
         with pytest.raises(ValueError, match="missing outcome"):
             evaluate_s_prime(k2, {0: 0.0, 1: 0.0}, {(0, 1): {(0, 0): 1.0}})
+
+
+class TestExactWitnesses:
+    """`exact_witnesses` sums the exact kernel's table in the order of the dict
+    path it replaced, so both give the same doubles."""
+
+    @pytest.mark.parametrize(
+        "name", ["c5", "c7", "c21", "petersen", "chsh-circulant", "fig2-k2", "k4", "k1", "empty6"]
+    )
+    def test_equals_dict_path_on_catalog_graphs(self, name):
+        g = catalog(name)
+        rep = extract_ortho_rep(g, theta(g))
+        assert exact_witnesses(rep, g) == dict_witnesses(rep, g)
+
+    def test_kcbs_values(self):
+        s, s_prime = exact_witnesses(builtin_kcbs_rep(), kcbs_graph())
+        assert s == pytest.approx(SQRT5, abs=1e-10)
+        assert s_prime == pytest.approx(SQRT5 + 5, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_dict_path_on_random_representations(self, seed):
+        rng = np.random.default_rng(2700 + seed)
+        g = random_graph(rng, int(rng.integers(2, 12)), 0.4)
+        d = int(rng.integers(1, 6))
+        complex_ = bool(seed % 2)
+        rep = OrthoRep(dimension=d, psi=random_unit(rng, d, complex_),
+                       vectors=np.array([random_unit(rng, d, complex_) for _ in range(g.n)]))
+        assert exact_witnesses(rep, g) == dict_witnesses(rep, g)
+
+    def test_equals_dict_path_at_round_off(self):
+        g, rep = TestNearZeroBranches._case()
+        s, s_prime = exact_witnesses(rep, g)
+        assert (s, s_prime) == dict_witnesses(rep, g)
+        assert abs(s_prime - len(g.edges) - s) <= 1e-13
+
+    def test_vertex_count_mismatch_raises(self):
+        with pytest.raises(ValueError, match="representation covers 5 vertices, graph has 7"):
+            exact_witnesses(builtin_kcbs_rep(), cycle_graph(7))
 
 
 class TestRunExperiment:
@@ -476,7 +519,7 @@ class TestNearZeroBranches:
 
     def test_consistency_at_round_off(self):
         g, rep = self._case()
-        singles = {v: rep.overlap(v) for v in range(g.n)}
+        singles = dict(enumerate(rep.overlaps().tolist()))
         rare = sum(singles[i] for (i, _) in g.edges if singles[i] <= 1e-11)
         assert rare > EXACT_CONSISTENCY_TOL  # the mass a dropped branch would lose
         tables = joint_probs_table(pure_state(rep.psi), rep, g.edges)

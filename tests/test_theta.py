@@ -228,6 +228,7 @@ class TestSolverInternals:
         n, edges = gp.n, gp.edges
         ei = np.array([e[0] for e in edges])
         ej = np.array([e[1] for e in edges])
+        ij, ji = ei * n + ej, ej * n + ei
         A = [np.eye(n)]
         for i, j in edges:
             Ak = np.zeros((n, n))
@@ -237,7 +238,7 @@ class TestSolverInternals:
         rng = np.random.default_rng(5)
         X, W = _random_spd(rng, n), _random_spd(rng, n)
         oracle = np.array([[np.trace(Ap @ X @ Aq @ W) for Aq in A] for Ap in A])
-        H = _Schur(ei, ej).assemble(X, W)
+        H = _Schur(ei, ej, ij, ji).assemble(X, W)
         assert np.max(np.abs(H - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         assert np.array_equal(H, H.T)
 
@@ -275,7 +276,8 @@ class TestLapackKernels:
     def test_reproject_carries_inverse_factor(self):
         g = catalog("petersen")
         ei, ej = g.edge_index
-        X, R = theta_mod._reproject(_random_spd(np.random.default_rng(3), g.n), ei, ej)
+        ij, ji = ei * g.n + ej, ej * g.n + ei
+        X, R = theta_mod._reproject(_random_spd(np.random.default_rng(3), g.n), ij, ji)
         assert np.trace(X) == pytest.approx(1.0, abs=1e-15)
         assert not np.any(X[ei, ej]) and not np.any(X[ej, ei])
         U = np.linalg.cholesky(X).T
@@ -293,7 +295,7 @@ class TestLapackKernels:
         g = catalog("petersen")
         ei, ej = g.edge_index
         rng = np.random.default_rng(11)
-        schur = _Schur(ei, ej)
+        schur = _Schur(ei, ej, ei * g.n + ej, ej * g.n + ei)
         H = schur.assemble(_random_spd(rng, g.n), _random_spd(rng, g.n)).copy()
         rhs = rng.standard_normal(len(H))
         dy = schur.solve(schur.factor(), rhs)
