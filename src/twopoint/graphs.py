@@ -88,11 +88,6 @@ class Graph:
         return tuple(zip(ei.tolist(), ej.tolist()))
 
     @functools.cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        """The edges as a frozenset, built once per instance."""
-        return frozenset(self.edges)
-
-    @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in increasing order, built once per instance."""
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -118,9 +113,6 @@ class Graph:
 
     def weight(self, v: int) -> int:
         return 1 if self.weights is None else self.weights[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]

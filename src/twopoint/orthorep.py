@@ -68,7 +68,10 @@ class OrthoRep:
         return np.abs(np.vecdot(self.vectors, self.psi)) ** 2
 
     def overlap_sum(self) -> float:
-        return sum(self.overlaps().tolist())
+        total = 0.0
+        for p in self.overlaps().tolist():  # not sum(), which compensates from Python 3.12 on
+            total += p
+        return total
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ whitespace and shortest round-trip floats, so identical inputs produce
 byte-identical output.  `dumps_canonical` runs the standard library's C
 encoder over a tree of dicts and lists, and every emitter uses it, except for
 the experiment record.  The record has one writer, `dumps_record`, which
-writes its text straight from its count arrays, through one template per
-table row; `twopoint simulate --format json` and `certify`'s JSON report both
-write the record with it.  The record's tree, `record_to_jsonable`, is the
-parse of that text.
+writes its text straight from its count arrays into three fixed row
+templates, each a row's canonical JSON with a slot per value; `twopoint
+simulate --format json` and `certify`'s JSON report both write the record
+with it.  The record's tree, `record_to_jsonable`, is the parse of that text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import EventGraph, Graph, build_graph
 from .orthorep import OrthoRep
-from .simulate import EPSILON_KEYS, OUTCOMES, ExperimentRecord, binomial_estimates
+from .simulate import ExperimentRecord, binomial_estimates
 # The benchmark tracer patches these names.
 from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
@@ -287,37 +287,26 @@ def orthorep_from_jsonable(data: Any) -> OrthoRep:
 
 # -- experiment records -------------------------------------------------
 #
-# One writer.  Each table's row keys are listed once, in the order of the
-# value columns that `dumps_record` and `simulate._signaling` compute from
-# the count arrays; a (key, keys) item is a nested object.  `_template`
-# turns the keys into a row's %-template, once at import, so no dict is
-# built per row and no template per record.
+# One writer.  Each table row is a fixed %-template, the row's canonical JSON
+# with keys in the order `dumps_canonical` sorts them and one %s slot per
+# value, so no dict is built per row; `dumps_record` and `_epsilon_json` pass
+# the value columns in slot order.
 
-_OUTCOME_KEYS = tuple(f"{a}{b}" for a, b in OUTCOMES)
-_SINGLE_ROW = ("n0", "n1", "p1", "stderr")
-_PAIR_ROW = (("counts", _OUTCOME_KEYS), ("p", _OUTCOME_KEYS), ("stderr", _OUTCOME_KEYS))
+_SINGLE_ROW = '{"n0":%s,"n1":%s,"p1":%s,"stderr":%s}'
+_PAIR_ROW = (
+    '{"counts":{"00":%s,"01":%s,"10":%s,"11":%s},'
+    '"p":{"00":%s,"01":%s,"10":%s,"11":%s},'
+    '"stderr":{"00":%s,"01":%s,"10":%s,"11":%s}}'
+)
+_EPSILON_PAIR = (
+    '{"difference":%s,"fixed":%s,"outcome":0,"stderr":%s,"varied_a":%s,"varied_b":%s},'
+    '{"difference":%s,"fixed":%s,"outcome":1,"stderr":%s,"varied_a":%s,"varied_b":%s}'
+)
 
 
 def _json_object(members: Iterable[tuple[str, str]]) -> str:
     """The JSON object of (key, JSON text) members, keys sorted as `dumps_canonical` sorts them."""
     return "{" + ",".join(f"{dumps_canonical(key)}:{text}" for key, text in sorted(members)) + "}"
-
-
-def _key(item: Any) -> str:
-    return item if isinstance(item, str) else item[0]
-
-
-def _template(spec: tuple, first: int = 0) -> tuple[str, list[int]]:
-    """A row's JSON object as a %-template with keys sorted at every level, and
-    the ``spec``-order index of the value behind each %s slot."""
-    entries = []
-    for item in spec:
-        text, order = ("%s", [first]) if isinstance(item, str) else _template(item[1], first)
-        entries.append((_key(item), text, order))
-        first += len(order)
-    entries.sort()
-    text = ",".join(f"{dumps_canonical(key)}:{t}" for key, t, _ in entries)
-    return "{" + text + "}", [i for *_, order in entries for i in order]
 
 
 def _json_texts(column: np.ndarray) -> list[str]:
@@ -330,34 +319,20 @@ def _json_texts(column: np.ndarray) -> list[str]:
     return list(map(int.__repr__, column.tolist()))
 
 
-def _epsilon_pair() -> tuple[str, list[str]]:
-    """The %-template of an ε comparison's two rows, outcome 0 then outcome 1,
-    and the column key behind each slot of one row."""
-    template, order = _template(EPSILON_KEYS)
-    outcome = EPSILON_KEYS.index("outcome")
-    pair = ",".join(template % tuple(str(o) if i == outcome else "%s" for i in order) for o in (0, 1))
-    return pair, [EPSILON_KEYS[i] for i in order if i != outcome]
-
-
-_SINGLE_TEMPLATE = _template(_SINGLE_ROW)
-_PAIR_TEMPLATE = _template(_PAIR_ROW)
-_EPSILON_PAIR, _EPSILON_SLOTS = _epsilon_pair()
-
-
-def _table_json(row: tuple[str, list[int]], keys: list[str], columns: list[np.ndarray]) -> str:
-    """A table object: one row per key, from the row's `_template` and its value
-    columns in spec order."""
-    template, order = row
-    rows = map(template.__mod__, zip(*(_json_texts(columns[i]) for i in order)))
+def _table_json(template: str, keys: list[str], columns: list[np.ndarray]) -> str:
+    """A table object: one row per key, from the row template and its value
+    columns in slot order."""
+    rows = map(template.__mod__, zip(*map(_json_texts, columns)))
     return _json_object(zip(keys, rows))
 
 
 def _epsilon_json(record: ExperimentRecord, position: int) -> str:
     """An ε table: each comparison of `_signaling` gives the rows of outcome 0
     and 1, whose numbers are formatted once and written into both."""
-    keys = (k for k in EPSILON_KEYS if k != "outcome")
-    columns = dict(zip(keys, record.signaling_columns[position]))
-    texts = [_json_texts(columns[key]) for key in _EPSILON_SLOTS]
+    fixed, varied_a, varied_b, difference, stderr = map(
+        _json_texts, record.signaling_columns[position]
+    )
+    texts = (difference, fixed, stderr, varied_a, varied_b)
     return "[" + ",".join(map(_EPSILON_PAIR.__mod__, zip(*texts, *texts))) + "]"
 
 
@@ -383,10 +358,10 @@ def dumps_record(record: ExperimentRecord) -> str:
     return _json_object([
         *((key, dumps_canonical(value)) for key, value in scalars.items()),
         ("singles", _table_json(
-            _SINGLE_TEMPLATE, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
+            _SINGLE_ROW, [str(v) for v in range(len(ones))], [record.shots - ones, ones, p1, se1]
         )),
         ("pairs", _table_json(
-            _PAIR_TEMPLATE, [f"{first},{second}" for first, second in record.contexts],
+            _PAIR_ROW, [f"{first},{second}" for first, second in record.contexts],
             [*counts.T, *p.T, *se.T],
         )),
         ("epsilon", _epsilon_json(record, 1)),

@@ -220,7 +220,7 @@ def full_scan_independence_number(g: Graph) -> IndependenceResult:
 
 def complement(g: Graph) -> Graph:
     """Edge present in the output iff absent in the input; weights dropped."""
-    present = g.edge_set
+    present = frozenset(g.edges)
     edges = [
         (i, j)
         for i in range(g.n)
@@ -260,7 +260,7 @@ def are_exclusive(a1: Event, a2: Event, g: Graph) -> bool:
     for obs, out in a1.items():
         if obs in a2 and a2[obs] != out:
             return True
-    eset = g.edge_set
+    eset = frozenset(g.edges)
     for o1, v1 in a1.items():
         if v1 != 1:
             continue

@@ -32,7 +32,7 @@ class TestBuildGraph:
     def test_kcbs_pentagon(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert g.n == 5 and len(g.edges) == 5
-        assert all(g.degree(v) == 2 for v in range(5))
+        assert all(len(g.neighbors(v)) == 2 for v in range(5))
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -66,7 +66,7 @@ class TestComplement:
         # connected 2-regular graph on 5 vertices, i.e. a 5-cycle.
         g = complement(cycle_graph(5))
         assert len(g.edges) == 5
-        assert all(g.degree(v) == 2 for v in range(5))
+        assert all(len(g.neighbors(v)) == 2 for v in range(5))
         reached = {0}
         frontier = [0]
         while frontier:
@@ -230,7 +230,7 @@ class TestTwoPointGraph:
     def test_large_event_graph_round_trips_through_json(self):
         eg = build_two_point_graph(self._beyond_hypothesis_sources()["n24-m48"])
         assert len(eg.source.edges) == 48
-        assert sum(1 for v in range(24) if eg.source.degree(v) == 0) == 2
+        assert sum(1 for v in range(24) if not eg.source.neighbors(v)) == 2
         text = dumps_canonical(event_graph_to_jsonable(eg))
         back = event_graph_from_jsonable(json.loads(text))
         assert back == eg and hash(back) == hash(eg)
@@ -280,7 +280,6 @@ class TestArrayBuiltGraph:
                 assert got.tolist() == want.tolist()
                 assert not got.flags.writeable
             assert _array_built(g).adjacency == g.adjacency
-            assert _array_built(g).edge_set == g.edge_set
             assert not _array_built(g).is_weighted
 
     def test_differs_where_the_tuple_built_graphs_differ(self):

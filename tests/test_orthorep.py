@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -148,6 +150,24 @@ _SWEEP_DRAW_261 = (
         (20, 22),
     ],
 )
+
+
+class TestOverlapSum:
+    """The overlap sum adds left to right, as on Python 3.10 and 3.11, so the
+    report's overlap_sum does not depend on the compensated sum() of 3.12."""
+
+    def test_tiny_overlaps_after_one_are_lost(self):
+        rest = math.sqrt(1 - 1e-16)
+        vectors = np.array([[1.0, 0.0], [1e-8, rest], [1e-8, rest]])
+        rep = OrthoRep(dimension=2, psi=np.array([1.0, 0.0]), vectors=vectors)
+        assert rep.overlaps().tolist() == pytest.approx([1.0, 1e-16, 1e-16], rel=1e-12, abs=0)
+        assert rep.overlap_sum() == 1.0
+
+    @pytest.mark.parametrize("name", ["c21", "petersen"])
+    def test_catalog_sums_fold_in_vertex_order(self, name):
+        g = catalog(name)
+        rep = extract_ortho_rep(g, theta(g))
+        assert rep.overlap_sum() == functools.reduce(operator.add, rep.overlaps().tolist(), 0.0)
 
 
 class TestExtraction:

@@ -515,10 +515,20 @@ class TestRecordWriter:
             with pytest.raises(ValueError):
                 dumps_canonical([0.5, bad])
 
-    def test_templates_sort_keys_at_every_level(self):
-        template, order = serialize._template((("z", ("b", "a")), "m", ("c", ("y", "x"))))
-        assert template == '{"c":{"x":%s,"y":%s},"m":%s,"z":{"a":%s,"b":%s}}'
-        assert order == [4, 3, 2, 1, 0]
+    def test_templates_are_the_encoders_rows(self):
+        """Each row template, filled slot by slot with distinct markers, is the
+        encoder's text of the same row built as a dict; the ε pair is the
+        two-row list without its brackets."""
+        marks = iter(range(100, 200))
+        single = {key: next(marks) for key in ("n0", "n1", "p1", "stderr")}
+        pair = {table: {f"{a}{b}": next(marks) for a, b in OUTCOMES}
+                for table in ("counts", "p", "stderr")}
+        epsilon = {key: next(marks) for key in ("difference", "fixed", "stderr", "varied_a", "varied_b")}
+        pair_slots = [value for outcomes in pair.values() for value in outcomes.values()]
+        assert serialize._SINGLE_ROW % tuple(single.values()) == dumps_canonical(single)
+        assert serialize._PAIR_ROW % tuple(pair_slots) == dumps_canonical(pair)
+        rows = [{**epsilon, "outcome": outcome} for outcome in (0, 1)]
+        assert "[" + serialize._EPSILON_PAIR % (*epsilon.values(), *epsilon.values()) + "]" == dumps_canonical(rows)
 
     def test_cli_simulate_writes_the_tree(self, tmp_path, capsys):
         path = tmp_path / "petersen.json"

@@ -442,11 +442,12 @@ class TestStructuralProperties:
         for _ in range(6):
             n = int(rng.integers(3, 9))
             g = random_graph(rng, n, 0.4)
+            present = frozenset(g.edges)
             non_edges = [
                 (i, j)
                 for i in range(n)
                 for j in range(i + 1, n)
-                if (i, j) not in g.edge_set
+                if (i, j) not in present
             ]
             if not non_edges:
                 continue
