@@ -89,7 +89,9 @@ def _json_vertex(key: str) -> int:
 def graph_from_jsonable(data: Any) -> Graph:
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
-    raw_edges = data.get("edges", [])
+    if "edges" not in data:
+        raise ParseError("graph JSON has no 'edges' list")
+    raw_edges = data["edges"]
     raw_weights = data.get("weights")
     if not isinstance(raw_edges, list):
         raise ParseError("graph JSON 'edges' must be a list")
@@ -155,14 +157,16 @@ def graph_from_dimacs(text: str) -> Graph:
             if n is None:
                 raise ParseError(f"{kind} line before problem line", lineno)
             try:
-                i, j = int(parts[1]), int(parts[2])
-            except (IndexError, ValueError) as err:
+                i, j = map(int, parts[1:])  # exactly two numbers: unpacking refuses more
+            except ValueError as err:
                 raise ParseError(f"malformed {kind} line {line!r}", lineno) from err
             if kind == "weight":
                 if not 1 <= i <= n:
                     raise ParseError(f"weight for vertex {i} out of range for n={n}", lineno)
                 if j < 1:
                     raise ParseError(f"weight of vertex {i} must be >= 1, got {j}", lineno)
+                if i - 1 in weights:
+                    raise ParseError(f"second weight line for vertex {i}", lineno)
                 weights[i - 1] = j
             elif not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"edge ({i},{j}) out of range for n={n}", lineno)

@@ -32,10 +32,12 @@ factor is the Cholesky factorisation that re-projection runs anyway as its
 definiteness test.  Every factorisation, solve and eigenvalue goes straight
 to LAPACK, so nothing checks finiteness on the way; the loop checks each new
 iterate once instead and raises ValueError if it is not finite.  The raw
-wrappers (`dpotrf`, `dpotrs`, `dsyevr`, `dtrtri`) come from
-`scipy.linalg.lapack`, which `_lapack` imports on the first call that needs
-it: importing this module, and everything that never runs the SDP, loads
-numpy alone.  `SdpSolution.termination` names the exit the loop took.
+wrappers (`dpotrf`, `dpotrs`, `dsyevr`, `dtrtri`) come from SciPy's compiled
+extension `scipy.linalg._flapack`, the module whose functions
+`scipy.linalg.lapack` re-exports.  `_lapack` loads that extension on the
+first call that needs it, without importing the `scipy.linalg` package:
+importing this module, and everything that never runs the SDP, loads numpy
+alone.  `SdpSolution.termination` names the exit the loop took.
 
 The dual of the program is
 
@@ -52,7 +54,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,14 +268,37 @@ def lift_primal(eg: EventGraph, X: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _lapack():
-    """`scipy.linalg.lapack`, imported once per process by the first helper that calls it.
+    """SciPy's LAPACK extension `scipy.linalg._flapack`, loaded once per process.
 
-    Importing `scipy.linalg` takes more time and memory than the rest of
-    the package together, and nothing outside the SDP needs it.
+    The SDP calls four wrappers of this one extension.  Importing the
+    `scipy.linalg` package around it costs more time and memory than the
+    rest of this package together (its array-API layer pulls in
+    `numpy.f2py` and `numpy.testing`), so the extension file is loaded from
+    SciPy's install directory, unless `scipy.linalg` is loaded already.
+    The wrappers are the same objects either way.
+
+    The loader may register the module in `sys.modules`.  The entry is dropped
+    again: left in place, a later `import scipy.linalg` would find it there
+    and never set the package's `_flapack` attribute.
     """
-    from scipy.linalg import lapack
+    if "scipy.linalg" in sys.modules:
+        from scipy.linalg import _flapack
 
-    return lapack
+        return _flapack
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"SciPy's LAPACK extension {stem}.* is missing", name=name)
+    spec = importlib.util.spec_from_file_location(name, stem + suffix)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
 
 
 def _smallest_eigenvalue(S: np.ndarray) -> float:

@@ -361,18 +361,54 @@ assert main(["transform", "c5", "--format", "json", "--output", str(tmp / "gp.js
 assert main(["alpha", "c5", "--output", str(tmp / "alpha.txt")]) == 0
 assert main(["alpha", str(tmp / "gp.json"), "--format", "json", "--output", str(tmp / "a.json")]) == 0
 assert json.loads((tmp / "a.json").read_text())["alpha"] == 7
-assert "scipy.linalg" not in sys.modules
+assert "scipy" not in sys.modules
 assert abs(theta(cycle_graph(5)).primal_value - math.sqrt(5)) <= 1e-7
-assert "scipy.linalg" in sys.modules
+assert "scipy" in sys.modules
+assert main(["certify", "c5", "--format", "json", "--output", str(tmp / "certify.json")]) == 0
+assert main(["simulate", "c5", "--shots", "1000", "--format", "json",
+             "--output", str(tmp / "simulate.json")]) == 0
+assert json.loads((tmp / "certify.json").read_text())["complete"] is True
+unloaded = ("scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing")
+assert not [name for name in unloaded if name in sys.modules], sorted(sys.modules)
 """
 
 
 def test_scipy_loads_on_the_first_sdp_only(tmp_path):
     """Compiling G', alpha and the catalog, transform and alpha commands
-    leave scipy.linalg unimported; the first theta imports it."""
+    leave SciPy unimported; the first theta loads its LAPACK extension, and
+    neither it nor the certify and simulate commands import scipy.linalg."""
     proc = subprocess.run([sys.executable, "-c", _NO_SDP_PATHS, str(tmp_path)],
                           env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_IMPORT_ORDER = """
+import sys
+
+from twopoint import cycle_graph, theta
+
+if sys.argv[1] == "before":
+    import scipy.linalg
+X = theta(cycle_graph(7)).X
+import scipy.linalg
+
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg.lapack.dpotrf is sys.modules["twopoint.theta"]._lapack().dpotrf
+sys.stdout.write(X.tobytes().hex())
+"""
+
+
+def test_scipy_linalg_imports_normally_either_side_of_the_first_sdp():
+    """Loading the extension on its own leaves a later `import scipy.linalg`
+    whole: its `_flapack` attribute is set, its `lapack` wrappers are the
+    ones the SDP calls, and theta's X is the same bits whichever came first."""
+    outputs = []
+    for order in ("after", "before"):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_ORDER, order], env=_fresh_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_lapack_kernel_tests_pass_alone():

@@ -231,6 +231,23 @@ class TestGraphFormats:
     @pytest.mark.parametrize(
         "text, message",
         [
+            ("p edge 3 1\nn 2 2\nn 2 5\ne 1 2\n", "^line 3: second weight line for vertex 2$"),
+            ("p edge 3 1\nn 2 2\nn 2 2\n", "^line 3: second weight line for vertex 2$"),
+            ("p edge 3 1\ne 1 2 7\n", "^line 2: malformed edge line 'e 1 2 7'$"),
+            ("p edge 3 0\nn 2 5 1\n", "^line 2: malformed weight line 'n 2 5 1'$"),
+            ("p edge 3 1\ne 1\n", "^line 2: malformed edge line 'e 1'$"),
+        ],
+        ids=["repeated-weight", "repeated-equal-weight", "edge-extra-number",
+             "weight-extra-number", "edge-one-number"],
+    )
+    def test_dimacs_line_misread_refused(self, text, message):
+        # The parser kept the last of two weights, and read e/n lines by their first two numbers.
+        with pytest.raises(ParseError, match=message):
+            parse_graph(text, "dimacs")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
             ('{"n": 3.9, "edges": []}', "'n' must be an integer, got 3.9$"),
             ('{"n": 3, "edges": [[0, 1.7]]}', r"endpoint of edge \[0, 1.7\] must be an integer"),
             ('{"n": true, "edges": []}', "'n' must be an integer, got True$"),
@@ -280,6 +297,12 @@ class TestGraphFormats:
     def test_json_repeated_key_refused(self, text, key):
         # json.loads alone keeps the last value: n = 3, or weight 5 for vertex 3.
         with pytest.raises(ParseError, match=f"^repeated key '{key}' in JSON object$"):
+            parse_graph(text, "json")
+
+    @pytest.mark.parametrize("text", ['{"n": 5, "edge": [[0, 1], [1, 2]]}', '{"n": 5}'])
+    def test_json_missing_edges_refused(self, text):
+        # A missing key read as no edges: the graph was edgeless and certify passed it trivially.
+        with pytest.raises(ParseError, match="^graph JSON has no 'edges' list$"):
             parse_graph(text, "json")
 
     def test_json_canonical_weight_keys_read(self):
