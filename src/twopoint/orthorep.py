@@ -12,9 +12,12 @@ contributes theta * X_ii to the overlap sum.
 F is tried at two widths.  Its columns whose eigenvalue is above the
 tolerance give a low dimension (3 on the odd cycles) and usually suffice;
 when they do not, all columns with a positive eigenvalue reproduce X to
-round-off, at a dimension of about n.  The verifier certifies the result
-numerically instead of trusting the construction.  It feeds the exact
-witness values and the simulation only.
+round-off, at a dimension of about n.  At both widths a direction of the
+neighbours' span counts only if its singular value is above a tenth of the
+tolerance, so every edge overlap stays below that tenth, and a singular
+value at round-off does not cost a vertex its vector.  The verifier
+certifies the result numerically instead of trusting the construction.  It
+feeds the exact witness values and the simulation only.
 """
 
 from __future__ import annotations
@@ -128,14 +131,17 @@ def verify_ortho_rep(
     )
 
 
-def _place(g: Graph, F: np.ndarray) -> np.ndarray:
-    """Unit vectors from the rows f_i of F, orthogonal to round-off along every edge.
+def _place(g: Graph, F: np.ndarray, tolerance: float) -> np.ndarray:
+    """Unit vectors from the rows f_i of F, with every edge overlap below ``tolerance / 10``.
 
     Vertices are placed in order of decreasing |f_i|.  Each v_i is f_i
-    projected off the span of its already-placed neighbours' vectors (their
-    numerical rank read off an SVD), then normalised.  A row that vanishes,
-    to 1e-12 of the longest, gets a fresh axis appended after F's columns,
-    orthogonal to every other vector and to psi.
+    projected off the span of its already-placed neighbours' vectors, then
+    normalised.  The span keeps the left singular vectors of those vectors
+    whose singular value is above ``tolerance / 10``.  A neighbour's vector
+    lies in the kept span up to the dropped directions, so by Cauchy-Schwarz
+    its overlap with v_i is at most the largest dropped singular value.  A
+    row that vanishes, to 1e-12 of the longest, gets a fresh axis appended
+    after F's columns, orthogonal to every other vector and to psi.
     """
     sq = np.einsum("ij,ij->i", F, F)
     vectors = np.zeros_like(F)
@@ -147,7 +153,7 @@ def _place(g: Graph, F: np.ndarray) -> np.ndarray:
         if nbrs:
             B = vectors[nbrs].T
             u, s = np.linalg.svd(B, full_matrices=False)[:2]
-            u = u[:, s > s[0] * max(B.shape) * np.finfo(float).eps]
+            u = u[:, s > tolerance / 10]
             # A second pass removes what cancellation leaves of the first
             # when f_i lies nearly in that span.
             v = v - u @ (u.T @ v)
@@ -170,12 +176,13 @@ def extract_ortho_rep(
 
     Reads F and psi off the optimal X = F F^T with `primal_factor`, the
     factor `lift_primal` lifts to G', and places the vertex vectors with
-    `_place`.  The first try keeps only F's columns whose eigenvalue is above
-    ``tolerance`` and is returned when it passes `verify_ortho_rep` at
-    ``tolerance``.  Otherwise the construction reruns on every column with a
-    positive eigenvalue, which reproduces X to round-off; that result must
-    pass at `realisation_gate`, or ExtractionError is raised rather than a
-    silently bad representation returned.
+    `_place`, whose edge overlaps stay below ``tolerance / 10``.  The first
+    try keeps only F's columns whose eigenvalue is above ``tolerance`` and is
+    returned when it passes `verify_ortho_rep` at ``tolerance``.  Otherwise
+    the construction reruns on every column with a positive eigenvalue,
+    which reproduces X to round-off; that result must pass at
+    `realisation_gate`, or ExtractionError is raised rather than a silently
+    bad representation returned.
     """
     if sol.status is not SdpStatus.CONVERGED:
         raise ValueError(f"need a converged SDP solution, got status {sol.status.value}")
@@ -184,7 +191,7 @@ def extract_ortho_rep(
         raise ValueError(f"solution shape {X.shape} does not match n={g.n}")
     for floor, gate in ((tolerance, tolerance), (0.0, realisation_gate(tolerance))):
         F, psi = primal_factor(X, floor)
-        vectors = _place(g, F)
+        vectors = _place(g, F, tolerance)
         psi = np.pad(psi, (0, vectors.shape[1] - len(psi)))
         rep = OrthoRep(dimension=vectors.shape[1], psi=psi, vectors=vectors)
         report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)

@@ -39,6 +39,13 @@ first call that needs it, without importing the `scipy.linalg` package:
 importing this module, and everything that never runs the SDP, loads numpy
 alone.  `SdpSolution.termination` names the exit the loop took.
 
+The loop returns its best iterate, whichever exit fires.  It stops at a gap
+of a hundredth of the tolerance, or once the gap stops falling: after 10
+non-improving iterations while the best gap is above the tolerance, after 3
+once it is within it, and at the first once it is within a tenth of it.
+Below the tolerance a stall is round-off (a re-projection lift raising the
+gap), and the best iterate is already certified.
+
 The dual of the program is
 
     minimize  y_0   subject to  y_0 I - (J - Y) positive semidefinite,
@@ -79,8 +86,11 @@ class SdpTermination(enum.Enum):
     """Which exit of the interior-point loop fired."""
 
     GAP_TARGET = "gap_target"
+    # The gap stopped falling: 10 non-improving iterations above the
+    # tolerance, 3 within it, 1 within a tenth of it (see `_patience`).
     STALLED = "stalled"
     Z_NOT_FACTORABLE = "z_not_factorable"
+    X_NOT_FACTORABLE = "x_not_factorable"
     SCHUR_NOT_FACTORABLE = "schur_not_factorable"
     STEP_TOO_SMALL = "step_too_small"
     MAX_ITERATIONS = "max_iterations"
@@ -275,7 +285,9 @@ def _lapack():
     rest of this package together (its array-API layer pulls in
     `numpy.f2py` and `numpy.testing`), so the extension file is loaded from
     SciPy's install directory, unless `scipy.linalg` is loaded already.
-    The wrappers are the same objects either way.
+    `importlib.util.find_spec` names that directory without running SciPy's
+    own `__init__`, so no `scipy` module is imported at all.  The wrappers
+    are the same objects either way.
 
     The loader may register the module in `sys.modules`.  The entry is dropped
     again: left in place, a later `import scipy.linalg` would find it there
@@ -285,10 +297,11 @@ def _lapack():
         from scipy.linalg import _flapack
 
         return _flapack
-    import scipy
-
     name = "scipy.linalg._flapack"
-    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("SciPy is not installed", name="scipy")
+    stem = os.path.join(package.submodule_search_locations[0], "linalg", "_flapack")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
             break
@@ -323,7 +336,9 @@ def _inverse_factor(M: np.ndarray) -> np.ndarray | None:
     return _lapack().dtrtri(U)[0]
 
 
-def _reproject(X: np.ndarray, ij: np.ndarray, ji: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reproject(
+    X: np.ndarray, ij: np.ndarray, ji: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     """X with zero edge entries and unit trace imposed exactly, and U^-1 for X = U^T U.
 
     ``ij`` and ``ji`` are the edges' flat indices i n + j and j n + i.
@@ -334,7 +349,7 @@ def _reproject(X: np.ndarray, ij: np.ndarray, ji: np.ndarray) -> tuple[np.ndarra
     Cholesky factorisation that fails sends X through `_lift_to_pd` (a
     diagonal shift respects the edge constraints).  The factor of the
     definite X is kept: scaled by sqrt(trace) it is the factor of the
-    returned X.
+    returned X.  If the lifted X does not factor either, U^-1 is None.
     """
     X = (X + X.T) / 2
     Xf = X.reshape(-1)
@@ -343,9 +358,18 @@ def _reproject(X: np.ndarray, ij: np.ndarray, ji: np.ndarray) -> tuple[np.ndarra
     U, info = _lapack().dpotrf(X, clean=1)
     if info:
         X = _lift_to_pd(X)
-        U, _ = _lapack().dpotrf(X, clean=1)
+        U, info = _lapack().dpotrf(X, clean=1)
+        if info:
+            return X, None
     t = float(X.trace())
     return X / t, _lapack().dtrtri(U)[0] * math.sqrt(t)
+
+
+def _patience(best_gap: float, tolerance: float) -> int:
+    """Non-improving iterations the loop waits for before it exits STALLED."""
+    if best_gap <= 0.1 * tolerance:
+        return 1
+    return 3 if best_gap <= tolerance else 10
 
 
 def _max_step(R: np.ndarray, dM: np.ndarray) -> float:
@@ -513,11 +537,11 @@ def theta(
             best_gap, best = gap, (X, y)
         else:
             stall += 1
+            if stall >= _patience(best_gap, tolerance):
+                termination = SdpTermination.STALLED
+                break
         if gap <= target_gap:
             termination = SdpTermination.GAP_TARGET
-            break
-        if stall >= 10:
-            termination = SdpTermination.STALLED
             break
         mu = gap / n
 
@@ -571,8 +595,11 @@ def theta(
         if ap <= 1e-12 and ad <= 1e-12:
             termination = SdpTermination.STEP_TOO_SMALL
             break
-        X, Rx = _reproject(X_next, ij, ji)
-        y = y_next
+        X_next, Rx = _reproject(X_next, ij, ji)
+        if Rx is None:
+            termination = SdpTermination.X_NOT_FACTORABLE
+            break
+        X, y = X_next, y_next
         Z = build_Z(y)
 
     gap = float(y[0] - X.sum())

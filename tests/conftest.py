@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,10 @@ def random_graph(rng: np.random.Generator, n: int, p: float):
         if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def sampled_graph(seed, n: int, m: int):
+    """m of the n(n-1)/2 vertex pairs drawn by random.Random(seed), sorted:
+    the draw of the benchmark's random graphs."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return build_graph(n, sorted(random.Random(seed).sample(pairs, m)))

@@ -17,8 +17,9 @@ from twopoint import (
     theta,
     verify_ortho_rep,
 )
+from twopoint.orthorep import _place
 from twopoint.simulate import joint_probs_projective, pure_state
-from conftest import random_graph
+from conftest import random_graph, sampled_graph
 from oracles import builtin_kcbs_rep, kcbs_graph, vertex_overlap
 
 SQRT5 = math.sqrt(5.0)
@@ -278,3 +279,34 @@ class TestExtraction:
             for (i, j) in g.edges:
                 probs = joint_probs_projective(state, (i, j), rep)
                 assert probs[(1, 1)] <= 1e-9
+
+
+class TestRoundOffRank:
+    """`_place` counts a direction of the placed neighbours' span only when its
+    singular value is above tolerance / 10, which bounds every edge overlap
+    by tolerance / 10 (Cauchy-Schwarz over the dropped directions)."""
+
+    def test_round_off_direction_leaves_the_vertex_its_overlap(self):
+        # Vertex 0's neighbours 1 and 2 are placed first.  Their span holds e_1
+        # with singular value 7e-11, round-off; f_0 lies along e_1.
+        g = build_graph(3, [(0, 1), (0, 2)])
+        F = np.array([[0.0, 0.08, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]])
+        V = _place(g, F, 1e-7)
+        assert V.shape == (3, 3)  # no fresh axis
+        assert V[0] @ F[0] / np.linalg.norm(F[0]) == pytest.approx(1.0, abs=1e-15)
+        assert max(abs(V[0] @ V[1]), abs(V[0] @ V[2])) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "seed, n, m, dimension",
+        [(0, 10, 22, 5), ("simulate_noisy/pool/2/0", 32, 84, 7)],
+        ids=["random-10-22", "simulate-noisy-2"],
+    )
+    def test_first_try_passes(self, seed, n, m, dimension):
+        # The random rung of the benchmark's certify ladder, and graph 2 of its
+        # simulate_noisy workload.  Counting round-off as rank gave fresh axes
+        # there: d = 10 on the first and, after the first try failed, d = n.
+        g = sampled_graph(seed, n, m)
+        sol = theta(g)
+        rep = extract_ortho_rep(g, sol)
+        assert rep.dimension == dimension
+        assert verify_ortho_rep(g, rep, sol.tolerance, theta_target=sol.primal_value).passed

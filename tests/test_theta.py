@@ -21,7 +21,7 @@ from twopoint import (
 )
 from twopoint.cli import main
 from twopoint.theta import _Schur
-from conftest import random_graph
+from conftest import random_graph, sampled_graph
 from oracles import complement, odd_cycle_theta, theta_sandwich
 
 # The package re-exports the function `theta` under the module's name.
@@ -380,6 +380,49 @@ class TestUndrivenExits:
 
         monkeypatch.setattr(theta_mod, "_max_step", max_step)
         self._check(theta(c5), ref, SdpTermination.STEP_TOO_SMALL)
+
+    def test_x_not_factorable(self, c5, monkeypatch):
+        ref = theta(c5, max_iterations=self.K)
+        original = theta_mod._reproject
+        calls, lifts = [], []
+
+        def reproject(X, ij, ji):
+            # X0, then one new iterate per iteration.  From iteration K + 1
+            # on X is negated, and the lift leaves it so: neither
+            # factorisation succeeds.
+            calls.append(X)
+            return original(-X if len(calls) > self.K + 1 else X, ij, ji)
+
+        def lift_to_pd(M):
+            lifts.append(M)
+            return M
+
+        monkeypatch.setattr(theta_mod, "_reproject", reproject)
+        monkeypatch.setattr(theta_mod, "_lift_to_pd", lift_to_pd)
+        self._check(theta(c5), ref, SdpTermination.X_NOT_FACTORABLE)
+        assert len(lifts) == 1
+
+
+class TestStalledEndGame:
+    """A stall once the best gap is within tolerance is round-off: the loop
+    waits 3 non-improving iterations there, and 1 within a tenth of it."""
+
+    def test_patience(self):
+        gaps = (1e-9, 1e-8, 5e-8, 1e-7, 2e-7, 1.0)
+        assert [theta_mod._patience(gap, 1e-7) for gap in gaps] == [1, 1, 3, 3, 10, 10]
+
+    def test_integer_theta_stops_three_stalls_after_its_best(self):
+        # Graph 1 of the benchmark's simulate_noisy workload: theta = 13.  The
+        # best gap, 1.30e-8, is followed by re-projection lifts that raise the
+        # gap; waiting 10 stalls for them returned the same iterate after 24
+        # iterations.
+        g = sampled_graph("simulate_noisy/pool/1/1", 28, 66)
+        sol = theta(g)
+        assert sol.status is SdpStatus.CONVERGED
+        assert sol.termination is SdpTermination.STALLED
+        assert sol.iterations <= 17
+        assert sol.duality_gap == pytest.approx(1.3027e-8, rel=1e-3)
+        assert sol.primal_value == pytest.approx(13.0, abs=1e-7)
 
 
 class TestValidation:
