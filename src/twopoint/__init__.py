@@ -39,8 +39,6 @@ from .simulate import (
     ExperimentRecord,
     NoiseModel,
     QState,
-    epsilon_prime,
-    epsilon_signaling,
     exact_witnesses,
     joint_probs_demolition,
     joint_probs_projective,
@@ -50,7 +48,9 @@ from .simulate import (
 )
 from .catalog import catalog, catalog_names
 from .certify import CertifyOptions, CertifyReport, StageError, certify, emit_report
-from .serialize import ParseError, dumps_canonical, emit_graph, parse_graph
+from .serialize import (
+    ParseError, dumps_canonical, emit_graph, epsilon_prime, epsilon_signaling, parse_graph
+)
 
 __version__ = "0.1.0"
 
@@ -85,8 +85,6 @@ __all__ = [
     "ExperimentRecord",
     "NoiseModel",
     "QState",
-    "epsilon_prime",
-    "epsilon_signaling",
     "exact_witnesses",
     "joint_probs_demolition",
     "joint_probs_projective",
@@ -103,5 +101,7 @@ __all__ = [
     "ParseError",
     "dumps_canonical",
     "emit_graph",
+    "epsilon_prime",
+    "epsilon_signaling",
     "parse_graph",
 ]

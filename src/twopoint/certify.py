@@ -45,8 +45,8 @@ from .simulate import (
     run_experiment,
 )
 # The benchmark tracer patches these names.
-from .serialize import record_to_jsonable  # noqa: F401
-from .simulate import epsilon_prime, epsilon_signaling, joint_probs_projective  # noqa: F401
+from .serialize import epsilon_prime, epsilon_signaling, record_to_jsonable  # noqa: F401
+from .simulate import joint_probs_projective  # noqa: F401
 from .theta import (
     DEFAULT_TOLERANCE,
     DualReport,
@@ -296,7 +296,7 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     gate = realisation_gate(opts.tolerance)
 
     with stage("orthorep"):
-        rep = extract_ortho_rep(work, sol_g, tolerance=opts.tolerance)
+        rep = extract_ortho_rep(work, sol_g)
         rep_report = verify_ortho_rep(work, rep, gate, theta_target=data["theta_g"]["value"])
         data["orthorep"] = {"dimension": rep.dimension, **rep_report.measures(), "tolerance": gate}
 

@@ -41,16 +41,15 @@ from .simulate import SCHEMES, NoiseModel, run_experiment
 from .theta import DEFAULT_TOLERANCE, theta
 
 # The benchmark tracer patches these names.
-from .serialize import record_to_jsonable  # noqa: F401
-from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
+from .serialize import epsilon_prime, epsilon_signaling, record_to_jsonable  # noqa: F401
 
 
-def _load_graph(source: str, fmt: str) -> Graph:
+def _load_graph(source: str) -> Graph:
     if source == "-":
-        return parse_graph(sys.stdin.read(), fmt)
+        return parse_graph(sys.stdin.read())
     path = Path(source)
     if path.exists():
-        return parse_graph(path.read_text(encoding="utf-8"), fmt)
+        return parse_graph(path.read_text(encoding="utf-8"))
     try:
         return catalog(source)
     except ValueError as err:
@@ -58,7 +57,7 @@ def _load_graph(source: str, fmt: str) -> Graph:
 
 
 def _load_unweighted(args) -> Graph:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_graph(args.graph)
     if g.is_weighted:
         hint = "twopoint certify expands vertex weights"
         raise ValueError(f"twopoint {args.command} needs an unweighted graph; {hint}")
@@ -74,12 +73,6 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph file (JSON or DIMACS), '-' for stdin, or a catalog name")
-    p.add_argument(
-        "--input-format",
-        choices=("auto", "json", "dimacs"),
-        default="auto",
-        help="input graph format (default: sniffed)",
-    )
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -221,7 +214,7 @@ def _cmd_transform(args) -> int:
 def _cmd_orthorep(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
-    rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
+    rep = extract_ortho_rep(g, sol)
     gate = realisation_gate(args.tolerance)
     report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
     if args.format == "json":
@@ -243,8 +236,7 @@ def _cmd_orthorep(args) -> int:
 def _cmd_simulate(args) -> int:
     noise = _noise(args)
     g = _load_unweighted(args)
-    sol = theta(g, tolerance=args.tolerance)
-    rep = extract_ortho_rep(g, sol, tolerance=args.tolerance)
+    rep = extract_ortho_rep(g, theta(g, tolerance=args.tolerance))
     record = run_experiment(
         rep, g, shots=args.shots, seed=args.seed, noise=noise, scheme=args.scheme
     )
@@ -267,7 +259,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.graph, args.input_format)
+    g = _load_graph(args.graph)
     opts = CertifyOptions(
         tolerance=args.tolerance,
         shots=args.shots,

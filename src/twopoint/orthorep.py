@@ -9,6 +9,7 @@ normalised sum of F's rows f_i, and each vertex vector is f_i made
 orthogonal to its neighbours' vectors.  At an optimum vertex i then
 contributes theta * X_ii to the overlap sum.
 
+The tolerance is the one the SDP was solved to, ``SdpSolution.tolerance``.
 F is tried at two widths.  Its columns whose eigenvalue is above the
 tolerance give a low dimension (3 on the odd cycles) and usually suffice;
 when they do not, all columns with a positive eigenvalue reproduce X to
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .theta import DEFAULT_TOLERANCE, SdpSolution, SdpStatus, primal_factor
+from .theta import SdpSolution, SdpStatus, primal_factor
 
 
 def realisation_gate(tolerance: float) -> float:
@@ -45,17 +46,20 @@ class ExtractionError(RuntimeError):
 class OrthoRep:
     """Unit handle state ``psi`` plus one unit vector per vertex (rows of ``vectors``).
 
-    Arrays are frozen at construction; instances are safe to share between
-    threads.
+    The dimension is the vectors' width, which ``psi`` must match.  Arrays
+    are frozen at construction; instances are safe to share between threads.
     """
 
-    dimension: int
     psi: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
         psi = np.array(self.psi)
         vectors = np.array(self.vectors)
+        if vectors.ndim != 2:
+            raise ValueError(f"vectors must be an n x d array, got shape {vectors.shape}")
+        if psi.shape != vectors.shape[1:]:
+            raise ValueError(f"psi has shape {psi.shape}, expected ({vectors.shape[1]},)")
         psi.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -64,6 +68,10 @@ class OrthoRep:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
     def overlaps(self) -> np.ndarray:
         """Every vertex's squared overlap |<v|psi>|^2 with the handle, in vertex
@@ -104,12 +112,10 @@ def verify_ortho_rep(
     theta_target: Optional[float] = None,
 ) -> OrthoRepReport:
     """Check edge orthogonality, unit norms, and (optionally) the overlap sum."""
-    if rep.vectors.shape != (g.n, rep.dimension):
+    if rep.n != g.n:
         raise ValueError(
             f"vectors have shape {rep.vectors.shape}, expected ({g.n},{rep.dimension})"
         )
-    if rep.psi.shape != (rep.dimension,):
-        raise ValueError(f"psi has shape {rep.psi.shape}, expected ({rep.dimension},)")
     # np.vecdot conjugates its first argument, as np.vdot does, and on real
     # vectors sums each row in the order of np.dot.
     V = rep.vectors
@@ -169,31 +175,31 @@ def _place(g: Graph, F: np.ndarray, tolerance: float) -> np.ndarray:
     return np.hstack([vectors, axes])
 
 
-def extract_ortho_rep(
-    g: Graph, sol: SdpSolution, tolerance: float = DEFAULT_TOLERANCE
-) -> OrthoRep:
+def extract_ortho_rep(g: Graph, sol: SdpSolution) -> OrthoRep:
     """Build the representation realizing the quantum maximum from the SDP optimum.
 
     Reads F and psi off the optimal X = F F^T with `primal_factor`, the
     factor `lift_primal` lifts to G', and places the vertex vectors with
-    `_place`, whose edge overlaps stay below ``tolerance / 10``.  The first
-    try keeps only F's columns whose eigenvalue is above ``tolerance`` and is
-    returned when it passes `verify_ortho_rep` at ``tolerance``.  Otherwise
-    the construction reruns on every column with a positive eigenvalue,
-    which reproduces X to round-off; that result must pass at
-    `realisation_gate`, or ExtractionError is raised rather than a silently
-    bad representation returned.
+    `_place`, whose edge overlaps stay below a tenth of ``sol.tolerance``,
+    the tolerance the SDP was solved to.  The first try keeps only F's
+    columns whose eigenvalue is above that tolerance and is returned when it
+    passes `verify_ortho_rep` at it.  Otherwise the construction reruns on
+    every column with a positive eigenvalue, which reproduces X to
+    round-off; that result must pass at `realisation_gate`, or
+    ExtractionError is raised rather than a silently bad representation
+    returned.
     """
     if sol.status is not SdpStatus.CONVERGED:
         raise ValueError(f"need a converged SDP solution, got status {sol.status.value}")
     X = np.asarray(sol.X, dtype=float)
     if X.shape != (g.n, g.n):
         raise ValueError(f"solution shape {X.shape} does not match n={g.n}")
+    tolerance = sol.tolerance
     for floor, gate in ((tolerance, tolerance), (0.0, realisation_gate(tolerance))):
         F, psi = primal_factor(X, floor)
         vectors = _place(g, F, tolerance)
         psi = np.pad(psi, (0, vectors.shape[1] - len(psi)))
-        rep = OrthoRep(dimension=vectors.shape[1], psi=psi, vectors=vectors)
+        rep = OrthoRep(psi, vectors)
         report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
         if report.passed:
             return rep

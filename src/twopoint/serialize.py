@@ -1,16 +1,19 @@
 """Parsing and deterministic serialization of the file formats.
 
 Graphs travel as JSON ``{"n": int, "edges": [[i,j],...], "weights": {...}?}``
-or DIMACS edge lists; event graphs, representations, and experiment records
-have JSON forms of their own.  Output is canonical JSON: sorted keys, no
-whitespace and shortest round-trip floats, so identical inputs produce
-byte-identical output.  `dumps_canonical` runs the standard library's C
-encoder over a tree of dicts and lists, and every emitter uses it, except for
-the experiment record.  The record has one writer, `dumps_record`, which
-writes its text straight from its count arrays into three fixed row
-templates, each a row's canonical JSON with a slot per value; `twopoint
-simulate --format json` and `certify`'s JSON report both write the record
-with it.  The record's tree, `record_to_jsonable`, is the parse of that text.
+or DIMACS edge lists, told apart by the text's first non-blank character;
+event graphs, representations, and experiment records have JSON forms of
+their own.  Output is canonical JSON: sorted keys, no whitespace and shortest
+round-trip floats, so identical inputs produce byte-identical output.
+`dumps_canonical` runs the standard library's C encoder over a tree of dicts
+and lists, and every emitter uses it, except for the experiment record.  The
+record has one writer, `dumps_record`, which writes its text straight from
+its count arrays into three fixed row templates, each a row's canonical JSON
+with a slot per value; `twopoint simulate --format json` and `certify`'s JSON
+report both write the record with it.  The record's tree,
+`record_to_jsonable`, is the parse of that text, and its ε and ε′ tables,
+`epsilon_signaling` and `epsilon_prime`, are the parses of the two tables'
+text.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import numpy as np
 from .graphs import EventGraph, Graph, build_graph
 from .orthorep import OrthoRep
 from .simulate import ExperimentRecord, binomial_estimates
-# The benchmark tracer patches these names.
-from .simulate import epsilon_prime, epsilon_signaling  # noqa: F401
 
 
 class ParseError(ValueError):
@@ -191,20 +192,16 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse a graph from JSON or DIMACS text; ``auto`` sniffs the format."""
-    if fmt == "auto":
-        stripped = text.lstrip()
-        fmt = "json" if stripped.startswith("{") else "dimacs"
-    if fmt == "json":
-        try:
-            data = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"invalid JSON: {err.msg}", err.lineno) from err
-        return graph_from_jsonable(data)
-    if fmt == "dimacs":
+def parse_graph(text: str) -> Graph:
+    """Parse a graph from JSON text, which starts with ``{`` or ``[`` after any
+    whitespace, or else from DIMACS text, no line of which starts with either."""
+    if not text.lstrip().startswith(("{", "[")):
         return graph_from_dimacs(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid JSON: {err.msg}", err.lineno) from err
+    return graph_from_jsonable(data)
 
 
 def emit_graph(g: Graph, fmt: str = "json") -> str:
@@ -284,9 +281,9 @@ def orthorep_from_jsonable(data: Any) -> OrthoRep:
             raise TypeError(f"'vectors' must be a list, got {raw_vectors!r}")
         vectors = np.array([_vector_from_jsonable(v, d, f"vector {k}")
                             for k, v in enumerate(raw_vectors)])
+        return OrthoRep(psi, vectors)
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"bad representation JSON: {err}") from err
-    return OrthoRep(dimension=d, psi=psi, vectors=vectors)
 
 
 # -- experiment records -------------------------------------------------
@@ -376,3 +373,25 @@ def dumps_record(record: ExperimentRecord) -> str:
 def record_to_jsonable(record: ExperimentRecord) -> dict:
     """The record as a tree of dicts and lists: the parse of :func:`dumps_record`."""
     return json.loads(dumps_record(record))
+
+
+def epsilon_signaling(record: ExperimentRecord) -> list[dict[str, Any]]:
+    """Influence of the first setting on the second measurement's marginal: the
+    record's ``epsilon`` table, parsed from the text `dumps_record` writes.
+
+    For every observable B and every pair of first settings A, A' measured
+    before B, and each outcome b, a row reports |P(.,b|A,B) - P(.,b|A',B)|
+    with propagated standard error.  Zero for perfectly compatible
+    measurements; sensitive to measurement imperfections.
+    """
+    return json.loads(_epsilon_json(record, 1))
+
+
+def epsilon_prime(record: ExperimentRecord) -> list[dict[str, Any]]:
+    """Influence of the later setting on the first measurement's marginal: the
+    record's ``epsilon_prime`` table, parsed as `epsilon_signaling` is.
+
+    Zero by causality in any sampling scheme; its empirical spread is the
+    yardstick against which the epsilon table is judged.
+    """
+    return json.loads(_epsilon_json(record, 0))

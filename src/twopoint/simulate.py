@@ -11,9 +11,11 @@ Carlo experiments sample every single-observable context and every ordered
 pair context with a fixed number of shots, under an optional noise model,
 from one call of that kernel: seed stream 0 draws the vector misalignment,
 stream 1 every count, so a fixed seed gives a fixed record within a version
-of the package.  Records carry no-signaling diagnostics: epsilon compares the
-second measurement's marginal across first settings, epsilon-prime the first
-measurement's marginal across second settings.
+of the package.  Records carry no-signaling diagnostics, as the columns of
+`ExperimentRecord.signaling_columns`: epsilon compares the second
+measurement's marginal across first settings, epsilon-prime the first
+measurement's marginal across second settings.  Their JSON rows are written
+by `serialize`, which also returns them as tables.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -170,9 +172,9 @@ def exact_witnesses(rep: OrthoRep, g: Graph) -> tuple[float, float]:
 
     S is the singles P(1) = |<v|psi>|^2 less each edge's P(1, 1); S' is the
     singles plus each edge's three pair events of G', P(0, 0), P(0, 1) and
-    P(1, 0), and exceeds S by the number of edges up to rounding.  Both are
-    summed left to right: the singles in vertex order, then the edges in the
-    order of ``g.edges``.
+    P(1, 0), and exceeds S by the number of edges up to rounding.  Both start
+    from the singles' sum `OrthoRep.overlap_sum` and add the edges left to
+    right in the order of ``g.edges``.
     """
     if rep.n != g.n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {g.n}")
@@ -182,10 +184,7 @@ def exact_witnesses(rep: OrthoRep, g: Graph) -> tuple[float, float]:
         np.stack(g.edge_index, axis=1),
         demolition=False,
     )
-    singles = 0.0
-    for p in rep.overlaps().tolist():  # not sum(), which compensates from Python 3.12 on
-        singles += p
-    s = s_prime = singles
+    s = s_prime = rep.overlap_sum()
     for p00, p01, p10, p11 in table.tolist():
         s -= p11
         s_prime += p00
@@ -232,25 +231,30 @@ def _flip_table(table: np.ndarray, f: float) -> np.ndarray:
 
 
 def _misaligned_vectors(rep: OrthoRep, angle: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotate each vertex vector by ``angle`` toward an independent random direction."""
-    vecs = rep.vectors.astype(complex if np.iscomplexobj(rep.vectors) else float).copy()
-    cplx = np.iscomplexobj(vecs)
-    d = rep.dimension
-    for v in range(vecs.shape[0]):
-        base = vecs[v]
-        u = None
-        for _ in range(64):
-            cand = rng.standard_normal(d)
-            if cplx:
-                cand = cand + 1j * rng.standard_normal(d)
-            cand = cand - base * np.vdot(base, cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-9:
-                u = cand / norm
-                break
-        if u is None:  # dimension 1: no orthogonal direction exists
-            continue
-        vecs[v] = math.cos(angle) * base + math.sin(angle) * u
+    """Rotate each vertex vector by ``angle`` toward an independent random direction.
+
+    One call of ``rng`` draws every vertex's standard normal candidate in
+    vertex order: d entries, or for complex vectors d real then d imaginary
+    entries.  The direction is the candidate's part orthogonal to the vertex
+    vector, normalised.  A vertex whose orthogonal part has norm at most
+    1e-9, as every vertex has at d = 1, keeps its vector.
+    """
+    cplx = np.iscomplexobj(rep.vectors)
+    vecs = rep.vectors.astype(complex if cplx else float)
+    n, d = vecs.shape
+    if cplx:
+        draws = rng.standard_normal((n, 2, d))
+        cand = draws[:, 0] + 1j * draws[:, 1]
+    else:
+        cand = rng.standard_normal((n, d))
+    # Row by row as np.vdot and np.linalg.norm compute them for one vector.
+    cand = cand - vecs * np.vecdot(vecs, cand)[:, None]
+    sq = np.vecdot(cand.real, cand.real)
+    if cplx:
+        sq = sq + np.vecdot(cand.imag, cand.imag)
+    norm = np.sqrt(sq)
+    turn = norm > 1e-9
+    vecs[turn] = math.cos(angle) * vecs[turn] + math.sin(angle) * (cand[turn] / norm[turn, None])
     return vecs
 
 
@@ -332,6 +336,8 @@ def run_experiment(
         raise ValueError("shots must be at least 1")
     if shots >= 2**63:
         raise ValueError(f"shots must be below 2**63 (counts are int64), got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if rep.n != g.n:
@@ -379,18 +385,15 @@ def run_experiment(
     )
 
 
-# The keys of an epsilon row, in the order its values are listed.
-EPSILON_KEYS = ("fixed", "varied_a", "varied_b", "outcome", "difference", "stderr")
-
-
 def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...]:
     """Compare the marginal at ``position`` of every observable across the settings
     measured with it in the other position.
 
     One comparison per pair of contexts that share the observable ``fixed`` at
     ``position`` while the co-measured setting changes between ``varied_a`` and
-    ``varied_b``, in (fixed, varied_a, varied_b) order.  Returns the columns of
-    ``EPSILON_KEYS`` but ``outcome``, one entry per comparison, because both
+    ``varied_b``, in (fixed, varied_a, varied_b) order.  Returns the columns
+    fixed, varied_a, varied_b, difference and stderr of an ε row, every key but
+    ``outcome``, one entry per comparison, because both
     outcomes' rows hold the same numbers: outcome 0's marginal count is shots
     minus outcome 1's, so ``difference`` = |m1_a - m1_b| / shots comes from the
     integer counts, and ``binomial_estimates`` gives a count and its complement
@@ -419,33 +422,3 @@ def _signaling(record: ExperimentRecord, position: int) -> tuple[np.ndarray, ...
     for column in columns:
         column.setflags(write=False)
     return columns
-
-
-def _signaling_rows(record: ExperimentRecord, position: int) -> list[dict[str, Any]]:
-    """The comparisons of `_signaling` as the JSON record's rows: outcome 0, then
-    the same row for outcome 1."""
-    rows: list[dict[str, Any]] = []
-    for f, va, vb, d, e in zip(*(c.tolist() for c in record.signaling_columns[position])):
-        zero = dict(zip(EPSILON_KEYS, (f, va, vb, 0, d, e)))
-        rows += (zero, {**zero, "outcome": 1})
-    return rows
-
-
-def epsilon_signaling(record: ExperimentRecord) -> list[dict[str, Any]]:
-    """Influence of the first setting on the second measurement's marginal.
-
-    For every observable B and every pair of first settings A, A' measured
-    before B, and each outcome b, reports |P(.,b|A,B) - P(.,b|A',B)| with
-    propagated standard error.  Zero for perfectly compatible measurements;
-    sensitive to measurement imperfections.
-    """
-    return _signaling_rows(record, 1)
-
-
-def epsilon_prime(record: ExperimentRecord) -> list[dict[str, Any]]:
-    """Influence of the later setting on the first measurement's marginal.
-
-    Zero by causality in any sampling scheme; its empirical spread is the
-    yardstick against which the epsilon table is judged.
-    """
-    return _signaling_rows(record, 0)

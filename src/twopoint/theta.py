@@ -418,8 +418,6 @@ class _Schur:
         ei, ej, ij, ji = self.ei, self.ej, self.ij, self.ji
         H, ga, gb = self.H, self._ga, self._gb
         H[0, 0] = float(np.sum(X * W))
-        if not len(ei):
-            return H
         Rf = (W @ X).reshape(-1)
         h0 = Rf[ji] + Rf[ij]
         H[0, 1:] = h0
@@ -497,7 +495,6 @@ def theta(
             termination=SdpTermination.GAP_TARGET,
         )
 
-    me = m - 1
     ei, ej = g.edge_index
     ij, ji = ei * n + ej, ej * n + ei
     J = np.ones((n, n))
@@ -506,10 +503,9 @@ def theta(
 
     def build_Z(y: np.ndarray) -> np.ndarray:
         Z = y[0] * eye_n - J
-        if me:
-            Zf = Z.reshape(-1)
-            Zf[ij] += y[1:]
-            Zf[ji] += y[1:]
+        Zf = Z.reshape(-1)
+        Zf[ij] += y[1:]
+        Zf[ji] += y[1:]
         return Z
 
     X, Rx = _reproject(eye_n, ij, ji)  # X0 = I/n
@@ -565,15 +561,13 @@ def theta(
                 R -= C
             rhs = np.empty(m)
             rhs[0] = float(R.trace())
-            if me:
-                Rf = R.reshape(-1)
-                rhs[1:] = Rf[ij] + Rf[ji]
+            Rf = R.reshape(-1)
+            rhs[1:] = Rf[ij] + Rf[ji]
             dy = schur.solve(ch, rhs)
             dZ = dy[0] * eye_n
-            if me:
-                dZf = dZ.reshape(-1)
-                dZf[ij] += dy[1:]
-                dZf[ji] += dy[1:]
+            dZf = dZ.reshape(-1)
+            dZf[ij] += dy[1:]
+            dZf[ji] += dy[1:]
             dXr = R - X @ dZ @ W
             return dy, dZ, (dXr + dXr.T) / 2
 

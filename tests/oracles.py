@@ -37,7 +37,7 @@ from twopoint.graphs import PAIR_OUTCOMES, Edge
 from twopoint.serialize import (
     ParseError, _json_int, event_graph_to_jsonable, graph_from_jsonable, graph_to_jsonable
 )
-from twopoint.simulate import OUTCOMES, _joint_table, _misaligned_vectors
+from twopoint.simulate import OUTCOMES, _joint_table
 from twopoint.theta import DEFAULT_TOLERANCE
 
 # The package re-exports the function `theta` under the module's name.
@@ -479,7 +479,7 @@ def builtin_kcbs_rep() -> OrthoRep:
         ]
     )
     psi = np.array([1.0, 0.0, 0.0])
-    return OrthoRep(dimension=3, psi=psi, vectors=vectors)
+    return OrthoRep(psi=psi, vectors=vectors)
 
 
 def kcbs_graph() -> Graph:
@@ -698,7 +698,7 @@ def isolated_and_leaf_case() -> tuple[Graph, OrthoRep]:
     rng = np.random.default_rng(3)
     vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     psi = rng.standard_normal(6)
-    return g, OrthoRep(dimension=6, psi=psi / np.linalg.norm(psi), vectors=vecs.T.copy())
+    return g, OrthoRep(psi=psi / np.linalg.norm(psi), vectors=vecs.T.copy())
 
 
 def luders_joint_table(
@@ -741,6 +741,35 @@ def luders_joint_table(
     return singles, np.array(rows).reshape(-1, 4)
 
 
+def misaligned_vectors_loop(
+    rep: OrthoRep, angle: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The vector misalignment one vertex at a time, as the package drew it
+    before `_misaligned_vectors` drew every candidate in one call: each vertex
+    draws d normals, then d more for the imaginary part of complex vectors,
+    projects them off its vector with `np.vdot`, and draws again, up to 64
+    times, while the remainder's norm is at most 1e-9."""
+    vecs = rep.vectors.astype(complex if np.iscomplexobj(rep.vectors) else float).copy()
+    cplx = np.iscomplexobj(vecs)
+    d = rep.dimension
+    for v in range(vecs.shape[0]):
+        base = vecs[v]
+        u = None
+        for _ in range(64):
+            cand = rng.standard_normal(d)
+            if cplx:
+                cand = cand + 1j * rng.standard_normal(d)
+            cand = cand - base * np.vdot(base, cand)
+            norm = np.linalg.norm(cand)
+            if norm > 1e-9:
+                u = cand / norm
+                break
+        if u is None:  # dimension 1: no orthogonal direction exists
+            continue
+        vecs[v] = math.cos(angle) * base + math.sin(angle) * u
+    return vecs
+
+
 def per_context_counts(
     rep: OrthoRep,
     g: Graph,
@@ -768,10 +797,10 @@ def per_context_counts(
         state = QState(rho)
     vectors = rep.vectors
     if noise.vector_misalignment_angle != 0.0:
-        vectors = _misaligned_vectors(
+        vectors = misaligned_vectors_loop(
             rep, noise.vector_misalignment_angle, np.random.default_rng(misalign_stream)
         )
-    noisy_rep = OrthoRep(dimension=vectors.shape[1], psi=rep.psi, vectors=vectors)
+    noisy_rep = OrthoRep(psi=rep.psi, vectors=vectors)
 
     rng = np.random.default_rng(count_stream)
     single_counts = {}

@@ -180,7 +180,7 @@ def test_criterion_6_scheme_equivalence():
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
-        rep = OrthoRep(dimension=d, psi=psi, vectors=vecs)
+        rep = OrthoRep(psi=psi, vectors=vecs)
         if rng.random() < 0.5:
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = a @ a.conj().T

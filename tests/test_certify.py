@@ -166,7 +166,7 @@ class TestCertifyPipeline:
         assert "complete: NO" in text
 
     def test_extraction_failure_keeps_theta_gprime(self, monkeypatch):
-        def failing(g, sol, tolerance):
+        def failing(g, sol):
             raise ExtractionError("injected")
 
         monkeypatch.setattr(certify_mod, "extract_ortho_rep", failing)
@@ -831,6 +831,16 @@ class TestCli:
         assert "shots must be below 2**63" in str(info.value.cause)
         assert info.value.report.data["error"]["stage"] == "montecarlo"
 
+    def test_negative_seed_refused_by_name(self, capsys):
+        assert main(["simulate", "c5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        with pytest.raises(StageError) as info:
+            certify(cycle_graph(5), CertifyOptions(seed=-1))
+        assert info.value.stage == "montecarlo"
+        assert "seed" in str(info.value.cause)
+
     def test_certify_stage_failure_emits_partial_report(self, capsys):
         assert main(["certify", "k7", "--shots", str(10**19), "--format", "json"]) == 1
         captured = capsys.readouterr()
@@ -842,7 +852,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["orthorep", "simulate"])
     def test_extraction_failure_is_an_error_line(self, monkeypatch, capsys, command):
-        def failing(g, sol, tolerance):
+        def failing(g, sol):
             raise ExtractionError("injected")
 
         monkeypatch.setattr(cli_mod, "extract_ortho_rep", failing)

@@ -53,14 +53,14 @@ class TestVerifier:
         rep = builtin_kcbs_rep()
         vectors = rep.vectors.copy()
         vectors[2] = rep.psi
-        bad = OrthoRep(dimension=3, psi=rep.psi, vectors=vectors)
+        bad = OrthoRep(psi=rep.psi, vectors=vectors)
         report = verify_ortho_rep(kcbs_graph(), bad, 1e-6)
         assert not report.orthogonality_ok
         assert not report.passed
 
     def test_scaling_breaks_norms(self):
         rep = builtin_kcbs_rep()
-        bad = OrthoRep(dimension=3, psi=2 * rep.psi, vectors=2 * rep.vectors)
+        bad = OrthoRep(psi=2 * rep.psi, vectors=2 * rep.vectors)
         report = verify_ortho_rep(kcbs_graph(), bad, 1e-6)
         assert not report.norms_ok
 
@@ -69,17 +69,23 @@ class TestVerifier:
         with pytest.raises(ValueError, match="shape"):
             verify_ortho_rep(build_graph(4, []), rep, 1e-6)
 
+    def test_psi_must_match_the_vectors_width(self):
+        with pytest.raises(ValueError, match="psi has shape"):
+            OrthoRep(np.ones(2) / 2**0.5, np.eye(3))
+        with pytest.raises(ValueError, match="n x d"):
+            OrthoRep(np.ones(3), np.ones(3))
+
     def test_edge_overlap_conjugates_the_first_vector(self):
         # v_0^T v_1 = 1, but <v_0, v_1> = conj(v_0) . v_1 = 0: K2's edge is orthogonal.
         v = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
         assert abs(v[0] @ v[1]) == pytest.approx(1.0) and abs(np.vdot(v[0], v[1])) <= 1e-16
-        rep = OrthoRep(dimension=2, psi=np.array([1.0, 0.0]), vectors=v)
+        rep = OrthoRep(psi=np.array([1.0, 0.0]), vectors=v)
         report = verify_ortho_rep(build_graph(2, [(0, 1)]), rep, 1e-9, theta_target=1.0)
         assert report.max_edge_overlap <= 1e-16
         assert report.passed
 
     def test_edgeless_graph_has_zero_edge_overlap(self):
-        rep = OrthoRep(dimension=3, psi=np.ones(3) / math.sqrt(3.0), vectors=np.eye(3))
+        rep = OrthoRep(psi=np.ones(3) / math.sqrt(3.0), vectors=np.eye(3))
         report = verify_ortho_rep(build_graph(3, []), rep, 1e-9, theta_target=1.0)
         assert report.max_edge_overlap == 0.0
         assert report.passed
@@ -90,7 +96,7 @@ class TestVerifier:
             rep = builtin_kcbs_rep()
         elif name == "k2-complex":
             v = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
-            rep = OrthoRep(dimension=2, psi=np.array([0.6, 0.8j]), vectors=v)
+            rep = OrthoRep(psi=np.array([0.6, 0.8j]), vectors=v)
         else:
             g = catalog(name)
             rep = extract_ortho_rep(g, theta(g))
@@ -160,7 +166,7 @@ class TestOverlapSum:
     def test_tiny_overlaps_after_one_are_lost(self):
         rest = math.sqrt(1 - 1e-16)
         vectors = np.array([[1.0, 0.0], [1e-8, rest], [1e-8, rest]])
-        rep = OrthoRep(dimension=2, psi=np.array([1.0, 0.0]), vectors=vectors)
+        rep = OrthoRep(psi=np.array([1.0, 0.0]), vectors=vectors)
         assert rep.overlaps().tolist() == pytest.approx([1.0, 1e-16, 1e-16], rel=1e-12, abs=0)
         assert rep.overlap_sum() == 1.0
 
@@ -179,6 +185,16 @@ class TestExtraction:
         assert rep.overlap_sum() == pytest.approx(SQRT5, abs=1e-5)
         report = verify_ortho_rep(c5, rep, 1e-5, theta_target=sol.primal_value)
         assert report.passed
+
+    @pytest.mark.parametrize("name, dimension", [("c21", 3), ("petersen", 5)])
+    def test_loose_solution_is_judged_at_its_own_tolerance(self, name, dimension):
+        # Judged at a tighter tolerance than it was solved to, the first try
+        # failed and the fallback gave d = n.
+        g = catalog(name)
+        sol = theta(g, tolerance=1e-4)
+        rep = extract_ortho_rep(g, sol)
+        assert rep.dimension == dimension
+        assert verify_ortho_rep(g, rep, 1e-4, theta_target=sol.primal_value).passed
 
     def test_empty_graph_vectors_align_with_handle(self):
         g = build_graph(4, [])

@@ -70,7 +70,7 @@ class TestTinyFirstOutcome:
             q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
             psi = q @ np.array([np.sqrt(1 - self.EPS), np.sqrt(self.EPS), 0.0, 0.0])
             vectors = np.array([q[:, 0], q @ np.array([0.0, 0.6, 0.8, 0.0])])
-            rep = OrthoRep(dimension=4, psi=psi, vectors=vectors)
+            rep = OrthoRep(psi=psi, vectors=vectors)
             probs = kernel(pure_state(psi), (0, 1), rep)
             assert probs[(0, 1)] == pytest.approx(0.36 * self.EPS, rel=0, abs=1e-15)
 
@@ -289,9 +289,9 @@ _dimacs_line = st.builds(
 )
 
 
-def _parses_or_refuses(text: str, fmt: str) -> None:
+def _parses_or_refuses(text: str) -> None:
     try:
-        g = parse_graph(text, fmt)
+        g = parse_graph(text)
     except ParseError:
         return
     assert isinstance(g, Graph)
@@ -301,14 +301,12 @@ class TestParserFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_graph_like, _json_value))
     def test_json_value(self, value):
-        text = json.dumps(value)
-        _parses_or_refuses(text, "json")
-        _parses_or_refuses(text, "auto")
+        _parses_or_refuses(json.dumps(value))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_dimacs_line, max_size=8))
     def test_dimacs_lines(self, lines):
-        _parses_or_refuses("\n".join(lines), "dimacs")
+        _parses_or_refuses("\n".join(lines))
 
 
 def _fresh_env(**variables: str) -> dict[str, str]:

@@ -169,22 +169,22 @@ def test_every_emitted_tree_has_string_keys(tmp_path, monkeypatch):
 
 class TestGraphFormats:
     def test_json_round_trip(self, c5):
-        assert parse_graph(emit_graph(c5, "json"), "json") == c5
+        assert parse_graph(emit_graph(c5, "json")) == c5
 
     def test_json_round_trip_weighted(self):
         g = build_graph(3, [(0, 1), (1, 2)], weights={1: 4})
-        assert parse_graph(emit_graph(g, "json"), "json") == g
+        assert parse_graph(emit_graph(g, "json")) == g
 
     def test_dimacs_round_trip(self, c5):
-        assert parse_graph(emit_graph(c5, "dimacs"), "dimacs") == c5
+        assert parse_graph(emit_graph(c5, "dimacs")) == c5
 
     def test_dimacs_round_trip_weighted(self):
         g = build_graph(3, [(0, 1), (1, 2)], weights={1: 4})
-        assert parse_graph(emit_graph(g, "dimacs"), "dimacs") == g
+        assert parse_graph(emit_graph(g, "dimacs")) == g
 
     def test_dimacs_pentagon(self):
         text = "c pentagon\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
-        assert parse_graph(text, "dimacs") == kcbs_graph()
+        assert parse_graph(text) == kcbs_graph()
 
     def test_auto_detection(self, c5):
         assert parse_graph(emit_graph(c5, "json")) == c5
@@ -193,40 +193,40 @@ class TestGraphFormats:
     def test_duplicate_edge_warns_and_dedupes(self):
         text = '{"n": 3, "edges": [[0, 1], [1, 0]]}'
         with pytest.warns(UserWarning, match="duplicate"):
-            g = parse_graph(text, "json")
+            g = parse_graph(text)
         assert g.edges == ((0, 1),)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
-            parse_graph('{"n": 3, "edges": [[1, 1]]}', "json")
+            parse_graph('{"n": 3, "edges": [[1, 1]]}')
 
     def test_dimacs_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_graph("p edge 3 1\ne 1 9\n", "dimacs")
+            parse_graph("p edge 3 1\ne 1 9\n")
         with pytest.raises(ParseError, match="line 1"):
-            parse_graph("e 1 2\n", "dimacs")
+            parse_graph("e 1 2\n")
 
     def test_dimacs_second_problem_line_refused(self):
         with pytest.raises(ParseError, match="^line 2: second problem line 'p edge 5 0'$"):
-            parse_graph("p edge 3 0\np edge 5 0\ne 1 5\n", "dimacs")
+            parse_graph("p edge 3 0\np edge 5 0\ne 1 5\n")
 
     def test_dimacs_weight_before_problem_line_refused(self):
         with pytest.raises(ParseError, match="^line 2: weight line before problem line$"):
-            parse_graph("c weights first\nn 1 2\np edge 3 1\ne 1 2\n", "dimacs")
+            parse_graph("c weights first\nn 1 2\np edge 3 1\ne 1 2\n")
 
     @pytest.mark.parametrize("vertex", [0, 4])
     def test_dimacs_weight_vertex_out_of_range(self, vertex):
         with pytest.raises(
             ParseError, match=f"^line 3: weight for vertex {vertex} out of range for n=3$"
         ):
-            parse_graph(f"p edge 3 1\ne 1 2\nn {vertex} 5\n", "dimacs")
+            parse_graph(f"p edge 3 1\ne 1 2\nn {vertex} 5\n")
 
     @pytest.mark.parametrize("weight", [0, -4])
     def test_dimacs_weight_below_one_refused(self, weight):
         with pytest.raises(
             ParseError, match=f"^line 2: weight of vertex 1 must be >= 1, got {weight}$"
         ):
-            parse_graph(f"p edge 3 0\nn 1 {weight}\n", "dimacs")
+            parse_graph(f"p edge 3 0\nn 1 {weight}\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -243,7 +243,7 @@ class TestGraphFormats:
     def test_dimacs_line_misread_refused(self, text, message):
         # The parser kept the last of two weights, and read e/n lines by their first two numbers.
         with pytest.raises(ParseError, match=message):
-            parse_graph(text, "dimacs")
+            parse_graph(text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -261,7 +261,7 @@ class TestGraphFormats:
     )
     def test_json_non_integer_refused(self, text, message):
         with pytest.raises(ParseError, match=message):
-            parse_graph(text, "json")
+            parse_graph(text)
 
     @pytest.mark.parametrize(
         "weights, key",
@@ -284,7 +284,7 @@ class TestGraphFormats:
         text = json.dumps({"n": 12, "edges": [], "weights": weights})
         message = f"'weights' key {re.escape(repr(key))} is not a canonical vertex number$"
         with pytest.raises(ParseError, match=message):
-            parse_graph(text, "json")
+            parse_graph(text)
 
     @pytest.mark.parametrize(
         "text, key",
@@ -297,26 +297,27 @@ class TestGraphFormats:
     def test_json_repeated_key_refused(self, text, key):
         # json.loads alone keeps the last value: n = 3, or weight 5 for vertex 3.
         with pytest.raises(ParseError, match=f"^repeated key '{key}' in JSON object$"):
-            parse_graph(text, "json")
+            parse_graph(text)
 
     @pytest.mark.parametrize("text", ['{"n": 5, "edge": [[0, 1], [1, 2]]}', '{"n": 5}'])
     def test_json_missing_edges_refused(self, text):
         # A missing key read as no edges: the graph was edgeless and certify passed it trivially.
         with pytest.raises(ParseError, match="^graph JSON has no 'edges' list$"):
-            parse_graph(text, "json")
+            parse_graph(text)
 
     def test_json_canonical_weight_keys_read(self):
-        g = parse_graph('{"n": 12, "edges": [], "weights": {"0": 2, "3": 4, "10": 5}}', "json")
+        g = parse_graph('{"n": 12, "edges": [], "weights": {"0": 2, "3": 4, "10": 5}}')
         assert g.weights == (2, 1, 1, 4, 1, 1, 1, 1, 1, 1, 5, 1)
-        assert parse_graph(json.dumps(serialize.graph_to_jsonable(g)), "json") == g
+        assert parse_graph(json.dumps(serialize.graph_to_jsonable(g))) == g
 
     def test_invalid_json_reported(self):
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_graph("{oops", "json")
+            parse_graph("{oops")
 
-    def test_unknown_format(self, c5):
-        with pytest.raises(ValueError, match="format"):
-            parse_graph("x", "yaml")
+    def test_json_array_is_refused_as_json(self):
+        # "[" sniffs as JSON, so an array gets the JSON error, not a DIMACS one
+        with pytest.raises(ParseError, match="object"):
+            parse_graph("[[0, 1]]")
 
 
 class TestEventGraphSerialization:
@@ -406,7 +407,7 @@ class TestOrthoRepSerialization:
 
     def test_complex_entries_as_re_im_pairs(self):
         vec = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        rep = OrthoRep(dimension=2, psi=vec, vectors=np.array([vec, vec.conj()]))
+        rep = OrthoRep(psi=vec, vectors=np.array([vec, vec.conj()]))
         data = orthorep_to_jsonable(rep)
         assert data["psi"][1] == [0.0, pytest.approx(1 / math.sqrt(2))]
         back = orthorep_from_jsonable(json.loads(dumps_canonical(data)))
@@ -432,6 +433,7 @@ class TestOrthoRepSerialization:
             ({"vectors": [[1, 0], [1, 0, 0]]}, "vector 1 must be a list of d = 2 entries"),
             ({"psi": 1}, "'psi' must be a list"),
             ({"vectors": {"0": [1, 0]}}, "'vectors' must be a list"),
+            ({"vectors": []}, "vectors must be an n x d array"),
         ],
     )
     def test_malformed_field_named(self, change, error):
@@ -479,7 +481,6 @@ def _writer_cases():
     g12 = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4])
     vecs = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
     rep12 = OrthoRep(
-        dimension=5,
         psi=vecs[0] / np.linalg.norm(vecs[0]),
         vectors=vecs / np.linalg.norm(vecs, axis=1, keepdims=True),
     )
@@ -492,7 +493,7 @@ def _writer_cases():
                 cases.append((label, run_experiment(kcbs_rep, kcbs, shots, 5, noise, scheme)))
         cases.append((f"leafy-{scheme}", run_experiment(leafy_rep, leafy, 5_000, 2, noisy, scheme)))
         cases.append((f"random-12-{scheme}", run_experiment(rep12, g12, 10**6, 3, noisy, scheme)))
-    cases.append(("edgeless", run_experiment(OrthoRep(3, np.eye(3)[0], np.eye(3)), edgeless, 100, 1)))
+    cases.append(("edgeless", run_experiment(OrthoRep(np.eye(3)[0], np.eye(3)), edgeless, 100, 1)))
     return cases
 
 

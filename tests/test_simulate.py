@@ -24,7 +24,7 @@ from twopoint import (
     theta,
 )
 from twopoint.certify import EXACT_CONSISTENCY_TOL
-from twopoint.simulate import OUTCOMES, _flip_table, _joint_table
+from twopoint.simulate import OUTCOMES, _flip_table, _joint_table, _misaligned_vectors
 from twopoint.serialize import record_to_jsonable
 from conftest import random_graph
 from oracles import (
@@ -40,6 +40,7 @@ from oracles import (
     luders_joint_table,
     luders_update,
     maximally_mixed,
+    misaligned_vectors_loop,
     pair_estimate,
     pair_row,
     pairwise_signaling,
@@ -169,7 +170,7 @@ class TestJointProbabilities:
         for _ in range(25):
             d = int(rng.integers(2, 5))
             vecs = np.array([random_unit(rng, d), random_unit(rng, d)])
-            rep = OrthoRep(dimension=d, psi=random_unit(rng, d), vectors=vecs)
+            rep = OrthoRep(psi=random_unit(rng, d), vectors=vecs)
             st = pure_state(rep.psi)
             probs = joint_probs_demolition(st, (0, 1), rep)
             expected = born_single(st, vecs[0]) * born_single(pure_state(vecs[0]), vecs[1])
@@ -181,7 +182,7 @@ class TestJointProbabilities:
             d = int(rng.integers(2, 6))
             n_v = 2
             vecs = np.array([random_unit(rng, d) for _ in range(n_v)])
-            rep = OrthoRep(dimension=d, psi=random_unit(rng, d), vectors=vecs)
+            rep = OrthoRep(psi=random_unit(rng, d), vectors=vecs)
             st = (
                 random_mixed_state(rng, d)
                 if rng.random() < 0.5
@@ -199,7 +200,7 @@ class TestJointProbabilities:
         rng = np.random.default_rng(17)
         g = random_graph(rng, 9, 0.4)
         d = 4
-        rep = OrthoRep(dimension=d, psi=random_unit(rng, d),
+        rep = OrthoRep(psi=random_unit(rng, d),
                        vectors=np.array([random_unit(rng, d) for _ in range(g.n)]))
         st = random_mixed_state(rng, d)
         contexts = ordered_contexts(g)
@@ -310,7 +311,7 @@ class TestExactWitnesses:
         g = random_graph(rng, int(rng.integers(2, 12)), 0.4)
         d = int(rng.integers(1, 6))
         complex_ = bool(seed % 2)
-        rep = OrthoRep(dimension=d, psi=random_unit(rng, d, complex_),
+        rep = OrthoRep(psi=random_unit(rng, d, complex_),
                        vectors=np.array([random_unit(rng, d, complex_) for _ in range(g.n)]))
         assert exact_witnesses(rep, g) == dict_witnesses(rep, g)
 
@@ -369,6 +370,8 @@ class TestRunExperiment:
             run_experiment(rep, build_graph(3, [(0, 1)]), shots=1, seed=0)
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             run_experiment(rep, kcbs_graph(), shots=2**63, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            run_experiment(rep, kcbs_graph(), shots=1, seed=-1)
 
     def test_demolition_scheme_estimates_match_exact(self):
         rep = builtin_kcbs_rep()
@@ -415,7 +418,6 @@ class TestSignalingDiagnostics:
 
     def test_no_shared_second_means_empty_table(self, k2):
         rep = OrthoRep(
-            dimension=2,
             psi=np.array([1.0, 0.0]),
             vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
@@ -427,7 +429,7 @@ class TestSignalingDiagnostics:
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         rng = np.random.default_rng(0)
         vecs = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        rep = OrthoRep(dimension=4, psi=vecs[:, 3].copy(), vectors=vecs.T[:4].copy())
+        rep = OrthoRep(psi=vecs[:, 3].copy(), vectors=vecs.T[:4].copy())
         record = run_experiment(rep, g, shots=50, seed=12)
         # hub as second observable: 3 first settings -> 3 pairs x 2 outcomes
         assert len(epsilon_signaling(record)) == 6
@@ -515,7 +517,7 @@ class TestNearZeroBranches:
         eps = rng.uniform(1e-12, 1e-11, d - 1)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         psi = q @ np.concatenate([[math.sqrt(1.0 - eps.sum())], np.sqrt(eps)])
-        return complete_graph(d), OrthoRep(dimension=d, psi=psi, vectors=q.T.copy())
+        return complete_graph(d), OrthoRep(psi=psi, vectors=q.T.copy())
 
     def test_consistency_at_round_off(self):
         g, rep = self._case()
@@ -577,11 +579,31 @@ class TestKernelAgainstPerContextOracle:
         rng = np.random.default_rng(12)
         g = random_graph(rng, 12, 0.4)
         vectors = np.array([random_unit(rng, 5) for _ in range(12)])
-        rep = OrthoRep(dimension=5, psi=random_unit(rng, 5), vectors=vectors)
+        rep = OrthoRep(psi=random_unit(rng, 5), vectors=vectors)
         for noise in (None, NOISY):
             record = run_experiment(rep, g, shots=30_000, seed=6, noise=noise, scheme=scheme)
             oracle = per_context_counts(rep, g, 30_000, 6, noise, scheme)
             assert (record.contexts, record.single_counts, record.pair_counts) == oracle
+
+
+class TestMisalignment:
+    @pytest.mark.parametrize("case", ["petersen", "complex", "d1-real", "d1-complex"])
+    def test_matches_the_per_vertex_loop_bit_for_bit(self, petersen, case):
+        rng = np.random.default_rng(31)
+        if case == "petersen":
+            rep = extract_ortho_rep(petersen, theta(petersen))
+        elif case == "complex":
+            rep = OrthoRep(random_unit(rng, 4), np.array([random_unit(rng, 4) for _ in range(9)]))
+        else:  # no direction is orthogonal to a vector: every vector stays
+            ends = [1.0, -1.0, 0.6 + 0.8j] if case == "d1-complex" else [1.0, -1.0, 1.0]
+            rep = OrthoRep(np.ones(1), np.array(ends)[:, None])
+        for seed in range(3):
+            got = _misaligned_vectors(rep, 0.3, np.random.default_rng(seed))
+            want = misaligned_vectors_loop(rep, 0.3, np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        if case.startswith("d1"):
+            assert np.array_equal(got, rep.vectors)
 
 
 class TestExactKernelArithmetic:
@@ -657,7 +679,7 @@ class TestRecordEstimates:
     def test_pooled_counts_beyond_int64(self, k2):
         # Every bit flips, so each (1,1) count is shots and the pooled count
         # 2**64 - 2 does not fit in int64.
-        rep = OrthoRep(dimension=3, psi=np.eye(3)[2], vectors=np.eye(3)[:2].copy())
+        rep = OrthoRep(psi=np.eye(3)[2], vectors=np.eye(3)[:2].copy())
         record = run_experiment(
             rep, k2, shots=2**63 - 1, seed=0, noise=NoiseModel(outcome_flip_p=1.0)
         )
