@@ -43,8 +43,6 @@ def chsh_circulant() -> Graph:
 def catalog(name: str) -> Graph:
     """Look up a named graph; unknown names raise with the available entries."""
     key = name.strip().lower()
-    if key == "c5":
-        return cycle_graph(5)
     if key == "petersen":
         return petersen_graph()
     if key == "chsh-circulant":
@@ -54,9 +52,7 @@ def catalog(name: str) -> Graph:
     m = re.fullmatch(r"c(\d+)", key)
     if m:
         n = int(m.group(1))
-        if n < 3:
-            raise ValueError(f"cycle needs n >= 3, got {n}")
-        if n % 2 == 0:
+        if n % 2 == 0 and n >= 3:  # below 3, cycle_graph refuses the cycle itself
             raise ValueError(f"only odd cycles are catalogued, got c{n}")
         return cycle_graph(n)
     m = re.fullmatch(r"k(\d+)", key)

@@ -24,7 +24,6 @@ from the exact kernel's table of G's edges, by `simulate.exact_witnesses`.
 from __future__ import annotations
 
 import dataclasses
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -123,10 +122,6 @@ class CertifyReport:
         checks = self.checks()
         return self.complete and self.data.get("checks") == checks and all(ok for _, ok in checks)
 
-    def to_jsonable(self) -> dict[str, Any]:
-        """The report as a tree of dicts and lists: the parse of its JSON."""
-        return json.loads(emit_report(self, "json"))
-
 
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the partial report."""
@@ -161,9 +156,10 @@ def _bounds_section(
     return out
 
 
-def _theta_section(g: Graph, sol, tolerance: float, include_matrix: bool) -> dict[str, Any]:
+def _theta_section(g: Graph, sol, include_matrix: bool) -> dict[str, Any]:
+    """ϑ's bounds section of ``sol``, judged at the tolerance it was solved to."""
     dual = verify_dual(g, multiplier_matrix(g, sol.y))
-    out = _bounds_section(g, sol.X, dual, tolerance, include_matrix)
+    out = _bounds_section(g, sol.X, dual, sol.tolerance, include_matrix)
     out["status"] = sol.status.value
     out["termination"] = sol.termination.value
     out["iterations"] = sol.iterations
@@ -265,7 +261,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("theta_g"):
         sol_g = theta(work, tolerance=opts.tolerance)
-        data["theta_g"] = _theta_section(work, sol_g, opts.tolerance, opts.include_sdp_matrices)
+        data["theta_g"] = _theta_section(work, sol_g, opts.include_sdp_matrices)
+    tolerance = sol_g.tolerance
 
     with stage("compile"):
         eg = build_two_point_graph(work)
@@ -277,11 +274,11 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("theta_gprime"):
         X_gp = lift_primal(eg, sol_g.X)
-        Y_gp = lift_dual(eg, multiplier_matrix(work, sol_g.y), data["theta_g"]["dual"])
+        Y_gp = lift_dual(eg, sol_g.y, data["theta_g"]["dual"])
         section = _bounds_section(
-            gp, X_gp, verify_dual(gp, Y_gp), opts.tolerance, opts.include_sdp_matrices
+            gp, X_gp, verify_dual(gp, Y_gp), tolerance, opts.include_sdp_matrices
         )
-        converged = abs(section["gap"]) <= opts.tolerance and section["feasible"]
+        converged = abs(section["gap"]) <= tolerance and section["feasible"]
         section["method"] = "constructive"
         section["status"] = "converged" if converged else "not_converged"
         data["theta_gprime"] = section
@@ -291,13 +288,13 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         "edge_count": edge_count,
         "alpha_difference": data["alpha_gprime"]["alpha"] - data["alpha_g"]["alpha"] - edge_count,
         "theta_difference": data["theta_gprime"]["value"] - data["theta_g"]["value"] - edge_count,
-        "theta_tolerance": 10 * opts.tolerance,
+        "theta_tolerance": 10 * tolerance,
     }
-    gate = realisation_gate(opts.tolerance)
+    gate = realisation_gate(tolerance)
 
     with stage("orthorep"):
         rep = extract_ortho_rep(work, sol_g)
-        rep_report = verify_ortho_rep(work, rep, gate, theta_target=data["theta_g"]["value"])
+        rep_report = verify_ortho_rep(work, rep, gate, theta_target=sol_g.primal_value)
         data["orthorep"] = {"dimension": rep.dimension, **rep_report.measures(), "tolerance": gate}
 
     with stage("exact"):

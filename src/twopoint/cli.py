@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -80,7 +81,12 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
 
 
-def _add_noise_args(p: argparse.ArgumentParser) -> None:
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    """The experiment's settings, declared once for simulate and certify."""
+    p.add_argument("--tolerance", type=float, default=CertifyOptions.tolerance)
+    p.add_argument("--shots", type=int, default=CertifyOptions.shots)
+    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
+    p.add_argument("--scheme", choices=SCHEMES, default=CertifyOptions.scheme)
     p.add_argument("--noise-depol", type=float, default=NoiseModel.depolarizing_p, metavar="P")
     p.add_argument(
         "--noise-angle", type=float, default=NoiseModel.vector_misalignment_angle, metavar="RAD"
@@ -88,12 +94,15 @@ def _add_noise_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-flip", type=float, default=NoiseModel.outcome_flip_p, metavar="P")
 
 
-def _noise(args) -> NoiseModel:
-    return NoiseModel(
+def _options(args, **flags) -> CertifyOptions:
+    """The `CertifyOptions` of `_add_experiment_args`'s flags, plus certify's own ``flags``."""
+    noise = NoiseModel(
         depolarizing_p=args.noise_depol,
         vector_misalignment_angle=args.noise_angle,
         outcome_flip_p=args.noise_flip,
     )
+    return CertifyOptions(tolerance=args.tolerance, shots=args.shots, seed=args.seed,
+                          noise=noise, scheme=args.scheme, **flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,24 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the two-point experiment")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=CertifyOptions.tolerance)
-    p.add_argument("--shots", type=int, default=CertifyOptions.shots)
-    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
-    p.add_argument("--scheme", choices=SCHEMES, default=CertifyOptions.scheme)
-    _add_noise_args(p)
+    _add_experiment_args(p)
 
     p = sub.add_parser("certify", help="full pipeline with identity checks")
     _add_graph_args(p)
     _add_output_args(p)
-    p.add_argument("--tolerance", type=float, default=CertifyOptions.tolerance)
-    p.add_argument("--shots", type=int, default=CertifyOptions.shots)
-    p.add_argument("--seed", type=int, default=CertifyOptions.seed)
-    p.add_argument("--scheme", choices=SCHEMES, default=CertifyOptions.scheme)
+    _add_experiment_args(p)
     p.add_argument("--skip-montecarlo", action="store_true")
     p.add_argument("--alpha-limit", type=int, default=CertifyOptions.alpha_limit,
                    help="vertex limit for branch and bound on G; alpha(G') needs no search")
     p.add_argument("--dump-sdp", action="store_true")
-    _add_noise_args(p)
 
     p = sub.add_parser("catalog", help="list catalog entries or emit one graph")
     p.add_argument("name", nargs="?", help="catalog entry; omit to list all")
@@ -176,7 +177,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_theta(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
-    t = _theta_section(g, sol, args.tolerance, args.dump_sdp)
+    t = _theta_section(g, sol, args.dump_sdp)
     t["theta"] = t.pop("value")
     checks = {name: ok(t) for name, section, ok in CHECKS if section == "theta_g"}
     if args.format == "json":
@@ -215,7 +216,7 @@ def _cmd_orthorep(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol)
-    gate = realisation_gate(args.tolerance)
+    gate = realisation_gate(sol.tolerance)
     report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
     if args.format == "json":
         payload = orthorep_to_jsonable(rep)
@@ -234,11 +235,11 @@ def _cmd_orthorep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    noise = _noise(args)
+    opts = _options(args)
     g = _load_unweighted(args)
-    rep = extract_ortho_rep(g, theta(g, tolerance=args.tolerance))
+    rep = extract_ortho_rep(g, theta(g, tolerance=opts.tolerance))
     record = run_experiment(
-        rep, g, shots=args.shots, seed=args.seed, noise=noise, scheme=args.scheme
+        rep, g, shots=opts.shots, seed=opts.seed, noise=opts.noise, scheme=opts.scheme
     )
     if args.format == "json":
         out = dumps_record(record) + "\n"
@@ -260,16 +261,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _load_graph(args.graph)
-    opts = CertifyOptions(
-        tolerance=args.tolerance,
-        shots=args.shots,
-        seed=args.seed,
-        noise=_noise(args),
-        scheme=args.scheme,
-        skip_montecarlo=args.skip_montecarlo,
-        alpha_limit=args.alpha_limit,
-        include_sdp_matrices=args.dump_sdp,
-    )
+    opts = _options(args, skip_montecarlo=args.skip_montecarlo, alpha_limit=args.alpha_limit,
+                    include_sdp_matrices=args.dump_sdp)
     try:
         report = certify(g, opts)
     except StageError as err:
@@ -308,11 +301,14 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ParseError, ValueError, OSError, ExtractionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # One "warning: <message>" line, without the source path and line of the default format
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ParseError, ValueError, OSError, ExtractionError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

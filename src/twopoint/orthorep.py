@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,7 +89,7 @@ class OrthoRepReport:
     max_edge_overlap: float
     max_norm_error: float
     overlap_sum: float
-    overlap_error: Optional[float]
+    overlap_error: float
     orthogonality_ok: bool
     norms_ok: bool
     overlap_ok: bool
@@ -99,19 +98,18 @@ class OrthoRepReport:
     def passed(self) -> bool:
         return self.orthogonality_ok and self.norms_ok and self.overlap_ok
 
-    def measures(self) -> dict[str, Optional[float]]:
+    def measures(self) -> dict[str, float]:
         """The four verified numbers, as `certify` and `twopoint orthorep` report them."""
         keys = ("max_edge_overlap", "max_norm_error", "overlap_sum", "overlap_error")
         return {k: getattr(self, k) for k in keys}
 
 
 def verify_ortho_rep(
-    g: Graph,
-    rep: OrthoRep,
-    tolerance: float,
-    theta_target: Optional[float] = None,
+    g: Graph, rep: OrthoRep, tolerance: float, theta_target: float
 ) -> OrthoRepReport:
-    """Check edge orthogonality, unit norms, and (optionally) the overlap sum."""
+    """Check edge orthogonality, unit norms, and the overlap sum's distance to
+    ``theta_target``, each within ``tolerance``.  The target is the value the
+    representation should realise: the `SdpSolution.primal_value` it was read off."""
     if rep.n != g.n:
         raise ValueError(
             f"vectors have shape {rep.vectors.shape}, expected ({g.n},{rep.dimension})"
@@ -125,7 +123,7 @@ def verify_ortho_rep(
     max_norm_err = max(abs(float(np.linalg.norm(rep.psi)) - 1.0),
                        float(np.abs(norms - 1.0).max(initial=0.0)))
     total = rep.overlap_sum()
-    overlap_error = None if theta_target is None else abs(total - theta_target)
+    overlap_error = abs(total - theta_target)
     return OrthoRepReport(
         max_edge_overlap=max_edge,
         max_norm_error=max_norm_err,
@@ -133,7 +131,7 @@ def verify_ortho_rep(
         overlap_error=overlap_error,
         orthogonality_ok=max_edge <= tolerance,
         norms_ok=max_norm_err <= tolerance,
-        overlap_ok=overlap_error is None or overlap_error <= tolerance,
+        overlap_ok=overlap_error <= tolerance,
     )
 
 

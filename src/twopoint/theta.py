@@ -54,7 +54,7 @@ with Y symmetric and supported on the edges, so every such Y certifies
 the upper bound lambda_max(J - Y).  `SdpSolution.y` carries the solver's
 multipliers; `verify_dual` recomputes the bound from Y alone.  For the
 two-point event graph G', `lift_primal` builds an X from G's own X, and
-`lift_dual` a Y from G's own Y and verified bound.
+`lift_dual` a Y from G's own multipliers y and verified bound.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ class SdpTermination(enum.Enum):
 class SdpSolution:
     """Primal matrix X and dual multipliers y of the returned iterate.
 
-    ``y[0]`` is the trace multiplier (the dual value) and ``y[1:]`` holds
-    one multiplier per edge of the graph, in edge order.
+    ``y[0]`` is the trace multiplier and ``y[1:]`` holds one multiplier per
+    edge of the graph, in edge order.  ``primal_value`` <J, X> and
+    ``dual_value`` ``y[0]`` are read off them.  Later checks judge the
+    solution at ``tolerance``, the one it was solved to.
     """
 
     X: np.ndarray
     y: np.ndarray
-    primal_value: float
-    dual_value: float
     tolerance: float
     status: SdpStatus
     iterations: int
@@ -118,6 +118,14 @@ class SdpSolution:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def primal_value(self) -> float:
+        return float(self.X.sum())
+
+    @property
+    def dual_value(self) -> float:
+        return float(self.y[0])
 
     @property
     def duality_gap(self) -> float:
@@ -151,13 +159,6 @@ class DualReport:
         return self.symmetric_ok and self.support_ok
 
 
-def _check_graph(g: Graph) -> None:
-    if g.n < 1:
-        raise ValueError("theta needs at least one vertex")
-    if g.is_weighted:
-        raise ValueError("theta expects an unweighted graph; apply expand_weighted")
-
-
 def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> FeasibilityReport:
     """Recompute the primal feasibility residuals independently of the solver.
 
@@ -168,10 +169,8 @@ def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> Feasibility
         raise ValueError(f"X has shape {X.shape}, expected ({g.n},{g.n})")
     min_eig = float(np.linalg.eigvalsh((X + X.T) / 2)[0])
     trace_err = float(abs(np.trace(X) - 1.0))
-    max_edge = 0.0
     ei, ej = g.edge_index
-    if len(ei):
-        max_edge = float(np.max(np.abs(X[ei, ej])))
+    max_edge = float(np.abs(X[ei, ej]).max(initial=0.0))
     return FeasibilityReport(
         min_eigenvalue=min_eig,
         trace_error=trace_err,
@@ -214,20 +213,23 @@ def verify_dual(g: Graph, Y: np.ndarray) -> DualReport:
     )
 
 
-def lift_dual(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
-    """Dual multipliers for G' from multipliers Y of G certifying ``bound``.
+def lift_dual(eg: EventGraph, y: np.ndarray, bound: float) -> np.ndarray:
+    """Dual multipliers Y' for G' from G's multipliers y certifying ``bound``.
 
-    Lovasz's direct sum in matrix form.  The single events of G' induce G
-    and get (t / bound) Y, with t = bound + |E|; each edge's three pair
-    events form a triangle and get t (J_3 - I_3).  Cauchy-Schwarz over the
-    1 + |E| blocks, weighted bound : 1 : ... : 1, gives
+    ``y`` is laid out as `SdpSolution.y`.  Lovasz's direct sum in matrix
+    form: the single events of G' induce G, and each copy of G's edge e gets
+    (t / bound) y_e in both orders, with t = bound + |E|; each edge's three
+    pair events form a triangle and get t (J_3 - I_3).  Cauchy-Schwarz over
+    the 1 + |E| blocks, weighted bound : 1 : ... : 1, gives
     lambda_max(J' - Y') <= t.  The blocks are `EventGraph.blocks`, the one
     source of where G' puts each event.
     """
     t = bound + len(eg.source.edges)
     singles, triangles = eg.blocks()
+    a, b = (singles[e] for e in eg.source.edge_index)
+    scaled = (t / bound) * np.asarray(y, dtype=float)[1:]
     Yp = np.zeros((eg.n, eg.n))
-    Yp[np.ix_(singles, singles)] = (t / bound) * np.asarray(Y, dtype=float)
+    Yp[a, b] = Yp[b, a] = scaled
     Yp[triangles[:, :, None], triangles[:, None, :]] = t * (1.0 - np.eye(3))
     return Yp
 
@@ -473,7 +475,10 @@ def theta(
     is refused with ValueError before anything is allocated, and an iterate
     that turns non-finite raises ValueError.
     """
-    _check_graph(g)
+    if g.n < 1:
+        raise ValueError("theta needs at least one vertex")
+    if g.is_weighted:
+        raise ValueError("theta expects an unweighted graph; apply expand_weighted")
     if not (1e-10 <= tolerance <= 1e-3):
         raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
     # Bytes live at the peak: four m x m Schur buffers, the four m x n row gathers
@@ -487,8 +492,6 @@ def theta(
         return SdpSolution(
             X=np.ones((1, 1)),
             y=np.ones(1),
-            primal_value=1.0,
-            dual_value=1.0,
             tolerance=tolerance,
             status=SdpStatus.CONVERGED,
             iterations=0,
@@ -605,8 +608,6 @@ def theta(
     return SdpSolution(
         X=X,
         y=y,
-        primal_value=float(X.sum()),
-        dual_value=float(y[0]),
         tolerance=tolerance,
         status=SdpStatus.CONVERGED if ok else SdpStatus.MAX_ITERATIONS,
         iterations=iterations,

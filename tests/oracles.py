@@ -382,6 +382,18 @@ def lift_primal_per_edge(eg: EventGraph, X: np.ndarray) -> np.ndarray:
     return (W @ W.T) / np.sum(W * W)
 
 
+def lift_dual_dense(eg: EventGraph, Y: np.ndarray, bound: float) -> np.ndarray:
+    """`theta.lift_dual` from G's dense multiplier matrix Y, as the package
+    computed it before it took the multiplier vector: (t / bound) Y on the
+    whole single-event block, t (J_3 - I_3) on each edge's triangle."""
+    t = bound + len(eg.source.edges)
+    singles, triangles = eg.blocks()
+    Yp = np.zeros((eg.n, eg.n))
+    Yp[np.ix_(singles, singles)] = (t / bound) * np.asarray(Y, dtype=float)
+    Yp[triangles[:, :, None], triangles[:, None, :]] = t * (1.0 - np.eye(3))
+    return Yp
+
+
 def vertex_overlap(rep: OrthoRep, v: int) -> float:
     """Squared overlap |<v|psi>|^2 of vertex v's vector with the handle, by one
     `np.vdot`: the per-vertex reference for `OrthoRep.overlaps`."""

@@ -54,20 +54,24 @@ class TestVerifier:
         vectors = rep.vectors.copy()
         vectors[2] = rep.psi
         bad = OrthoRep(psi=rep.psi, vectors=vectors)
-        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6)
+        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6, theta_target=SQRT5)
         assert not report.orthogonality_ok
         assert not report.passed
 
     def test_scaling_breaks_norms(self):
         rep = builtin_kcbs_rep()
         bad = OrthoRep(psi=2 * rep.psi, vectors=2 * rep.vectors)
-        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6)
+        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6, theta_target=SQRT5)
         assert not report.norms_ok
 
     def test_shape_mismatch(self):
         rep = builtin_kcbs_rep()
         with pytest.raises(ValueError, match="shape"):
-            verify_ortho_rep(build_graph(4, []), rep, 1e-6)
+            verify_ortho_rep(build_graph(4, []), rep, 1e-6, theta_target=SQRT5)
+
+    def test_target_is_required(self):
+        with pytest.raises(TypeError, match="theta_target"):
+            verify_ortho_rep(kcbs_graph(), builtin_kcbs_rep(), 1e-9)
 
     def test_psi_must_match_the_vectors_width(self):
         with pytest.raises(ValueError, match="psi has shape"):
@@ -275,7 +279,8 @@ class TestExtraction:
             assert report.passed, (g, report)
 
     def test_value_the_factor_cannot_reach_raises(self, c5):
-        sol = dataclasses.replace(theta(c5), primal_value=SQRT5 + 1e-3)
+        sol = theta(c5)
+        sol = dataclasses.replace(sol, X=sol.X * (1 + 1e-3 / sol.primal_value))
         with pytest.raises(ExtractionError, match="overlap-sum error 1.000e-03"):
             extract_ortho_rep(c5, sol)
 
@@ -289,8 +294,10 @@ class TestExtraction:
         # Orthogonality on edges forces P(1,1) = 0 for the handle state.  The
         # vectors are orthogonal to round-off, on c21 too.
         for g in (c5, cycle_graph(21)):
-            rep = extract_ortho_rep(g, theta(g))
-            assert verify_ortho_rep(g, rep, 1e-15).max_edge_overlap <= 1e-15
+            sol = theta(g)
+            rep = extract_ortho_rep(g, sol)
+            report = verify_ortho_rep(g, rep, 1e-15, theta_target=sol.primal_value)
+            assert report.max_edge_overlap <= 1e-15
             state = pure_state(rep.psi)
             for (i, j) in g.edges:
                 probs = joint_probs_projective(state, (i, j), rep)

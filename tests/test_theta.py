@@ -1,11 +1,14 @@
+import dataclasses
 import importlib
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from twopoint import (
+    SdpSolution,
     SdpStatus,
     SdpTermination,
     build_graph,
@@ -22,7 +25,7 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.theta import _Schur
 from conftest import random_graph, sampled_graph
-from oracles import complement, odd_cycle_theta, theta_sandwich
+from oracles import complement, lift_dual_dense, odd_cycle_theta, theta_sandwich
 
 # The package re-exports the function `theta` under the module's name.
 theta_mod = importlib.import_module("twopoint.theta")
@@ -95,6 +98,14 @@ class TestThetaKnownValues:
         sol = theta(build_graph(1, []))
         assert sol.primal_value == 1.0 and sol.iterations == 0
         assert sol.status is SdpStatus.CONVERGED
+
+    @pytest.mark.parametrize("name", ["k1", "c5"])
+    def test_values_are_read_off_x_and_y(self, name):
+        names = {f.name for f in dataclasses.fields(SdpSolution)}
+        assert not names & {"primal_value", "dual_value"}
+        sol = theta(catalog(name))
+        assert sol.primal_value == float(sol.X.sum())
+        assert sol.dual_value == float(sol.y[0])
 
 
 class TestCertificates:
@@ -194,10 +205,23 @@ class TestDualCertificate:
         sol = theta(g)
         base = verify_dual(g, multiplier_matrix(g, sol.y))
         eg = build_two_point_graph(g)
-        lifted = verify_dual(eg.as_graph(), lift_dual(eg, multiplier_matrix(g, sol.y), base.bound))
+        lifted = verify_dual(eg.as_graph(), lift_dual(eg, sol.y, base.bound))
         assert lifted.passed
         assert lifted.bound <= base.bound + len(g.edges) + 1e-9
         assert lifted.bound == pytest.approx(sol.dual_value + len(g.edges), abs=1e-8)
+
+    @pytest.mark.parametrize("name", ["c5", "petersen", "chsh-circulant", "random-10-22"])
+    def test_lifted_dual_equals_the_dense_reference(self, name):
+        if name == "random-10-22":
+            pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+            g = build_graph(10, sorted(random.Random(0).sample(pairs, 22)))
+        else:
+            g = catalog(name)
+        sol = theta(g)
+        Y = multiplier_matrix(g, sol.y)
+        bound = verify_dual(g, Y).bound
+        eg = build_two_point_graph(g)
+        assert np.array_equal(lift_dual(eg, sol.y, bound), lift_dual_dense(eg, Y, bound))
 
     def test_unscaled_stacking_is_not_enough(self, c5):
         # Stacking G's multipliers with plain triangle blocks is a valid dual
