@@ -17,10 +17,10 @@ from .independence import (
 )
 from .theta import (
     DualReport,
-    FeasibilityReport,
     SdpSolution,
     SdpStatus,
     SdpTermination,
+    feasible,
     lift_dual,
     lift_primal,
     multiplier_matrix,
@@ -31,8 +31,8 @@ from .theta import (
 from .orthorep import (
     ExtractionError,
     OrthoRep,
-    OrthoRepReport,
     extract_ortho_rep,
+    realised,
     verify_ortho_rep,
 )
 from .simulate import (
@@ -67,10 +67,10 @@ __all__ = [
     "independence_number",
     "is_independent",
     "DualReport",
-    "FeasibilityReport",
     "SdpSolution",
     "SdpStatus",
     "SdpTermination",
+    "feasible",
     "lift_dual",
     "multiplier_matrix",
     "theta",
@@ -78,9 +78,9 @@ __all__ = [
     "verify_feasibility",
     "ExtractionError",
     "OrthoRep",
-    "OrthoRepReport",
     "extract_ortho_rep",
     "lift_primal",
+    "realised",
     "verify_ortho_rep",
     "ExperimentRecord",
     "NoiseModel",

@@ -34,12 +34,12 @@ from .graphs import EventGraph, Graph, build_two_point_graph, expand_weighted
 from .independence import (
     ALPHA_LIMIT, IndependenceResult, SizeLimitError, independence_number, is_independent
 )
-from .orthorep import extract_ortho_rep, realisation_gate, verify_ortho_rep
+from .orthorep import extract_ortho_rep, realisation_gate, realised, verify_ortho_rep
 from .serialize import _json_object, dumps_canonical, dumps_record, format_float
 from .simulate import (
-    SCHEMES,
     ExperimentRecord,
     NoiseModel,
+    check_experiment,
     exact_witnesses,
     run_experiment,
 )
@@ -49,6 +49,8 @@ from .simulate import joint_probs_projective  # noqa: F401
 from .theta import (
     DEFAULT_TOLERANCE,
     DualReport,
+    check_tolerance,
+    feasible,
     lift_dual,
     lift_primal,
     multiplier_matrix,
@@ -63,6 +65,9 @@ EXACT_CONSISTENCY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CertifyOptions:
+    """One `certify` run's settings.  Construction refuses, with their messages, what
+    `check_tolerance` and `check_experiment` refuse, Monte Carlo skipped or not."""
+
     tolerance: float = DEFAULT_TOLERANCE
     shots: int = 100_000
     seed: int = 0
@@ -73,8 +78,8 @@ class CertifyOptions:
     include_sdp_matrices: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        check_tolerance(self.tolerance)
+        check_experiment(self.shots, self.seed, self.scheme)
 
 
 # The checks in report order: (name, report section, predicate on the section's stored
@@ -90,9 +95,7 @@ CHECKS: tuple[tuple[str, str, Callable[[dict[str, Any]], Any]], ...] = (
     ("theta_gprime_dual_verified", "theta_gprime", lambda t: t["dual_verified"]),
     ("alpha_identity", "identities", lambda i: i["alpha_difference"] == 0),
     ("theta_identity", "identities", lambda i: abs(i["theta_difference"]) <= i["theta_tolerance"]),
-    ("orthorep_verified", "orthorep", lambda o: all(
-        o[k] <= o["tolerance"] for k in ("max_edge_overlap", "max_norm_error", "overlap_error")
-    )),
+    ("orthorep_verified", "orthorep", lambda o: realised(o, o["tolerance"])),
     ("s_prime_consistent", "exact", lambda e: e["consistency_error"] <= EXACT_CONSISTENCY_TOL),
     ("s_matches_theta", "exact", lambda e: e["s_vs_theta_error"] <= e["s_tolerance"]),
 )
@@ -137,18 +140,14 @@ def _bounds_section(
     g: Graph, X, dual: DualReport, tolerance: float, include_matrix: bool
 ) -> dict[str, Any]:
     """Lower bound <J, X> and upper bound ``dual.bound``, with X's residuals on g."""
-    feas = verify_feasibility(g, X, tolerance)
+    residuals = verify_feasibility(g, X)
     value = float(X.sum())
     out: dict[str, Any] = {
         "value": value,
         "dual": dual.bound,
         "gap": dual.bound - value,
-        "residuals": {
-            "min_eigenvalue": feas.min_eigenvalue,
-            "trace_error": feas.trace_error,
-            "max_edge_entry": feas.max_edge_entry,
-        },
-        "feasible": feas.passed,
+        "residuals": residuals,
+        "feasible": feasible(residuals, tolerance),
         "dual_verified": dual.passed,
     }
     if include_matrix:
@@ -294,8 +293,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     with stage("orthorep"):
         rep = extract_ortho_rep(work, sol_g)
-        rep_report = verify_ortho_rep(work, rep, gate, theta_target=sol_g.primal_value)
-        data["orthorep"] = {"dimension": rep.dimension, **rep_report.measures(), "tolerance": gate}
+        measures = verify_ortho_rep(work, rep, theta_target=sol_g.primal_value)
+        data["orthorep"] = {"dimension": rep.dimension, **measures, "tolerance": gate}
 
     with stage("exact"):
         s_exact, s_prime = exact_witnesses(rep, work)
@@ -310,14 +309,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
 
     if not opts.skip_montecarlo:
         with stage("montecarlo"):
-            record = run_experiment(
-                rep,
-                work,
-                shots=opts.shots,
-                seed=opts.seed,
-                noise=opts.noise,
-                scheme=opts.scheme,
-            )
+            record = run_experiment(rep, work, shots=opts.shots, seed=opts.seed,
+                                    noise=opts.noise, scheme=opts.scheme)
             data["montecarlo"] = _montecarlo_section(record)
 
     data["checks"] = CertifyReport(data).checks()

@@ -26,7 +26,7 @@ from .certify import (
     emit_report,
 )
 from .graphs import Graph, build_two_point_graph
-from .orthorep import ExtractionError, extract_ortho_rep, realisation_gate, verify_ortho_rep
+from .orthorep import ExtractionError, extract_ortho_rep, realisation_gate, realised, verify_ortho_rep
 from .independence import ALPHA_LIMIT, independence_number
 from .serialize import (
     ParseError,
@@ -216,22 +216,22 @@ def _cmd_orthorep(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     rep = extract_ortho_rep(g, sol)
-    gate = realisation_gate(sol.tolerance)
-    report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
+    measures = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+    passed = realised(measures, realisation_gate(sol.tolerance))
     if args.format == "json":
         payload = orthorep_to_jsonable(rep)
-        payload["verification"] = {**report.measures(), "passed": report.passed}
+        payload["verification"] = {**measures, "passed": passed}
         out = dumps_canonical(payload) + "\n"
     else:
         out = (
             f"d = {rep.dimension}\n"
-            f"overlap sum = {format_float(report.overlap_sum)} "
-            f"(ϑ error {format_float(report.overlap_error)})\n"
-            f"max edge overlap = {format_float(report.max_edge_overlap)}\n"
-            f"verification = {'PASS' if report.passed else 'FAIL'}\n"
+            f"overlap sum = {format_float(measures['overlap_sum'])} "
+            f"(ϑ error {format_float(measures['overlap_error'])})\n"
+            f"max edge overlap = {format_float(measures['max_edge_overlap'])}\n"
+            f"verification = {'PASS' if passed else 'FAIL'}\n"
         )
     _write(out, args.output)
-    return 0 if report.passed else 2
+    return 0 if passed else 2
 
 
 def _cmd_simulate(args) -> int:

@@ -84,32 +84,10 @@ class OrthoRep:
         return total
 
 
-@dataclass(frozen=True)
-class OrthoRepReport:
-    max_edge_overlap: float
-    max_norm_error: float
-    overlap_sum: float
-    overlap_error: float
-    orthogonality_ok: bool
-    norms_ok: bool
-    overlap_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.orthogonality_ok and self.norms_ok and self.overlap_ok
-
-    def measures(self) -> dict[str, float]:
-        """The four verified numbers, as `certify` and `twopoint orthorep` report them."""
-        keys = ("max_edge_overlap", "max_norm_error", "overlap_sum", "overlap_error")
-        return {k: getattr(self, k) for k in keys}
-
-
-def verify_ortho_rep(
-    g: Graph, rep: OrthoRep, tolerance: float, theta_target: float
-) -> OrthoRepReport:
-    """Check edge orthogonality, unit norms, and the overlap sum's distance to
-    ``theta_target``, each within ``tolerance``.  The target is the value the
-    representation should realise: the `SdpSolution.primal_value` it was read off."""
+def verify_ortho_rep(g: Graph, rep: OrthoRep, theta_target: float) -> dict[str, float]:
+    """The realisation's numbers as the ``orthorep`` section stores them: the largest
+    edge overlap, the largest distance of |psi| or a |v_i| from 1, the overlap sum, and its
+    distance to ``theta_target``, the `SdpSolution.primal_value` the vectors were read off."""
     if rep.n != g.n:
         raise ValueError(
             f"vectors have shape {rep.vectors.shape}, expected ({g.n},{rep.dimension})"
@@ -118,21 +96,22 @@ def verify_ortho_rep(
     # vectors sums each row in the order of np.dot.
     V = rep.vectors
     ei, ej = g.edge_index
-    max_edge = float(np.abs(np.vecdot(V[ei], V[ej])).max(initial=0.0))
     norms = np.sqrt(np.vecdot(V, V).real)
-    max_norm_err = max(abs(float(np.linalg.norm(rep.psi)) - 1.0),
-                       float(np.abs(norms - 1.0).max(initial=0.0)))
     total = rep.overlap_sum()
-    overlap_error = abs(total - theta_target)
-    return OrthoRepReport(
-        max_edge_overlap=max_edge,
-        max_norm_error=max_norm_err,
-        overlap_sum=total,
-        overlap_error=overlap_error,
-        orthogonality_ok=max_edge <= tolerance,
-        norms_ok=max_norm_err <= tolerance,
-        overlap_ok=overlap_error <= tolerance,
-    )
+    return {
+        "max_edge_overlap": float(np.abs(np.vecdot(V[ei], V[ej])).max(initial=0.0)),
+        "max_norm_error": max(abs(float(np.linalg.norm(rep.psi)) - 1.0),
+                              float(np.abs(norms - 1.0).max(initial=0.0))),
+        "overlap_sum": total,
+        "overlap_error": abs(total - theta_target),
+    }
+
+
+def realised(measures: dict[str, float], tolerance: float) -> bool:
+    """The one realisation rule: edge overlap, norm error and overlap-sum error are each
+    within ``tolerance``, so NaN fails.  Extraction, ``twopoint orthorep`` and CHECKS apply it."""
+    return all(measures[k] <= tolerance
+               for k in ("max_edge_overlap", "max_norm_error", "overlap_error"))
 
 
 def _place(g: Graph, F: np.ndarray, tolerance: float) -> np.ndarray:
@@ -180,12 +159,12 @@ def extract_ortho_rep(g: Graph, sol: SdpSolution) -> OrthoRep:
     factor `lift_primal` lifts to G', and places the vertex vectors with
     `_place`, whose edge overlaps stay below a tenth of ``sol.tolerance``,
     the tolerance the SDP was solved to.  The first try keeps only F's
-    columns whose eigenvalue is above that tolerance and is returned when it
-    passes `verify_ortho_rep` at it.  Otherwise the construction reruns on
-    every column with a positive eigenvalue, which reproduces X to
-    round-off; that result must pass at `realisation_gate`, or
-    ExtractionError is raised rather than a silently bad representation
-    returned.
+    columns whose eigenvalue is above that tolerance and is returned when
+    its `verify_ortho_rep` numbers are `realised` at it.  Otherwise the
+    construction reruns on every column with a positive eigenvalue, which
+    reproduces X to round-off; that result must be `realised` at
+    `realisation_gate`, or ExtractionError is raised rather than a silently
+    bad representation returned.
     """
     if sol.status is not SdpStatus.CONVERGED:
         raise ValueError(f"need a converged SDP solution, got status {sol.status.value}")
@@ -198,12 +177,12 @@ def extract_ortho_rep(g: Graph, sol: SdpSolution) -> OrthoRep:
         vectors = _place(g, F, tolerance)
         psi = np.pad(psi, (0, vectors.shape[1] - len(psi)))
         rep = OrthoRep(psi, vectors)
-        report = verify_ortho_rep(g, rep, gate, theta_target=sol.primal_value)
-        if report.passed:
+        measures = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+        if realised(measures, gate):
             return rep
     raise ExtractionError(
         "extracted representation failed verification: "
-        f"edge overlap {report.max_edge_overlap:.3e}, "
-        f"norm error {report.max_norm_error:.3e}, "
-        f"overlap-sum error {report.overlap_error:.3e}"
+        f"edge overlap {measures['max_edge_overlap']:.3e}, "
+        f"norm error {measures['max_norm_error']:.3e}, "
+        f"overlap-sum error {measures['overlap_error']:.3e}"
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -311,12 +311,25 @@ class ExperimentRecord:
         return value, math.sqrt(var)
 
 
+def check_experiment(shots: int, seed: int, scheme: str) -> None:
+    """Refuse, with ValueError, shots outside [1, 2**63), a negative seed or an
+    unknown scheme; `run_experiment` and `CertifyOptions` both call this."""
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    if shots >= 2**63:
+        raise ValueError(f"shots must be below 2**63 (counts are int64), got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+
+
 def run_experiment(
     rep: OrthoRep,
     g: Graph,
     shots: int,
     seed: int,
-    noise: Optional[NoiseModel] = None,
+    noise: NoiseModel = NoiseModel(),
     scheme: str = "projective",
 ) -> ExperimentRecord:
     """Simulate the full two-point experiment with finite statistics.
@@ -332,17 +345,9 @@ def run_experiment(
     draw over the contexts sorted by (first, second).  A fixed seed gives a
     fixed record within a version of the package.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    if shots >= 2**63:
-        raise ValueError(f"shots must be below 2**63 (counts are int64), got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    check_experiment(shots, seed, scheme)
     if rep.n != g.n:
         raise ValueError(f"representation covers {rep.n} vertices, graph has {g.n}")
-    noise = noise or NoiseModel()
     flip = noise.outcome_flip_p
 
     contexts = ordered_contexts(g)

@@ -77,6 +77,13 @@ DEFAULT_MAX_ITERATIONS = 10_000
 MEMORY_LIMIT_BYTES = 2 * 2**30
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance outside [1e-10, 1e-3] with ValueError; `theta` and
+    `CertifyOptions` both call this before any work."""
+    if not (1e-10 <= tolerance <= 1e-3):
+        raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
+
+
 class SdpStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
@@ -127,24 +134,6 @@ class SdpSolution:
     def dual_value(self) -> float:
         return float(self.y[0])
 
-    @property
-    def duality_gap(self) -> float:
-        return self.dual_value - self.primal_value
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    min_eigenvalue: float
-    trace_error: float
-    max_edge_entry: float
-    eigenvalue_ok: bool
-    trace_ok: bool
-    edges_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.eigenvalue_ok and self.trace_ok and self.edges_ok
-
 
 @dataclass(frozen=True)
 class DualReport:
@@ -159,26 +148,26 @@ class DualReport:
         return self.symmetric_ok and self.support_ok
 
 
-def verify_feasibility(g: Graph, X: np.ndarray, tolerance: float) -> FeasibilityReport:
-    """Recompute the primal feasibility residuals independently of the solver.
-
-    `theta` judges its own iterate by this same check.
-    """
+def verify_feasibility(g: Graph, X: np.ndarray) -> dict[str, float]:
+    """X's residuals on g, recomputed independently of the solver, as a bounds section
+    stores them: lambda_min of (X + X^T) / 2, |tr X - 1| and the largest |X_ij| on an edge."""
     X = np.asarray(X, dtype=float)
     if X.shape != (g.n, g.n):
         raise ValueError(f"X has shape {X.shape}, expected ({g.n},{g.n})")
-    min_eig = float(np.linalg.eigvalsh((X + X.T) / 2)[0])
-    trace_err = float(abs(np.trace(X) - 1.0))
     ei, ej = g.edge_index
-    max_edge = float(np.abs(X[ei, ej]).max(initial=0.0))
-    return FeasibilityReport(
-        min_eigenvalue=min_eig,
-        trace_error=trace_err,
-        max_edge_entry=max_edge,
-        eigenvalue_ok=min_eig >= -tolerance,
-        trace_ok=trace_err <= tolerance,
-        edges_ok=max_edge <= tolerance,
-    )
+    return {
+        "min_eigenvalue": float(np.linalg.eigvalsh((X + X.T) / 2)[0]),
+        "trace_error": float(abs(np.trace(X) - 1.0)),
+        "max_edge_entry": float(np.abs(X[ei, ej]).max(initial=0.0)),
+    }
+
+
+def feasible(residuals: dict[str, float], tolerance: float) -> bool:
+    """The one feasibility rule: X is PSD, of unit trace and zero on the edges, each
+    to within ``tolerance``.  `theta`'s status and every bounds section apply it."""
+    return (residuals["min_eigenvalue"] >= -tolerance
+            and residuals["trace_error"] <= tolerance
+            and residuals["max_edge_entry"] <= tolerance)
 
 
 def multiplier_matrix(g: Graph, y: np.ndarray) -> np.ndarray:
@@ -468,8 +457,8 @@ def theta(
 
     The returned primal value is a lower and the dual value an upper bound
     on the true optimum, up to X's feasibility residuals.  The status is
-    CONVERGED iff the gap is within tolerance and X passes
-    `verify_feasibility` at tolerance; otherwise it is MAX_ITERATIONS,
+    CONVERGED iff the gap is within tolerance and X's residuals are
+    `feasible` at tolerance; otherwise it is MAX_ITERATIONS,
     carrying the best iterate found, never silently.  `termination` names
     the exit.  A graph whose SDP would need more than `MEMORY_LIMIT_BYTES`
     is refused with ValueError before anything is allocated, and an iterate
@@ -479,8 +468,7 @@ def theta(
         raise ValueError("theta needs at least one vertex")
     if g.is_weighted:
         raise ValueError("theta expects an unweighted graph; apply expand_weighted")
-    if not (1e-10 <= tolerance <= 1e-3):
-        raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
+    check_tolerance(tolerance)
     # Bytes live at the peak: four m x m Schur buffers, the four m x n row gathers
     # of `assemble`, and 16 n x n iterates, directions, factors and temporaries.
     n, m = g.n, 1 + len(g.edges)
@@ -604,7 +592,7 @@ def theta(
         best_gap, best = gap, (X, y)
     X, y = best
 
-    ok = best_gap <= tolerance and verify_feasibility(g, X, tolerance).passed
+    ok = best_gap <= tolerance and feasible(verify_feasibility(g, X), tolerance)
     return SdpSolution(
         X=X,
         y=y,

@@ -358,7 +358,8 @@ def theta_sandwich(
     """Independence number and Lovasz number, checked against alpha <= theta."""
     alpha = independence_number(g, limit=alpha_limit).alpha
     sol = theta(g, tolerance=tolerance)
-    if alpha > sol.primal_value + max(tolerance, sol.duality_gap) + 10 * tolerance:
+    gap = sol.dual_value - sol.primal_value
+    if alpha > sol.primal_value + max(tolerance, gap) + 10 * tolerance:
         raise ArithmeticError(
             f"sandwich violated: alpha={alpha} > theta={sol.primal_value}"
         )

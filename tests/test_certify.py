@@ -35,7 +35,8 @@ from twopoint.cli import main
 from twopoint.serialize import dumps_canonical, format_float
 from twopoint.simulate import SCHEMES, NoiseModel
 from oracles import (
-    event_assignments, lift_primal_per_edge, pairwise_signaling, record_tree, scalar_s_estimate
+    builtin_kcbs_rep, event_assignments, kcbs_graph, lift_primal_per_edge, pairwise_signaling,
+    record_tree, scalar_s_estimate,
 )
 
 cli_mod = importlib.import_module("twopoint.cli")
@@ -643,6 +644,10 @@ def _line(text: str, prefix: str) -> str:
     return line
 
 
+def _failing_run_experiment(*args, **kwargs):
+    raise RuntimeError("injected montecarlo failure")
+
+
 @pytest.fixture(scope="module")
 def c5_report():
     return certify(cycle_graph(5), FAST)
@@ -703,7 +708,8 @@ class TestCheckRules:
         assert [c for c, _ in report.checks()] == CHECK_NAMES and report.all_passed
 
     def test_stored_checks_are_the_rules_in_partial_reports(self, monkeypatch, capsys):
-        assert main(["certify", "k7", "--shots", str(10**19), "--format", "json"]) == 1
+        monkeypatch.setattr(certify_mod, "run_experiment", _failing_run_experiment)
+        assert main(["certify", "k7", "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["checks"] == certify_mod.CertifyReport(data).checks()
         assert [c for c, _ in data["checks"]] == CHECK_NAMES
@@ -725,6 +731,23 @@ class TestCheckRules:
         assert all(ok for _, ok in report.checks()) and not report.all_passed
         text = emit_report(report, "text")
         assert "stored checks: differ" in text and "overall: FAIL" in text
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [("seed", -1), ("shots", 0), ("shots", 2**63), ("tolerance", 1.0)],
+        ids=["seed-1", "shots-0", "shots-2**63", "tolerance-1"],
+    )
+    def test_bad_settings_refused_up_front(self, setting, value):
+        # The message is the one the stage that uses the setting would raise.
+        with pytest.raises(ValueError) as stage:
+            if setting == "tolerance":
+                theta(cycle_graph(5), tolerance=value)
+            else:
+                run_experiment(builtin_kcbs_rep(), kcbs_graph(),
+                               **{"shots": 1, "seed": 0, setting: value})
+        with pytest.raises(ValueError) as options:
+            CertifyOptions(**{setting: value})
+        assert str(options.value) == str(stage.value)
 
     def test_unknown_scheme_refused_up_front(self):
         with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
@@ -836,24 +859,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "shots must be below 2**63" in captured.err
-        with pytest.raises(StageError) as info:
-            certify(cycle_graph(5), CertifyOptions(shots=10**19))
-        assert info.value.stage == "montecarlo"
-        assert "shots must be below 2**63" in str(info.value.cause)
-        assert info.value.report.data["error"]["stage"] == "montecarlo"
+        with pytest.raises(ValueError, match=r"shots must be below 2\*\*63"):
+            CertifyOptions(shots=10**19)
 
     def test_negative_seed_refused_by_name(self, capsys):
         assert main(["simulate", "c5", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"
-        with pytest.raises(StageError) as info:
-            certify(cycle_graph(5), CertifyOptions(seed=-1))
-        assert info.value.stage == "montecarlo"
-        assert "seed" in str(info.value.cause)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            CertifyOptions(seed=-1)
 
-    def test_certify_stage_failure_emits_partial_report(self, capsys):
-        assert main(["certify", "k7", "--shots", str(10**19), "--format", "json"]) == 1
+    @pytest.mark.parametrize("skip", [[], ["--skip-montecarlo"]], ids=["montecarlo", "skip"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+            ("--tolerance", "1", "tolerance must lie in [1e-10, 1e-3], got 1.0"),
+        ],
+        ids=["seed", "tolerance"],
+    )
+    def test_bad_setting_refused_before_any_stage(
+        self, monkeypatch, capsys, skip, flag, value, message
+    ):
+        # The refusal once came from theta or run_experiment, after alpha(G) had run,
+        # and printed a partial report.
+        calls = []
+        monkeypatch.setattr(certify_mod, "independence_number", lambda *a, **k: calls.append(a))
+        assert main(["certify", "c5", flag, value, *skip]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert calls == []
+
+    def test_certify_stage_failure_emits_partial_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(certify_mod, "run_experiment", _failing_run_experiment)
+        assert main(["certify", "k7", "--format", "json"]) == 1
         captured = capsys.readouterr()
         data = json.loads(captured.out)
         assert data["complete"] is False
@@ -930,17 +970,22 @@ class TestCli:
         assert "overall: FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "name, flag, line",
+        "name, tamper, line",
         [
-            ("verify_dual", "support_ok", "dual verification = FAIL"),
-            ("verify_feasibility", "edges_ok", "feasibility = FAIL"),
+            pytest.param("verify_dual", lambda d: dataclasses.replace(d, support_ok=False),
+                         "dual verification = FAIL",
+                         id="verify_dual-support_ok-dual verification = FAIL"),
+            # An edge entry of 1 breaks the edges condition of the feasibility rule.
+            pytest.param("verify_feasibility", lambda r: {**r, "max_edge_entry": 1.0},
+                         "feasibility = FAIL",
+                         id="verify_feasibility-edges_ok-feasibility = FAIL"),
         ],
     )
-    def test_theta_failed_verification_exits_2(self, capsys, monkeypatch, name, flag, line):
+    def test_theta_failed_verification_exits_2(self, capsys, monkeypatch, name, tamper, line):
         real = getattr(certify_mod, name)
 
         def failing(*args):
-            return dataclasses.replace(real(*args), **{flag: False})
+            return tamper(real(*args))
 
         monkeypatch.setattr(certify_mod, name, failing)
         assert main(["theta", "c5"]) == 2

@@ -14,6 +14,7 @@ from twopoint import (
     catalog,
     cycle_graph,
     extract_ortho_rep,
+    realised,
     theta,
     verify_ortho_rep,
 )
@@ -44,8 +45,8 @@ class TestBuiltinKcbs:
         assert rep.overlap_sum() == pytest.approx(SQRT5, abs=1e-12)
 
     def test_verifier_passes_with_theta_target(self):
-        report = verify_ortho_rep(kcbs_graph(), builtin_kcbs_rep(), 1e-9, theta_target=SQRT5)
-        assert report.passed
+        report = verify_ortho_rep(kcbs_graph(), builtin_kcbs_rep(), theta_target=SQRT5)
+        assert realised(report, 1e-9)
 
 
 class TestVerifier:
@@ -54,24 +55,25 @@ class TestVerifier:
         vectors = rep.vectors.copy()
         vectors[2] = rep.psi
         bad = OrthoRep(psi=rep.psi, vectors=vectors)
-        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6, theta_target=SQRT5)
-        assert not report.orthogonality_ok
-        assert not report.passed
+        report = verify_ortho_rep(kcbs_graph(), bad, theta_target=SQRT5)
+        assert report["max_edge_overlap"] > 1e-6
+        assert not realised(report, 1e-6)
 
     def test_scaling_breaks_norms(self):
         rep = builtin_kcbs_rep()
         bad = OrthoRep(psi=2 * rep.psi, vectors=2 * rep.vectors)
-        report = verify_ortho_rep(kcbs_graph(), bad, 1e-6, theta_target=SQRT5)
-        assert not report.norms_ok
+        report = verify_ortho_rep(kcbs_graph(), bad, theta_target=SQRT5)
+        assert report["max_norm_error"] > 1e-6
+        assert not realised(report, 1e-6)
 
     def test_shape_mismatch(self):
         rep = builtin_kcbs_rep()
         with pytest.raises(ValueError, match="shape"):
-            verify_ortho_rep(build_graph(4, []), rep, 1e-6, theta_target=SQRT5)
+            verify_ortho_rep(build_graph(4, []), rep, theta_target=SQRT5)
 
     def test_target_is_required(self):
         with pytest.raises(TypeError, match="theta_target"):
-            verify_ortho_rep(kcbs_graph(), builtin_kcbs_rep(), 1e-9)
+            verify_ortho_rep(kcbs_graph(), builtin_kcbs_rep())
 
     def test_psi_must_match_the_vectors_width(self):
         with pytest.raises(ValueError, match="psi has shape"):
@@ -84,15 +86,15 @@ class TestVerifier:
         v = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
         assert abs(v[0] @ v[1]) == pytest.approx(1.0) and abs(np.vdot(v[0], v[1])) <= 1e-16
         rep = OrthoRep(psi=np.array([1.0, 0.0]), vectors=v)
-        report = verify_ortho_rep(build_graph(2, [(0, 1)]), rep, 1e-9, theta_target=1.0)
-        assert report.max_edge_overlap <= 1e-16
-        assert report.passed
+        report = verify_ortho_rep(build_graph(2, [(0, 1)]), rep, theta_target=1.0)
+        assert report["max_edge_overlap"] <= 1e-16
+        assert realised(report, 1e-9)
 
     def test_edgeless_graph_has_zero_edge_overlap(self):
         rep = OrthoRep(psi=np.ones(3) / math.sqrt(3.0), vectors=np.eye(3))
-        report = verify_ortho_rep(build_graph(3, []), rep, 1e-9, theta_target=1.0)
-        assert report.max_edge_overlap == 0.0
-        assert report.passed
+        report = verify_ortho_rep(build_graph(3, []), rep, theta_target=1.0)
+        assert report["max_edge_overlap"] == 0.0
+        assert realised(report, 1e-9)
 
     @pytest.mark.parametrize("name", ["kcbs", "k2-complex", "c7", "petersen", "chsh-circulant"])
     def test_overlaps_are_the_per_vertex_overlaps(self, name):
@@ -163,6 +165,21 @@ _SWEEP_DRAW_261 = (
 )
 
 
+class TestRealisedRule:
+    """`realised` is the one realisation rule: each of the three errors within the tolerance."""
+
+    @pytest.mark.parametrize("key", ["max_edge_overlap", "max_norm_error", "overlap_error"])
+    def test_boundary_and_nan(self, key):
+        tol = 1e-5
+        # The overlap sum is reported, not judged: its distance to the target is.
+        zero = {"max_edge_overlap": 0.0, "max_norm_error": 0.0, "overlap_sum": math.nan,
+                "overlap_error": 0.0}
+        assert realised(zero, tol)
+        assert realised({**zero, key: tol}, tol)
+        assert not realised({**zero, key: math.nextafter(tol, math.inf)}, tol)
+        assert not realised({**zero, key: math.nan}, tol)
+
+
 class TestOverlapSum:
     """The overlap sum adds left to right, as on Python 3.10 and 3.11, so the
     report's overlap_sum does not depend on the compensated sum() of 3.12."""
@@ -187,8 +204,8 @@ class TestExtraction:
         rep = extract_ortho_rep(c5, sol)
         assert rep.dimension == 3
         assert rep.overlap_sum() == pytest.approx(SQRT5, abs=1e-5)
-        report = verify_ortho_rep(c5, rep, 1e-5, theta_target=sol.primal_value)
-        assert report.passed
+        report = verify_ortho_rep(c5, rep, theta_target=sol.primal_value)
+        assert realised(report, 1e-5)
 
     @pytest.mark.parametrize("name, dimension", [("c21", 3), ("petersen", 5)])
     def test_loose_solution_is_judged_at_its_own_tolerance(self, name, dimension):
@@ -198,7 +215,7 @@ class TestExtraction:
         sol = theta(g, tolerance=1e-4)
         rep = extract_ortho_rep(g, sol)
         assert rep.dimension == dimension
-        assert verify_ortho_rep(g, rep, 1e-4, theta_target=sol.primal_value).passed
+        assert realised(verify_ortho_rep(g, rep, theta_target=sol.primal_value), 1e-4)
 
     def test_empty_graph_vectors_align_with_handle(self):
         g = build_graph(4, [])
@@ -219,14 +236,14 @@ class TestExtraction:
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
-        report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
-        assert report.passed
+        report = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+        assert realised(report, 1e-5)
 
     def test_path_graph_zero_column_handled(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
-        assert verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value).passed
+        assert realised(verify_ortho_rep(g, rep, theta_target=sol.primal_value), 1e-5)
 
     def test_degenerate_face_instance(self):
         # On this graph the optimal face is degenerate: the primal matrix
@@ -244,8 +261,8 @@ class TestExtraction:
         )
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
-        report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
-        assert report.passed, report
+        report = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+        assert realised(report, 1e-5), report
 
     @pytest.mark.parametrize(
         "case",
@@ -256,8 +273,8 @@ class TestExtraction:
         g = build_graph(*case)
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
-        report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
-        assert report.passed, report
+        report = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+        assert realised(report, 1e-5), report
 
     def test_disconnected_graph_zero_column_avoids_handle(self):
         # Hub of the star vanishes at the optimum while the complement of
@@ -267,7 +284,7 @@ class TestExtraction:
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
         assert rep.overlaps()[0] <= 1e-9
-        assert verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value).passed
+        assert realised(verify_ortho_rep(g, rep, theta_target=sol.primal_value), 1e-5)
 
     def test_random_graphs_extract_and_verify(self):
         rng = np.random.default_rng(2026)
@@ -275,8 +292,8 @@ class TestExtraction:
             g = random_graph(rng, int(rng.integers(2, 10)), [0.2, 0.5, 0.8][trial % 3])
             sol = theta(g)
             rep = extract_ortho_rep(g, sol)
-            report = verify_ortho_rep(g, rep, 1e-5, theta_target=sol.primal_value)
-            assert report.passed, (g, report)
+            report = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+            assert realised(report, 1e-5), (g, report)
 
     def test_value_the_factor_cannot_reach_raises(self, c5):
         sol = theta(c5)
@@ -296,8 +313,8 @@ class TestExtraction:
         for g in (c5, cycle_graph(21)):
             sol = theta(g)
             rep = extract_ortho_rep(g, sol)
-            report = verify_ortho_rep(g, rep, 1e-15, theta_target=sol.primal_value)
-            assert report.max_edge_overlap <= 1e-15
+            report = verify_ortho_rep(g, rep, theta_target=sol.primal_value)
+            assert report["max_edge_overlap"] <= 1e-15
             state = pure_state(rep.psi)
             for (i, j) in g.edges:
                 probs = joint_probs_projective(state, (i, j), rep)
@@ -332,4 +349,4 @@ class TestRoundOffRank:
         sol = theta(g)
         rep = extract_ortho_rep(g, sol)
         assert rep.dimension == dimension
-        assert verify_ortho_rep(g, rep, sol.tolerance, theta_target=sol.primal_value).passed
+        assert realised(verify_ortho_rep(g, rep, theta_target=sol.primal_value), sol.tolerance)

@@ -487,9 +487,9 @@ def _writer_cases():
     edgeless = build_graph(3, [])
     cases = []
     for scheme in ("projective", "demolition"):
-        for noise in (None, noisy):
+        for noise in (NoiseModel(), noisy):
             for shots in (1, 10**6, 2**53 + 1, 2**63 - 1):
-                label = f"kcbs-{scheme}-{'noisy' if noise else 'exact'}-{shots}"
+                label = f"kcbs-{scheme}-{'noisy' if noise is noisy else 'exact'}-{shots}"
                 cases.append((label, run_experiment(kcbs_rep, kcbs, shots, 5, noise, scheme)))
         cases.append((f"leafy-{scheme}", run_experiment(leafy_rep, leafy, 5_000, 2, noisy, scheme)))
         cases.append((f"random-12-{scheme}", run_experiment(rep12, g12, 10**6, 3, noisy, scheme)))

@@ -560,7 +560,7 @@ class TestKernelAgainstPerContextOracle:
     stream.  The counts must be equal."""
 
     @pytest.mark.parametrize("scheme", ["projective", "demolition"])
-    @pytest.mark.parametrize("noise", [None, NOISY], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("noise", [NoiseModel(), NOISY], ids=["noiseless", "noisy"])
     def test_petersen(self, petersen, scheme, noise):
         rep = extract_ortho_rep(petersen, theta(petersen))
         record = run_experiment(rep, petersen, shots=50_000, seed=5, noise=noise, scheme=scheme)
@@ -580,7 +580,7 @@ class TestKernelAgainstPerContextOracle:
         g = random_graph(rng, 12, 0.4)
         vectors = np.array([random_unit(rng, 5) for _ in range(12)])
         rep = OrthoRep(psi=random_unit(rng, 5), vectors=vectors)
-        for noise in (None, NOISY):
+        for noise in (NoiseModel(), NOISY):
             record = run_experiment(rep, g, shots=30_000, seed=6, noise=noise, scheme=scheme)
             oracle = per_context_counts(rep, g, 30_000, 6, noise, scheme)
             assert (record.contexts, record.single_counts, record.pair_counts) == oracle

@@ -16,6 +16,7 @@ from twopoint import (
     complete_graph,
     cycle_graph,
     catalog,
+    feasible,
     lift_dual,
     multiplier_matrix,
     theta,
@@ -112,7 +113,7 @@ class TestCertificates:
     def test_duality_gap_within_tolerance(self, c5, petersen):
         for g in (c5, petersen):
             sol = theta(g, tolerance=1e-7)
-            assert -1e-9 <= sol.duality_gap <= 1e-7
+            assert -1e-9 <= sol.dual_value - sol.primal_value <= 1e-7
 
     def test_feasibility_of_converged_solutions(self):
         rng = np.random.default_rng(99)
@@ -120,26 +121,25 @@ class TestCertificates:
             g = random_graph(rng, int(rng.integers(2, 9)), 0.5)
             sol = theta(g)
             assert sol.status is SdpStatus.CONVERGED
-            report = verify_feasibility(g, sol.X, sol.tolerance)
-            assert report.passed
+            assert feasible(verify_feasibility(g, sol.X), sol.tolerance)
 
     def test_feasibility_flags_edge_violation(self, c5):
         X = np.eye(5) / 5
         X[0, 1] = X[1, 0] = 0.01
-        report = verify_feasibility(c5, X, 1e-6)
-        assert not report.edges_ok
-        assert not report.passed
+        report = verify_feasibility(c5, X)
+        assert report["max_edge_entry"] > 1e-6
+        assert not feasible(report, 1e-6)
 
     def test_feasibility_of_uniform_matrix_on_empty_graph(self):
         g = build_graph(4, [])
         X = np.ones((4, 4)) / 4
-        report = verify_feasibility(g, X, 1e-9)
-        assert report.passed
-        assert report.max_edge_entry == 0.0
+        report = verify_feasibility(g, X)
+        assert feasible(report, 1e-9)
+        assert report["max_edge_entry"] == 0.0
 
     def test_dimension_mismatch(self, c5):
         with pytest.raises(ValueError, match="shape"):
-            verify_feasibility(c5, np.eye(4), 1e-7)
+            verify_feasibility(c5, np.eye(4))
 
     def test_max_iterations_reported_honestly(self, c5):
         sol = theta(c5, max_iterations=1)
@@ -154,9 +154,25 @@ class TestCertificates:
     def test_status_is_gap_and_feasibility(self, petersen, max_iterations):
         sol = theta(petersen, max_iterations=max_iterations)
         tol = sol.tolerance
-        passed = sol.duality_gap <= tol and verify_feasibility(petersen, sol.X, tol).passed
+        gap = sol.dual_value - sol.primal_value
+        passed = gap <= tol and feasible(verify_feasibility(petersen, sol.X), tol)
         assert (sol.status is SdpStatus.CONVERGED) == passed
         assert passed == (max_iterations > 1)
+
+
+class TestFeasibleRule:
+    """`feasible` is the one feasibility rule: each residual within the tolerance."""
+
+    @pytest.mark.parametrize("key", ["min_eigenvalue", "trace_error", "max_edge_entry"])
+    def test_boundary_and_nan(self, key):
+        tol = 1e-7
+        zero = {"min_eigenvalue": 0.0, "trace_error": 0.0, "max_edge_entry": 0.0}
+        # lambda_min may reach -tol; the two errors may reach +tol.
+        at, outward = (-tol, -math.inf) if key == "min_eigenvalue" else (tol, math.inf)
+        assert feasible(zero, tol)
+        assert feasible({**zero, key: at}, tol)
+        assert not feasible({**zero, key: math.nextafter(at, outward)}, tol)
+        assert not feasible({**zero, key: math.nan}, tol)
 
 
 class TestDualCertificate:
@@ -365,7 +381,7 @@ class TestUndrivenExits:
         assert sol.status is SdpStatus.MAX_ITERATIONS
         assert sol.iterations == self.K + 1
         assert np.array_equal(sol.X, ref.X) and np.array_equal(sol.y, ref.y)
-        assert sol.duality_gap < 5.0  # below the gap n of the start point
+        assert sol.dual_value - sol.primal_value < 5.0  # below the gap n of the start point
 
     def test_z_not_factorable(self, c5, monkeypatch):
         ref = theta(c5, max_iterations=self.K)
@@ -445,7 +461,7 @@ class TestStalledEndGame:
         assert sol.status is SdpStatus.CONVERGED
         assert sol.termination is SdpTermination.STALLED
         assert sol.iterations <= 17
-        assert sol.duality_gap == pytest.approx(1.3027e-8, rel=1e-3)
+        assert sol.dual_value - sol.primal_value == pytest.approx(1.3027e-8, rel=1e-3)
         assert sol.primal_value == pytest.approx(13.0, abs=1e-7)
 
 
