@@ -50,6 +50,7 @@ from .theta import (
     DEFAULT_TOLERANCE,
     DualReport,
     check_tolerance,
+    converged,
     feasible,
     lift_dual,
     lift_primal,
@@ -277,9 +278,9 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
         section = _bounds_section(
             gp, X_gp, verify_dual(gp, Y_gp), tolerance, opts.include_sdp_matrices
         )
-        converged = abs(section["gap"]) <= tolerance and section["feasible"]
+        ok = converged(section["gap"], section["residuals"], tolerance)
         section["method"] = "constructive"
-        section["status"] = "converged" if converged else "not_converged"
+        section["status"] = "converged" if ok else "not_converged"
         data["theta_gprime"] = section
 
     edge_count = len(work.edges)

@@ -18,7 +18,6 @@ are, and the all-pairs oracle it is checked against lives in
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ import numpy as np
 Edge = tuple[int, int]
 
 
+@dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
@@ -43,12 +43,8 @@ class Graph:
     """
 
     n: int
-    weights: Optional[tuple[int, ...]]
-
-    def __init__(
-        self, n: int, edges: tuple[Edge, ...], weights: Optional[tuple[int, ...]] = None
-    ) -> None:
-        vars(self).update(n=n, edges=edges, weights=weights)
+    edges: tuple[Edge, ...]
+    weights: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_edge_index(cls, n: int, ei: np.ndarray, ej: np.ndarray) -> Graph:
@@ -63,29 +59,14 @@ class Graph:
         vars(g).update(n=n, weights=None, edge_index=(ei, ej))
         return g
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges, self.weights) == (other.n, other.edges, other.weights)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.weights))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n!r}, edges={self.edges!r}, weights={self.weights!r})"
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as pairs of Python ints; an array-built graph makes them on
-        their first read."""
-        ei, ej = self.edge_index
-        return tuple(zip(ei.tolist(), ej.tolist()))
+    def __getattr__(self, name: str) -> tuple[Edge, ...]:
+        # Reached when normal lookup fails: for ``edges``, on an array-built graph not
+        # yet read.  A blank instance (pickle, copy) has no edge_index, so it raises.
+        if name != "edges" or "edge_index" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ei, ej = vars(self)["edge_index"]
+        edges = vars(self)["edges"] = tuple(zip(ei.tolist(), ej.tolist()))
+        return edges
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -223,7 +204,7 @@ class EventGraph:
 
     @property
     def n(self) -> int:
-        return self.source.n + 3 * len(self.source.edges)
+        return self.graph.n
 
     @property
     def edges(self) -> tuple[Edge, ...]:

@@ -40,11 +40,12 @@ importing this module, and everything that never runs the SDP, loads numpy
 alone.  `SdpSolution.termination` names the exit the loop took.
 
 The loop returns its best iterate, whichever exit fires.  It stops at a gap
-of a hundredth of the tolerance, or once the gap stops falling: after 10
-non-improving iterations while the best gap is above the tolerance, after 3
-once it is within it, and at the first once it is within a tenth of it.
-Below the tolerance a stall is round-off (a re-projection lift raising the
-gap), and the best iterate is already certified.
+of a hundredth of the tolerance, but not below `GAP_FLOOR`, or once the gap
+stops falling: after 10 non-improving iterations while the best gap is
+above the tolerance, after 3 once it is within it, and at the first once it
+is within a tenth of it.  Below the tolerance a stall is round-off (a
+re-projection lift raising the gap), and the best iterate is already
+certified.
 
 The dual of the program is
 
@@ -75,18 +76,19 @@ from .graphs import EventGraph, Graph
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
 MEMORY_LIMIT_BYTES = 2 * 2**30
+GAP_FLOOR = 2e-10  # round-off: the lowest gap `theta` aims for and the lowest tolerance
 
 
 def check_tolerance(tolerance: float) -> None:
-    """Refuse a tolerance outside [1e-10, 1e-3] with ValueError; `theta` and
-    `CertifyOptions` both call this before any work."""
-    if not (1e-10 <= tolerance <= 1e-3):
-        raise ValueError(f"tolerance must lie in [1e-10, 1e-3], got {tolerance}")
+    """Refuse a tolerance outside [GAP_FLOOR, 1e-3], so the gap aimed for is within it,
+    with ValueError; `theta` and `CertifyOptions` both call this before any work."""
+    if not (GAP_FLOOR <= tolerance <= 1e-3):
+        raise ValueError(f"tolerance must lie in [{GAP_FLOOR:g}, 1e-3], got {tolerance}")
 
 
 class SdpStatus(enum.Enum):
     CONVERGED = "converged"
-    MAX_ITERATIONS = "max_iterations"
+    MAX_ITERATIONS = "max_iterations"  # not converged, whichever exit fired
 
 
 class SdpTermination(enum.Enum):
@@ -168,6 +170,11 @@ def feasible(residuals: dict[str, float], tolerance: float) -> bool:
     return (residuals["min_eigenvalue"] >= -tolerance
             and residuals["trace_error"] <= tolerance
             and residuals["max_edge_entry"] <= tolerance)
+
+
+def converged(gap: float, residuals: dict[str, float], tolerance: float) -> bool:
+    """The one convergence rule, |gap| <= tolerance and `feasible`, for ϑ(G) and ϑ(G')."""
+    return abs(gap) <= tolerance and feasible(residuals, tolerance)
 
 
 def multiplier_matrix(g: Graph, y: np.ndarray) -> np.ndarray:
@@ -457,12 +464,11 @@ def theta(
 
     The returned primal value is a lower and the dual value an upper bound
     on the true optimum, up to X's feasibility residuals.  The status is
-    CONVERGED iff the gap is within tolerance and X's residuals are
-    `feasible` at tolerance; otherwise it is MAX_ITERATIONS,
-    carrying the best iterate found, never silently.  `termination` names
-    the exit.  A graph whose SDP would need more than `MEMORY_LIMIT_BYTES`
-    is refused with ValueError before anything is allocated, and an iterate
-    that turns non-finite raises ValueError.
+    CONVERGED iff the gap and X's residuals pass `converged` at tolerance;
+    otherwise it is MAX_ITERATIONS, carrying the best iterate found, never
+    silently.  `termination` names the exit.  A graph whose SDP would need
+    more than `MEMORY_LIMIT_BYTES` is refused with ValueError before anything
+    is allocated, and an iterate that turns non-finite raises ValueError.
     """
     if g.n < 1:
         raise ValueError("theta needs at least one vertex")
@@ -508,7 +514,7 @@ def theta(
     # the realisation are both read off this X's factor and inherit its
     # remaining gap, and the realisation's truncated first try must match
     # the primal value to within the tolerance itself.
-    target_gap = max(0.01 * tolerance, 2e-10)
+    target_gap = max(0.01 * tolerance, GAP_FLOOR)
     tau = 0.98
     best_gap = math.inf
     best = (X, y)
@@ -592,7 +598,7 @@ def theta(
         best_gap, best = gap, (X, y)
     X, y = best
 
-    ok = best_gap <= tolerance and feasible(verify_feasibility(g, X), tolerance)
+    ok = converged(best_gap, verify_feasibility(g, X), tolerance)
     return SdpSolution(
         X=X,
         y=y,

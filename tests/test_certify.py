@@ -875,7 +875,7 @@ class TestCli:
         "flag, value, message",
         [
             ("--seed", "-1", "seed must be a non-negative integer, got -1"),
-            ("--tolerance", "1", "tolerance must lie in [1e-10, 1e-3], got 1.0"),
+            ("--tolerance", "1", "tolerance must lie in [2e-10, 1e-3], got 1.0"),
         ],
         ids=["seed", "tolerance"],
     )

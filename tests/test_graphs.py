@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 
 import numpy as np
@@ -306,3 +308,44 @@ class TestArrayBuiltGraph:
             gp = eg.as_graph()
             assert hash(gp) == hash(oracle) and gp == oracle
             assert [a.tolist() for a in gp.edge_index] == [a.tolist() for a in oracle.edge_index]
+
+
+class TestGraphIsAFrozenDataclass:
+    """`Graph` is a frozen dataclass whose array-built instances make ``edges``
+    on first read, through ``__getattr__`` and nothing else."""
+
+    @staticmethod
+    def _gprime():
+        return build_two_point_graph(cycle_graph(5)).as_graph()
+
+    def test_fields_and_replace(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "edges", "weights"]
+        gp = self._gprime()
+        assert dataclasses.replace(gp, n=gp.n) == gp
+
+    @pytest.mark.parametrize("copier", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_equal_the_original(self, copier):
+        petersen, gp = catalog("petersen"), self._gprime()
+        copies = copier(petersen), copier(gp)
+        # The copy of G' holds the arrays, and makes its tuple when first read.
+        assert "edges" not in vars(copies[1])
+        assert copies[1].edges == tuple(zip(*(a.tolist() for a in gp.edge_index)))
+        for original, copied in zip((petersen, gp), copies):
+            assert copied == original and hash(copied) == hash(original)
+        # Each compares equal to the other kind's build of the same graph.
+        assert copies[0] == _array_built(petersen) and _array_built(petersen) == copies[0]
+        assert copies[1] == Graph(gp.n, gp.edges) and hash(copies[1]) == hash(Graph(gp.n, gp.edges))
+
+    def test_unknown_attribute_raises_and_builds_nothing(self):
+        gp = self._gprime()
+        with pytest.raises(AttributeError, match="^'Graph' object has no attribute 'colour'$"):
+            gp.colour
+        assert "edges" not in vars(gp)
+
+    def test_frozen_messages(self):
+        gp = self._gprime()
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'n'$"):
+            gp.n = 6
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'n'$"):
+            del gp.n

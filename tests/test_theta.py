@@ -2,12 +2,14 @@ import dataclasses
 import importlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from twopoint import (
+    CertifyOptions,
     SdpSolution,
     SdpStatus,
     SdpTermination,
@@ -24,7 +26,7 @@ from twopoint import (
     verify_feasibility,
 )
 from twopoint.cli import main
-from twopoint.theta import _Schur
+from twopoint.theta import GAP_FLOOR, _Schur, check_tolerance, converged
 from conftest import random_graph, sampled_graph
 from oracles import complement, lift_dual_dense, odd_cycle_theta, theta_sandwich
 
@@ -173,6 +175,20 @@ class TestFeasibleRule:
         assert feasible({**zero, key: at}, tol)
         assert not feasible({**zero, key: math.nextafter(at, outward)}, tol)
         assert not feasible({**zero, key: math.nan}, tol)
+
+
+class TestConvergedRule:
+    """`converged` is the one convergence rule: |gap| within the tolerance and
+    the residuals `feasible` at it."""
+
+    def test_boundary_and_nan(self):
+        tol = 1e-7
+        zero = {"min_eigenvalue": 0.0, "trace_error": 0.0, "max_edge_entry": 0.0}
+        for at, outward in ((tol, math.inf), (-tol, -math.inf)):
+            assert converged(at, zero, tol)
+            assert not converged(math.nextafter(at, outward), zero, tol)
+        assert not converged(math.nan, zero, tol)
+        assert not converged(0.0, {**zero, "max_edge_entry": 2 * tol}, tol)
 
 
 class TestDualCertificate:
@@ -471,10 +487,40 @@ class TestValidation:
             with pytest.raises(ValueError, match="tolerance"):
                 theta(c5, tolerance=bad)
 
+    def test_floor_is_the_lowest_tolerance(self, c5):
+        check_tolerance(GAP_FLOOR)
+        below = math.nextafter(GAP_FLOOR, 0)
+        message = "^" + re.escape(f"tolerance must lie in [2e-10, 1e-3], got {below}") + "$"
+        with pytest.raises(ValueError, match=message):
+            theta(c5, tolerance=below)
+        with pytest.raises(ValueError, match=message):
+            CertifyOptions(tolerance=below)
+
     def test_weighted_rejected(self):
         g = build_graph(2, [(0, 1)], weights={0: 2})
         with pytest.raises(ValueError, match="expand"):
             theta(g)
+
+
+class TestGapFloor:
+    """At the lowest tolerance the gap aimed for is the tolerance itself, so a
+    gap_target exit with feasible residuals is a converged solve."""
+
+    @pytest.mark.parametrize("name", ["fig2-k2", "c7", "petersen"])
+    def test_converges_at_the_floor(self, name):
+        sol = theta(catalog(name), tolerance=GAP_FLOOR)
+        assert sol.status is SdpStatus.CONVERGED
+        assert sol.termination is SdpTermination.GAP_TARGET
+
+    def test_gap_target_means_converged_on_the_catalog(self):
+        names = ["c5", "c7", "c9", "c21", "petersen", "chsh-circulant", "fig2-k2",
+                 "k4", "k6", "empty6", "k1"]
+        for name in names:
+            g = catalog(name)
+            sol = theta(g, tolerance=GAP_FLOOR)
+            if (sol.termination is SdpTermination.GAP_TARGET
+                    and feasible(verify_feasibility(g, sol.X), GAP_FLOOR)):
+                assert sol.status is SdpStatus.CONVERGED, name
 
 
 class _SchurBuilt(Exception):
