@@ -16,7 +16,6 @@ from .independence import (
     is_independent,
 )
 from .theta import (
-    DualReport,
     SdpSolution,
     SdpStatus,
     SdpTermination,
@@ -66,7 +65,6 @@ __all__ = [
     "SizeLimitError",
     "independence_number",
     "is_independent",
-    "DualReport",
     "SdpSolution",
     "SdpStatus",
     "SdpTermination",

@@ -48,7 +48,6 @@ from .serialize import epsilon_prime, epsilon_signaling, record_to_jsonable  # n
 from .simulate import joint_probs_projective  # noqa: F401
 from .theta import (
     DEFAULT_TOLERANCE,
-    DualReport,
     check_tolerance,
     converged,
     feasible,
@@ -137,19 +136,20 @@ class StageError(RuntimeError):
         super().__init__(f"certify stage {stage!r} failed: {cause}")
 
 
-def _bounds_section(
-    g: Graph, X, dual: DualReport, tolerance: float, include_matrix: bool
-) -> dict[str, Any]:
-    """Lower bound <J, X> and upper bound ``dual.bound``, with X's residuals on g."""
+def _bounds_section(g: Graph, X, Y, tolerance: float, include_matrix: bool) -> dict[str, Any]:
+    """Lower bound <J, X> and `verify_dual`'s upper bound of Y, with X's residuals on g,
+    and a ``status`` judged by `converged` on the gap and residuals stored here."""
     residuals = verify_feasibility(g, X)
     value = float(X.sum())
+    dual = verify_dual(g, Y)
+    gap = dual["dual"] - value
     out: dict[str, Any] = {
         "value": value,
-        "dual": dual.bound,
-        "gap": dual.bound - value,
+        **dual,
+        "gap": gap,
         "residuals": residuals,
         "feasible": feasible(residuals, tolerance),
-        "dual_verified": dual.passed,
+        "status": "converged" if converged(gap, residuals, tolerance) else "not_converged",
     }
     if include_matrix:
         out["X"] = [[float(x) for x in row] for row in X]
@@ -158,9 +158,7 @@ def _bounds_section(
 
 def _theta_section(g: Graph, sol, include_matrix: bool) -> dict[str, Any]:
     """ϑ's bounds section of ``sol``, judged at the tolerance it was solved to."""
-    dual = verify_dual(g, multiplier_matrix(g, sol.y))
-    out = _bounds_section(g, sol.X, dual, sol.tolerance, include_matrix)
-    out["status"] = sol.status.value
+    out = _bounds_section(g, sol.X, multiplier_matrix(g, sol.y), sol.tolerance, include_matrix)
     out["termination"] = sol.termination.value
     out["iterations"] = sol.iterations
     return out
@@ -275,12 +273,8 @@ def certify(g: Graph, options: Optional[CertifyOptions] = None) -> CertifyReport
     with stage("theta_gprime"):
         X_gp = lift_primal(eg, sol_g.X)
         Y_gp = lift_dual(eg, sol_g.y, data["theta_g"]["dual"])
-        section = _bounds_section(
-            gp, X_gp, verify_dual(gp, Y_gp), tolerance, opts.include_sdp_matrices
-        )
-        ok = converged(section["gap"], section["residuals"], tolerance)
+        section = _bounds_section(gp, X_gp, Y_gp, tolerance, opts.include_sdp_matrices)
         section["method"] = "constructive"
-        section["status"] = "converged" if ok else "not_converged"
         data["theta_gprime"] = section
 
     edge_count = len(work.edges)

@@ -178,13 +178,12 @@ def _cmd_theta(args) -> int:
     g = _load_unweighted(args)
     sol = theta(g, tolerance=args.tolerance)
     t = _theta_section(g, sol, args.dump_sdp)
-    t["theta"] = t.pop("value")
     checks = {name: ok(t) for name, section, ok in CHECKS if section == "theta_g"}
     if args.format == "json":
         out = dumps_canonical(t) + "\n"
     else:
         out = (
-            f"ϑ = {format_float(t['theta'])}\n"
+            f"ϑ = {format_float(t['value'])}\n"
             f"dual = {format_float(t['dual'])} (gap {format_float(t['gap'])})\n"
             f"status = {t['status']} ({t['termination']}), "
             f"iterations = {t['iterations']}\n"

@@ -20,12 +20,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 Edge = tuple[int, int]
+
+
+def reduce_to_fields(obj) -> tuple:
+    """``__reduce__`` of a dataclass that freezes its arrays: pickle and copy rebuild it
+    through its constructor, so a copy's arrays are read-only too and its caches unbuilt."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,12 @@ class Graph:
         ei, ej = vars(self)["edge_index"]
         edges = vars(self)["edges"] = tuple(zip(ei.tolist(), ej.tolist()))
         return edges
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through a constructor (read-only arrays); an unread G' keeps its tuple unbuilt.
+        if "edges" in vars(self):
+            return Graph, (self.n, self.edges, self.weights)
+        return Graph.from_edge_index, (self.n, *self.edge_index)
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, reduce_to_fields
 from .theta import SdpSolution, SdpStatus, primal_factor
 
 
@@ -63,6 +63,8 @@ class OrthoRep:
         vectors.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "vectors", vectors)
+
+    __reduce__ = reduce_to_fields
 
     @property
     def n(self) -> int:

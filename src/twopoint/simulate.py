@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, reduce_to_fields
 from .orthorep import OrthoRep
 
 SCHEMES = ("projective", "demolition")
@@ -52,6 +52,8 @@ class QState:
             raise ValueError("density matrix must be positive semidefinite")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+
+    __reduce__ = reduce_to_fields
 
     @property
     def d(self) -> int:
@@ -276,6 +278,8 @@ class ExperimentRecord:
     contexts: tuple[tuple[int, int], ...]
     single_counts: tuple[int, ...]
     pair_counts: tuple[tuple[int, int, int, int], ...]
+
+    __reduce__ = reduce_to_fields
 
     @functools.cached_property
     def count_array(self) -> np.ndarray:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EventGraph, Graph
+from .graphs import EventGraph, Graph, reduce_to_fields
 
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERATIONS = 10_000
@@ -88,7 +88,7 @@ def check_tolerance(tolerance: float) -> None:
 
 class SdpStatus(enum.Enum):
     CONVERGED = "converged"
-    MAX_ITERATIONS = "max_iterations"  # not converged, whichever exit fired
+    NOT_CONVERGED = "not_converged"  # not converged, whichever exit fired
 
 
 class SdpTermination(enum.Enum):
@@ -112,7 +112,8 @@ class SdpSolution:
     ``y[0]`` is the trace multiplier and ``y[1:]`` holds one multiplier per
     edge of the graph, in edge order.  ``primal_value`` <J, X> and
     ``dual_value`` ``y[0]`` are read off them.  Later checks judge the
-    solution at ``tolerance``, the one it was solved to.
+    solution at ``tolerance``, the one it was solved to.  ``status`` is the solver's
+    stop verdict on its gap y_0 - <J, X>, which extraction requires; no report copies it.
     """
 
     X: np.ndarray
@@ -128,6 +129,8 @@ class SdpSolution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    __reduce__ = reduce_to_fields
+
     @property
     def primal_value(self) -> float:
         return float(self.X.sum())
@@ -137,30 +140,18 @@ class SdpSolution:
         return float(self.y[0])
 
 
-@dataclass(frozen=True)
-class DualReport:
-    """``bound`` = lambda_max(J - Y) bounds theta from above only if ``passed``."""
-
-    bound: float
-    symmetric_ok: bool
-    support_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.symmetric_ok and self.support_ok
-
-
 def verify_feasibility(g: Graph, X: np.ndarray) -> dict[str, float]:
-    """X's residuals on g, recomputed independently of the solver, as a bounds section
-    stores them: lambda_min of (X + X^T) / 2, |tr X - 1| and the largest |X_ij| on an edge."""
+    """X's residuals on g, recomputed independently of the solver, as a bounds section stores
+    them: lambda_min, |trace - 1| and the largest |entry| on an edge of S = (X + X^T) / 2."""
     X = np.asarray(X, dtype=float)
     if X.shape != (g.n, g.n):
         raise ValueError(f"X has shape {X.shape}, expected ({g.n},{g.n})")
+    S = (X + X.T) / 2
     ei, ej = g.edge_index
     return {
-        "min_eigenvalue": float(np.linalg.eigvalsh((X + X.T) / 2)[0]),
-        "trace_error": float(abs(np.trace(X) - 1.0)),
-        "max_edge_entry": float(np.abs(X[ei, ej]).max(initial=0.0)),
+        "min_eigenvalue": float(np.linalg.eigvalsh(S)[0]),
+        "trace_error": float(abs(np.trace(S) - 1.0)),
+        "max_edge_entry": float(np.abs(S[ei, ej]).max(initial=0.0)),
     }
 
 
@@ -186,13 +177,12 @@ def multiplier_matrix(g: Graph, y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def verify_dual(g: Graph, Y: np.ndarray) -> DualReport:
-    """Recompute the dual bound lambda_max(J - Y) independently of the solver.
-
-    Y is a valid dual point iff it is exactly symmetric and vanishes off the
-    edges of g (its diagonal included); either failure is reported, not
-    raised.  Then y_0 = lambda_max(J - Y) makes y_0 I - J + Y positive
-    semidefinite, so the bound holds for every feasible X.
+def verify_dual(g: Graph, Y: np.ndarray) -> dict[str, float | bool]:
+    """Y's bound on g, recomputed independently of the solver, as a bounds section stores
+    it: ``dual`` = lambda_max(J - Y), and ``dual_verified``, true iff Y is a valid dual
+    point, exactly symmetric and zero off the edges of g (its diagonal included); a
+    failure is reported, not raised.  Then y_0 = lambda_max(J - Y) makes y_0 I - J + Y
+    positive semidefinite, so the bound holds for every feasible X.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (g.n, g.n):
@@ -202,11 +192,10 @@ def verify_dual(g: Graph, Y: np.ndarray) -> DualReport:
     off_edges[ei, ej] = 0.0
     off_edges[ej, ei] = 0.0
     M = np.ones((g.n, g.n)) - Y
-    return DualReport(
-        bound=float(np.linalg.eigvalsh((M + M.T) / 2)[-1]),
-        symmetric_ok=bool(np.array_equal(Y, Y.T)),
-        support_ok=not np.any(off_edges),
-    )
+    return {
+        "dual": float(np.linalg.eigvalsh((M + M.T) / 2)[-1]),
+        "dual_verified": bool(np.array_equal(Y, Y.T)) and not np.any(off_edges),
+    }
 
 
 def lift_dual(eg: EventGraph, y: np.ndarray, bound: float) -> np.ndarray:
@@ -465,7 +454,7 @@ def theta(
     The returned primal value is a lower and the dual value an upper bound
     on the true optimum, up to X's feasibility residuals.  The status is
     CONVERGED iff the gap and X's residuals pass `converged` at tolerance;
-    otherwise it is MAX_ITERATIONS, carrying the best iterate found, never
+    otherwise it is NOT_CONVERGED, carrying the best iterate found, never
     silently.  `termination` names the exit.  A graph whose SDP would need
     more than `MEMORY_LIMIT_BYTES` is refused with ValueError before anything
     is allocated, and an iterate that turns non-finite raises ValueError.
@@ -603,7 +592,7 @@ def theta(
         X=X,
         y=y,
         tolerance=tolerance,
-        status=SdpStatus.CONVERGED if ok else SdpStatus.MAX_ITERATIONS,
+        status=SdpStatus.CONVERGED if ok else SdpStatus.NOT_CONVERGED,
         iterations=iterations,
         termination=termination,
     )

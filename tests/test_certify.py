@@ -34,6 +34,7 @@ from twopoint import (
 from twopoint.cli import main
 from twopoint.serialize import dumps_canonical, format_float
 from twopoint.simulate import SCHEMES, NoiseModel
+from twopoint.theta import converged
 from oracles import (
     builtin_kcbs_rep, event_assignments, kcbs_graph, lift_primal_per_edge, pairwise_signaling,
     record_tree, scalar_s_estimate,
@@ -272,7 +273,7 @@ class TestConstructiveThetaGprime:
         # |psi|^2 minus its projection onto the span is read from X alone.
         g = catalog(name)
         sol = theta(g)
-        t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
+        t = verify_dual(g, multiplier_matrix(g, sol.y))["dual"]
         eg = build_two_point_graph(g)
         X = lift_primal(eg, sol.X)
         load = sol.X.sum(axis=1)
@@ -301,7 +302,7 @@ class TestConstructiveThetaGprime:
         # difference stays within G's own gap.
         g = _ladder_graph(name)
         sol = theta(g)
-        t = verify_dual(g, multiplier_matrix(g, sol.y)).bound
+        t = verify_dual(g, multiplier_matrix(g, sol.y))["dual"]
         X = lift_primal(build_two_point_graph(g), sol.X)
         assert abs(X.sum() - sol.X.sum() - len(g.edges)) <= t - sol.X.sum()
 
@@ -754,6 +755,51 @@ class TestCheckRules:
             CertifyOptions(scheme="bogus", skip_montecarlo=True)
 
 
+class TestBoundsSection:
+    """Both ϑ sections are built by one function and judged on the numbers they store."""
+
+    @pytest.mark.parametrize(
+        "name", ["c5", "c7", "petersen", "chsh-circulant", "fig2-k2", "k4", "empty6"]
+    )
+    def test_status_is_converged_on_the_stored_numbers(self, name):
+        report = certify(catalog(name), FAST)
+        tolerance = report.data["options"]["tolerance"]
+        for section in ("theta_g", "theta_gprime"):
+            t = report.data[section]
+            ok = converged(t["gap"], t["residuals"], tolerance)
+            assert t["status"] == ("converged" if ok else "not_converged")
+
+    @pytest.mark.parametrize("name", ["c5", "petersen", "k4"])
+    def test_section_holds_what_verify_dual_returns(self, name):
+        g = catalog(name)
+        section = certify(g, FAST).data["theta_g"]
+        dual = verify_dual(g, multiplier_matrix(g, theta(g).y))
+        assert dual.items() <= section.items()
+
+    def test_status_follows_the_stored_gap_not_the_solver(self, monkeypatch):
+        # The solver converged, but a bound 1e-3 higher leaves a gap 1e-3 wide in the report.
+        real = certify_mod.verify_dual
+
+        def loose(*args):
+            out = real(*args)
+            return {**out, "dual": out["dual"] + 1e-3}
+
+        monkeypatch.setattr(certify_mod, "verify_dual", loose)
+        report = certify(cycle_graph(5), FAST)
+        t = report.data["theta_g"]
+        assert t["status"] == "not_converged"
+        assert t["gap"] == pytest.approx(1e-3, abs=1e-9)
+        checks = dict(report.checks())
+        assert checks["theta_g_converged"] is False
+        assert checks["theta_g_feasible"] and checks["theta_g_dual_verified"]
+
+    def test_theta_command_prints_certifys_section(self, capsys):
+        assert main(["theta", "c5", "--format", "json"]) == 0
+        section = json.loads(capsys.readouterr().out)
+        assert main(["certify", "c5", "--skip-montecarlo", "--format", "json"]) == 0
+        assert section == json.loads(capsys.readouterr().out)["theta_g"]
+
+
 class TestCli:
     def test_alpha_json(self, capsys):
         assert main(["alpha", "c5", "--format", "json"]) == 0
@@ -972,7 +1018,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, tamper, line",
         [
-            pytest.param("verify_dual", lambda d: dataclasses.replace(d, support_ok=False),
+            pytest.param("verify_dual", lambda d: {**d, "dual_verified": False},
                          "dual verification = FAIL",
                          id="verify_dual-support_ok-dual verification = FAIL"),
             # An edge entry of 1 breaks the edges condition of the feasibility rule.

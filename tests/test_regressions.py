@@ -3,9 +3,11 @@ cached edge set, G' handed from the compiler to its readers as index arrays,
 parser robustness, byte determinism across processes, SciPy left
 unloaded by everything that runs no SDP, and a public API that resolves."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from twopoint import (
     joint_probs_projective,
     parse_graph,
     pure_state,
+    theta,
 )
 from twopoint.certify import _montecarlo_section
 from twopoint.cli import main
@@ -186,6 +189,40 @@ class TestAdjacencyCache:
         g = cycle_graph(7)
         _ = g.adjacency, g.edge_index
         assert g == cycle_graph(7) and hash(g) == hash(cycle_graph(7))
+
+
+COPIERS = [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy]
+
+
+class TestCopiesKeepReadOnlyArrays:
+    """A pickled or deep-copied object is rebuilt through its constructor, so the
+    copy's arrays are read-only like the original's, and its caches are rebuilt."""
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "deepcopy"])
+    def test_arrays_stay_read_only(self, copier):
+        g = cycle_graph(5)
+        gp = build_two_point_graph(g).as_graph()
+        sol = theta(g)
+        rep = twopoint.extract_ortho_rep(g, sol)
+        record = twopoint.run_experiment(rep, g, shots=500, seed=1)
+        _ = g.edge_index, record.count_array
+        g2, gp2, record2 = copier(g), copier(gp), copier(record)
+        sol2, rep2, state2 = copier(sol), copier(rep), copier(pure_state(rep.psi))
+        assert not _tuples_built(gp2)  # G' is rebuilt from its arrays
+        assert (g2, gp2, record2) == (g, gp, record)
+        assert np.array_equal(sol2.X, sol.X) and np.array_equal(sol2.y, sol.y)
+        assert (sol2.tolerance, sol2.status, sol2.termination) == (
+            sol.tolerance, sol.status, sol.termination)
+        assert np.array_equal(rep2.vectors, rep.vectors) and np.array_equal(rep2.psi, rep.psi)
+        arrays = {
+            "tuple-built Graph.edge_index": g2.edge_index,
+            "array-built Graph.edge_index": gp2.edge_index,
+            "SdpSolution.X and y": (sol2.X, sol2.y),
+            "OrthoRep.vectors and psi": (rep2.vectors, rep2.psi),
+            "QState.rho": (state2.rho,),
+            "ExperimentRecord.count_array": (record2.count_array,),
+        }
+        assert [name for name, arrs in arrays.items() if any(a.flags.writeable for a in arrs)] == []
 
 
 def _tuples_built(g: Graph) -> bool:
